@@ -40,7 +40,6 @@ from .polyfun import (
     predicted_delta_degree,
     preimage_degrees,
     shift_scale,
-    value_table,
 )
 from .search import (
     FamilySpec,
@@ -97,7 +96,6 @@ __all__ = [
     "preimage_degrees",
     "run_search",
     "shift_scale",
-    "value_table",
     "verify_alltop_hits_cubic",
     "verify_char3_no_alltop",
     "verify_mub_set",

@@ -110,22 +110,13 @@ def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
     T[x+a+b] - T[x+b] - T[x+a] + T[x].
     """
     fld = f.field
-    q = fld.q
     t = f.value_table().values
     enc = fld.encodings
-    chunk = max(1, _CHUNK_ENTRIES // q)
-    for a in range(1, q):
-        shifted = t[fld.add_vec(np.int32(a), enc)]
-        d = fld.sub_vec(shifted, t)
-        for b0 in range(1, q, chunk):
-            shifts = np.arange(b0, min(b0 + chunk, q), dtype=np.int32)
-            idx = fld.add_vec(shifts[:, None], enc[None, :])
-            dd = fld.sub_vec(d[idx], d[None, :])
-            ok = _perm_rows_ok(q, dd)
-            if not ok.all():
-                i = int(np.argmax(~ok))
-                x, x2 = _first_collision(dd[i])
-                return a, int(shifts[i]), x, x2
+    for a in range(1, fld.q):
+        d = fld.sub_vec(t[fld.add_vec(np.int32(a), enc)], t)
+        w = _table_planar_witness(fld, d)
+        if w is not None:
+            return (a, *w)
     return None
 
 

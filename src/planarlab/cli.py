@@ -21,7 +21,7 @@ import click
 from . import binom, classify, cyclo, mub, polyfun, search
 from .errors import BudgetExceeded, PlanarLabError
 from .field import make_field
-from .polyfun import Poly, parse_poly
+from .polyfun import Poly, format_poly, parse_poly
 
 BUDGET_ENV = "PLANARLAB_BUDGET"
 
@@ -49,20 +49,6 @@ def _emit_json(payload) -> None:
     click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _zp_poly_text(coeffs) -> str:
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            xs = "x" if e == 1 else f"x^{e}"
-            parts.append(xs if c == 1 else f"{c}*{xs}")
-    return " + ".join(parts) if parts else "0"
-
-
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 def main():
     """Planar/Alltop classification, MUB construction, and exhaustive search
@@ -79,7 +65,7 @@ def field_info(p, r, mul_table, fmt):
     fld = _field(p, r)
     payload = fld.to_json_dict()
     payload["q"] = fld.q
-    payload["modulus_text"] = _zp_poly_text(fld.modulus)
+    payload["modulus_text"] = format_poly(Poly.from_coeffs(make_field(p), fld.modulus))
     if mul_table:
         if fld.q > 49:
             _fail("--mul-table is limited to q <= 49")

@@ -6,16 +6,19 @@ run over [0, q) with q = p**r.  Encoding 0 is the zero element and encoding 1
 the multiplicative identity; encodings below p form the prime subfield, with
 the encoding equal to the residue.
 
-The reduction modulus is deterministic: the monic irreducible of degree r
-over Z_p whose non-leading coefficient vector has the smallest encoding.  It
-is found by scanning encodings upward, testing irreducibility by trial
-division against every monic polynomial of degree at most r // 2.  Two fields
-built from the same (p, r) are therefore interchangeable, in this process or
-any other.
+The reduction modulus depends only on (p, r): it is the monic irreducible of
+degree r over Z_p whose non-leading coefficient vector has the smallest
+encoding.  It is found by scanning encodings upward, testing irreducibility
+by trial division against every monic polynomial of degree at most r // 2.
+Two fields built from the same (p, r) are therefore interchangeable, in this
+process or any other.
 
 Scalar arithmetic works on plain integers.  The ``*_vec`` methods operate on
 numpy arrays of encodings (any broadcastable shapes) and are the performance
-core used by the classification and search modules.
+core used by the classification and search modules.  Products, powers and
+inverses are lookups in O(q) log/antilog tables of the smallest-encoding
+generator g of GF(q)*; additions work on base-p digit vectors.  Prime fields
+multiply residues directly, which costs less per call than two lookups.
 """
 
 from __future__ import annotations
@@ -94,6 +97,37 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError(f"no irreducible of degree {r} over Z_{p}")  # pragma: no cover
+
+
+def _generator_powers(p: int, r: int, modulus: tuple[int, ...]) -> list[int]:
+    """Encodings of g**0, ..., g**(q-2) for the smallest-encoding generator g
+    of GF(q)*: each candidate's powers are walked until they return to 1, and
+    the first candidate that needs q - 1 steps is a generator.  Candidates in
+    the cycle of an earlier candidate lie in a proper subgroup and are skipped."""
+    q = p**r
+    weights = [p**i for i in range(r)]
+    mod = list(modulus)
+    seen: set[int] = set()
+    for g in range(2, q):
+        if g in seen:
+            continue
+        gd = _digits(g, p, r)
+        cur = _digits(1, p, r)
+        powers = [1]
+        for _ in range(q - 2):
+            prod = [0] * (2 * r - 1)
+            for i, c in enumerate(cur):
+                for j, d in enumerate(gd):
+                    prod[i + j] += c * d
+            cur = [c % p for c in _poly_rem(prod, mod, p)]
+            enc = sum(c * w for c, w in zip(cur, weights))
+            if enc == 1:
+                break
+            powers.append(enc)
+        else:
+            return powers
+        seen.update(powers)
+    raise AssertionError(f"GF({q})* has no generator")  # pragma: no cover
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,26 +253,29 @@ class FieldSpec:
         return tab
 
     @property
-    def _xred(self) -> np.ndarray:
-        """Rows k = coefficients of x^k reduced by the modulus, k in [0, 2r-2]."""
-        tab = self._cache.get("xred")
-        if tab is None:
-            p, r = self.p, self.r
-            rows: list[list[int]] = []
-            for k in range(2 * r - 1):
-                if k < r:
-                    row = [0] * r
-                    row[k] = 1
-                else:
-                    prev = rows[k - 1]
-                    row = [0] + prev[:-1]
-                    lead = prev[-1]
-                    row = [(row[i] - lead * self.modulus[i]) % p for i in range(r)]
-                rows.append(row)
-            tab = np.array(rows, dtype=np.int32)
-            tab.setflags(write=False)
-            self._cache["xred"] = tab
-        return tab
+    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """(LOG, EXP) for the smallest-encoding generator g of GF(q)*.
+
+        LOG[a] = k with g**k = a for a != 0, and LOG[0] = 2(q-1).  EXP has
+        4(q-1) + 1 entries: EXP[k] = g**(k mod (q-1)) for k < 2(q-1) and 0
+        from there up, so EXP[LOG[a] + LOG[b]] is a*b even when a or b is 0.
+        """
+        log = self._cache.get("log")
+        if log is None:
+            m = self.q - 1
+            powers = np.array(_generator_powers(self.p, self.r, self.modulus),
+                              dtype=np.int32)
+            exp = np.zeros(4 * m + 1, dtype=np.int32)
+            exp[:m] = powers
+            exp[m : 2 * m] = powers
+            log = np.empty(self.q, dtype=np.int32)
+            log[powers] = np.arange(m, dtype=np.int32)
+            log[0] = 2 * m
+            for tab in (log, exp):
+                tab.setflags(write=False)
+            self._cache["log"] = log
+            self._cache["exp"] = exp
+        return log, self._cache["exp"]
 
     @property
     def _frob1(self) -> np.ndarray:
@@ -267,29 +304,20 @@ class FieldSpec:
         return tab
 
     @property
-    def _inv_table(self) -> np.ndarray:
-        tab = self._cache.get("inv")
-        if tab is None:
-            tab = self.pow_vec(self.encodings, self.q - 2)
-            tab.setflags(write=False)
-            self._cache["inv"] = tab
-        return tab
-
-    @property
     def power_table(self) -> np.ndarray:
         """Matrix POW[a, e] = a**e for e in [0, q); built on demand, O(q^2) memory.
 
-        Backs the difference-operator expansions; exponents at or above q
-        take the slow path instead.
+        Filled column by column from pow_vec, a lookup in the O(q)
+        log/antilog tables.  pow_vec and pow_elemwise give the same powers
+        for any exponent without this matrix; the difference expansions use
+        pow_elemwise.
         """
         tab = self._cache.get("pow")
         if tab is None:
             enc = self.encodings
-            tab = np.ones((self.q, self.q), dtype=np.int32)
-            col = np.ones(self.q, dtype=np.int32)
-            for e in range(1, self.q):
-                col = self.mul_vec(col, enc)
-                tab[:, e] = col
+            tab = np.empty((self.q, self.q), dtype=np.int32)
+            for e in range(self.q):
+                tab[:, e] = self.pow_vec(enc, e)
             tab.setflags(write=False)
             self._cache["pow"] = tab
         return tab
@@ -334,49 +362,29 @@ class FieldSpec:
         b = np.asarray(b, dtype=np.int32)
         if self.r == 1:
             return (a * b) % self.p
-        r = self.r
-        A = self._coeff_mat[a]
-        B = self._coeff_mat[b]
-        shape = np.broadcast_shapes(A.shape[:-1], B.shape[:-1])
-        P = np.zeros(shape + (2 * r - 1,), dtype=np.int32)
-        for i in range(r):
-            for j in range(r):
-                P[..., i + j] += A[..., i] * B[..., j]
-        digits = (P % self.p) @ self._xred % self.p
-        return digits @ self._weights
+        log, exp = self._log_exp
+        return exp[log[a] + log[b]]
 
     def pow_vec(self, base, n: int) -> np.ndarray:
         """base**n elementwise for a single non-negative exponent; 0**0 = 1."""
         if n < 0:
             raise ValueError("exponent must be non-negative")
         base = np.asarray(base, dtype=np.int32)
-        res = np.ones(base.shape, dtype=np.int32)
-        cur = base
-        while n:
-            if n & 1:
-                res = self.mul_vec(res, cur)
-            n >>= 1
-            if n:
-                cur = self.mul_vec(cur, cur)
-        return res
+        if n == 0:
+            return np.ones(base.shape, dtype=np.int32)
+        log, exp = self._log_exp
+        k = log[base].astype(np.int64) * (n % (self.q - 1)) % (self.q - 1)
+        return np.where(base == 0, 0, exp[k])
 
     def pow_elemwise(self, base, exps) -> np.ndarray:
         """base[i]**exps[i] elementwise with per-entry exponents; 0**0 = 1."""
         base = np.asarray(base, dtype=np.int32)
-        e = np.array(exps, dtype=np.int64)
+        e = np.asarray(exps, dtype=np.int64)
         if (e < 0).any():
             raise ValueError("exponents must be non-negative")
-        res = np.ones(np.broadcast_shapes(base.shape, e.shape), dtype=np.int32)
-        cur = np.broadcast_to(base, res.shape).copy()
-        e = np.broadcast_to(e, res.shape).copy()
-        while e.any():
-            odd = (e & 1).astype(bool)
-            if odd.any():
-                res[odd] = self.mul_vec(res[odd], cur[odd])
-            e >>= 1
-            if e.any():
-                cur = self.mul_vec(cur, cur)
-        return res
+        log, exp = self._log_exp
+        k = log[base] * (e % (self.q - 1)) % (self.q - 1)
+        return np.where((base == 0) & (e > 0), 0, exp[k])
 
     # -- scalar kernel (int encodings in, int encodings out) --------------
 
@@ -395,20 +403,16 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        return int(self._inv_table[a])
+        log, exp = self._log_exp
+        return int(exp[self.q - 1 - log[a]])
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             raise ValueError("exponent must be non-negative")
-        result = 1
-        cur = a
-        while n:
-            if n & 1:
-                result = self.mul(result, cur)
-            n >>= 1
-            if n:
-                cur = self.mul(cur, cur)
-        return result
+        if a == 0:
+            return int(n == 0)
+        log, exp = self._log_exp
+        return int(exp[int(log[a]) * n % (self.q - 1)])
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a**(p**k); k reduced mod r since the automorphism has order r."""

@@ -340,10 +340,17 @@ def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown export format {fmt!r}")
 
 
+def _json_value(value, kind: type, what: str):
+    """value when JSON decoded it as `kind`; true and false are not ints here."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _exponent_row(row, p: int) -> tuple[int, ...]:
-    exps = tuple(int(e) for e in row)
-    if any(e < 0 or e >= p for e in exps):
-        raise ValueError(f"phase exponents must lie in [0, {p})")
+    exps = tuple(_json_value(row, list, "a phase vector"))
+    if exps and (set(map(type, exps)) != {int} or min(exps) < 0 or max(exps) >= p):
+        raise ValueError(f"phase exponents must be integers in [0, {p})")
     return exps
 
 
@@ -359,27 +366,29 @@ def import_mubs(
 
     csv carries no field header, so `field` is required for it; construction
     and generating polynomial default to the planar square when absent.
+    Values of the wrong type or shape raise ValueError.
     """
     text = data.decode() if isinstance(data, bytes) else data
     if fmt == "json":
-        obj = json.loads(text)
-        fd = obj["field"]
-        fld = make_field(fd["p"], fd["r"])
-        if list(fld.modulus) != list(fd["modulus"]):
+        obj = _json_value(json.loads(text), dict, "the export")
+        fd = _json_value(obj["field"], dict, "field")
+        fld = make_field(_json_value(fd["p"], int, "field p"),
+                         _json_value(fd["r"], int, "field r"))
+        if fld.modulus != tuple(_json_value(fd["modulus"], list, "field modulus")):
             raise ValueError("modulus in file does not match the canonical field")
         bases: list = []
-        for b in obj["bases"]:
-            if b.get("standard"):
+        for b in _json_value(obj["bases"], list, "bases"):
+            if _json_value(b, dict, "a basis").get("standard"):
                 bases.append(StandardBasis())
             else:
-                vectors = tuple(
-                    PhaseVector(fld, _exponent_row(row, fld.p)) for row in b["vectors"]
-                )
-                bases.append(PhaseBasis(a=int(b["a"]), vectors=vectors))
+                a = _json_value(b["a"], int, "basis a")
+                rows = _json_value(b["vectors"], list, "basis vectors")
+                vectors = tuple(PhaseVector(fld, _exponent_row(r, fld.p)) for r in rows)
+                bases.append(PhaseBasis(a=a, vectors=vectors))
         return MubSet(
             field=fld,
-            construction=obj["construction"],
-            poly=parse_poly(obj["poly"], fld),
+            construction=_json_value(obj["construction"], str, "construction"),
+            poly=parse_poly(_json_value(obj["poly"], str, "poly"), fld),
             bases=bases,
         )
     if fmt == "csv":
@@ -394,7 +403,7 @@ def import_mubs(
             if a not in groups:
                 groups[a] = []
                 order.append(a)
-            groups[a].append(_exponent_row(row[2:], field.p))
+            groups[a].append(_exponent_row([int(e) for e in row[2:]], field.p))
         bases = [StandardBasis()]
         for a in order:
             vectors = tuple(PhaseVector(field, exps) for exps in groups[a])

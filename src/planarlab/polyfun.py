@@ -251,20 +251,6 @@ def format_poly(f: Poly) -> str:
     return " + ".join(parts)
 
 
-def value_table(f: Poly) -> ValueTable:
-    return f.value_table()
-
-
-_POW_TABLE_MAX_Q = 4096
-
-
-def _powers_of(fld: FieldSpec, base_enc: int, exps: np.ndarray) -> np.ndarray:
-    """base**exps via the cached per-field power table when it applies."""
-    if fld.q <= _POW_TABLE_MAX_Q and (len(exps) == 0 or int(exps.max()) < fld.q):
-        return fld.power_table[base_enc, exps]
-    return fld.pow_elemwise(np.full(exps.shape, base_enc, dtype=np.int32), exps)
-
-
 def delta(f: Poly, a) -> Poly:
     """Formal difference polynomial f(x + a) - f(x).
 
@@ -287,7 +273,7 @@ def delta(f: Poly, a) -> Poly:
             continue
         ks, bs = binom.expansion(n, fld.p)
         ks, bs = ks[1:], bs[1:]  # k = 0 reproduces f(x), which cancels
-        apow = _powers_of(fld, a_enc, ks)
+        apow = fld.pow_elemwise(a_enc, ks)
         coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), apow), np.int32(c))
         for k, cc in zip(ks.tolist(), coeffs.tolist()):
             if cc:
@@ -324,8 +310,8 @@ def shift_scale(f: Poly, s, t) -> Poly:
             acc[0] = fld.add(acc.get(0, 0), c)
             continue
         ks, bs = binom.expansion(n, fld.p)
-        spow = _powers_of(fld, s_enc, ks)
-        tpow = _powers_of(fld, t_enc, n - ks)
+        spow = fld.pow_elemwise(s_enc, ks)
+        tpow = fld.pow_elemwise(t_enc, n - ks)
         coeffs = fld.mul_vec(
             fld.mul_vec(bs.astype(np.int32), fld.mul_vec(spow, tpow)), np.int32(c)
         )

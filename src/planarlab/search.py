@@ -86,7 +86,6 @@ class SearchReport:
     hit_texts: list[str]
     hit_polys: list[Poly]
     elapsed_ms: int
-    deterministic: bool = True
 
     def to_json_dict(self, canonical: bool = False) -> dict:
         out = {
@@ -252,12 +251,7 @@ class CubicScopeReport:
 def _stripped_degree(f: Poly) -> int | None:
     """Degree of reduce(f) after removing the constant and power-of-p terms."""
     g = f.reduce()
-    fld = f.field
-    p_powers = set()
-    e = 1
-    while e < fld.q:
-        p_powers.add(e)
-        e *= fld.p
+    p_powers = classify._p_power_exponents(f.field)
     core = {e: c for e, c in g.terms.items() if e != 0 and e not in p_powers}
     return max(core) if core else None
 

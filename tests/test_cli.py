@@ -30,6 +30,12 @@ def test_field_info_canonical_modulus(runner):
     assert obj["modulus"] == [1, 0, 1]
     assert obj["q"] == 9
     assert obj["modulus_text"] == "x^2 + 1"
+    for p, r, modulus, text in [(5, 3, [1, 1, 0, 1], "x^3 + x + 1"),
+                                (7, 4, [1, 1, 0, 0, 1], "x^4 + x + 1")]:
+        obj = invoke_json(runner, "field-info", "--p", str(p), "--r", str(r),
+                          "--format", "json")
+        assert obj["modulus"] == modulus
+        assert obj["modulus_text"] == text
 
 
 def test_field_info_not_prime_exits_2(runner):
@@ -212,6 +218,41 @@ def test_cmd_mubs_verify_corrupted_exits_4(runner, tmp_path):
     assert result.exit_code == 4
     report = json.loads(result.output)
     assert report["passed"] is False and report["violations"]
+
+
+def _replaced(obj, path, value):
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: [obj],
+        lambda obj: _replaced(obj, ("field", "p"), "5"),
+        lambda obj: _replaced(obj, ("bases", 1), 7),
+        lambda obj: _replaced(obj, ("bases", 1, "vectors", 0, 0), 1.7),
+        lambda obj: _replaced(obj, ("bases", 1, "vectors", 0, 0), True),
+        lambda obj: _replaced(obj, ("bases", 1, "a"), None),
+        lambda obj: _replaced(obj, ("bases",), 5),
+        lambda obj: _replaced(obj, ("poly",), 2),
+    ],
+    ids=["list-document", "string-p", "basis-not-object", "float-exponent",
+         "bool-exponent", "null-a", "bases-not-list", "poly-not-string"],
+)
+def test_cmd_mubs_malformed_import_exits_2(runner, tmp_path, edit):
+    out = tmp_path / "mubs.json"
+    invoke(runner, "mubs", "--p", "5", "--r", "1", "--construction", "planar",
+           "--action", "build", "--out", str(out))
+    obj = json.loads(out.read_text())
+    out.write_text(json.dumps(edit(obj)))
+    result = runner.invoke(main, ["mubs", "--p", "5", "--r", "1", "--construction",
+                                  "planar", "--action", "verify", "--in", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
 
 
 def test_cmd_mubs_pi_with_alltop_rejected(runner):

@@ -3,6 +3,8 @@ import pickle
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem
 
 from planarlab.errors import (
     CharTwoUnsupported,
@@ -248,6 +250,66 @@ def test_vector_ops_match_scalar(p, r):
     exps = rng.integers(0, 50, size=200)
     got = f.pow_elemwise(a, exps)
     assert all(int(v) == f.pow(x, int(e)) for v, x, e in zip(got, a.tolist(), exps))
+
+
+# ---------------------------------------------------------------------------
+# kernel against polynomial arithmetic modulo the canonical modulus
+# ---------------------------------------------------------------------------
+
+def check_against_galoistools(f, a, b, base, exps):
+    """mul_vec on the pairs (a, b), pow_elemwise on (base, exps) and inv on
+    the nonzero a, each against sympy's dense GF(p)[x] arithmetic."""
+    p, r = f.p, f.r
+    modulus = list(f.modulus)[::-1]  # galoistools lists coefficients high-to-low
+
+    def to_gf(enc):
+        digits = [(enc // p**i) % p for i in range(r)]
+        while digits and digits[-1] == 0:
+            digits.pop()
+        return digits[::-1]
+
+    def from_gf(poly):
+        enc = 0
+        for c in poly:
+            enc = enc * p + c
+        return enc
+
+    def mul(x, y):
+        return from_gf(gf_rem(gf_mul(to_gf(x), to_gf(y), p, ZZ), modulus, p, ZZ))
+
+    def power(x, e):
+        return from_gf(gf_pow_mod(to_gf(x), e, modulus, p, ZZ))
+
+    a, b, base, exps = (np.asarray(v).tolist() for v in (a, b, base, exps))
+    assert f.mul_vec(a, b).tolist() == [mul(x, y) for x, y in zip(a, b)]
+    assert f.pow_elemwise(base, exps).tolist() == [power(x, e) for x, e in zip(base, exps)]
+    assert all(mul(x, f.inv(x)) == 1 for x in a if x)
+
+
+@pytest.mark.parametrize(
+    "p,r",
+    [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3), (7, 2), (3, 4),
+     (113, 1), (11, 2), (5, 3)],
+)
+def test_kernel_matches_galoistools_all_pairs(p, r):
+    f = make_field(p, r)
+    q = f.q
+    a, b = np.divmod(np.arange(q * q), q)
+    # every base, with 0**0, exponents q - 1 and q, and exponents well past q
+    exps = [0, 1, 2, 3, q - 2, q - 1, q, q + 1, 2 * q + 5, q * q + 3]
+    base, e = np.meshgrid(np.arange(q), exps)
+    check_against_galoistools(f, a, b, base.ravel(), e.ravel())
+
+
+@pytest.mark.parametrize("p,r", [(7, 3), (3, 7), (7, 4), (97, 2)])
+def test_kernel_matches_galoistools_sampled(p, r):
+    f = make_field(p, r)
+    rng = np.random.default_rng(20261018 + f.q)
+    a, b = rng.integers(0, f.q, size=(2, 2000))
+    a[:4] = 0
+    exps = rng.integers(0, 3 * f.q, size=2000)
+    exps[:2] = 0  # 0**0 = 1 and 0**e = 0 for e > 0 both occur
+    check_against_galoistools(f, a, b, a, exps)
 
 
 # ---------------------------------------------------------------------------
