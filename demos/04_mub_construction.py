@@ -1,6 +1,7 @@
 """Complete MUB sets from planar functions and from shifted cubics,
 verified exactly in integer arithmetic."""
 
+import dataclasses
 import json
 
 from planarlab import (
@@ -12,19 +13,18 @@ from planarlab import (
     parse_poly,
     verify_mub_set,
 )
-from planarlab.mub import MubSet, PhaseBasis, PhaseVector
 
 f7 = make_field(7)
 
 m = build_planar_mubs(f7, parse_poly("x^2", f7))
-print(f"planar construction over GF(7): {len(m.bases)} bases")
 report = verify_mub_set(m)
+print(f"planar construction over GF(7): {report.num_bases} bases")
 print(f"  verification: passed={report.passed}, "
       f"{report.pairs_checked} vector pairs checked exactly")
 
 m2 = build_alltop_mubs(f7)
 report2 = verify_mub_set(m2)
-print(f"cubic construction over GF(7): {len(m2.bases)} bases, passed={report2.passed}")
+print(f"cubic construction over GF(7): {report2.num_bases} bases, passed={report2.passed}")
 
 print()
 print("exports are exact phase-exponent tables; a json round trip is bit-exact:")
@@ -34,12 +34,9 @@ print("  first basis row:", json.loads(data)["bases"][1]["vectors"][0])
 
 print()
 print("corrupting a single exponent is caught and localized:")
-basis = m.bases[1]
-exps = list(basis.vectors[0].exponents)
-exps[0] = (exps[0] + 1) % 7
-bad_vectors = (PhaseVector(f7, tuple(exps)),) + basis.vectors[1:]
-bad = MubSet(f7, m.construction, m.poly,
-             [m.bases[0], PhaseBasis(basis.a, bad_vectors)] + m.bases[2:])
+exps = m.exponents.copy()  # [phase basis, vector, entry]; the set's own is read-only
+exps[0, 0, 0] = (exps[0, 0, 0] + 1) % 7
+bad = dataclasses.replace(m, exponents=exps)
 bad_report = verify_mub_set(bad)
 v = bad_report.violations[0]
 got = v.value if v.is_rational_integer else f"non-integral d={v.autocorrelation}"

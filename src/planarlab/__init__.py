@@ -19,9 +19,6 @@ from .errors import PlanarLabError
 from .field import FieldElement, FieldSpec, make_field
 from .mub import (
     MubSet,
-    PhaseBasis,
-    PhaseVector,
-    StandardBasis,
     build_alltop_mubs,
     build_planar_mubs,
     export_mubs,
@@ -60,12 +57,9 @@ __all__ = [
     "FieldSpec",
     "MagSqResult",
     "MubSet",
-    "PhaseBasis",
-    "PhaseVector",
     "PlanarLabError",
     "Poly",
     "SearchReport",
-    "StandardBasis",
     "ValueTable",
     "ZeroShiftWarning",
     "alltop_deltas_decompose",

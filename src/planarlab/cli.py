@@ -207,6 +207,8 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, worker
                 pi = _poly(fld, pi_text or "x^2")
                 return mub.build_planar_mubs(fld, pi)
             return mub.build_alltop_mubs(fld)
+        except BudgetExceeded as exc:
+            _fail(str(exc), code=3)
         except PlanarLabError as exc:
             _fail(str(exc))
 
@@ -216,6 +218,8 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, worker
         in_fmt = "csv" if path.endswith(".csv") else "json"
         try:
             return mub.import_mubs(data, in_fmt, field=fld, construction=construction)
+        except BudgetExceeded as exc:
+            _fail(str(exc), code=3)
         except (PlanarLabError, ValueError, KeyError, json.JSONDecodeError) as exc:
             _fail(f"cannot read MUB export: {exc}")
 
@@ -238,10 +242,7 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, worker
         write(mub.export_mubs(load(in_path), fmt))
         return
     m = load(in_path) if in_path is not None else build()
-    try:
-        report = mub.verify_mub_set(m, workers=workers)
-    except ValueError as exc:
-        _fail(str(exc))
+    report = mub.verify_mub_set(m, workers=workers)
     _emit_json(report.to_json_dict())
     if not report.passed:
         sys.exit(4)

@@ -5,7 +5,10 @@ amplitude 1/sqrt(q) on every entry, so all verification is exact integer
 arithmetic.  The planar construction assigns the vector indexed (a, b) the
 exponent table tr(a * Pi(x) + b * x); the cubic construction (characteristic
 at least 5) uses tr((x + a)^3 + b * (x + a)).  Together with the standard
-basis these give q + 1 bases.
+basis these give q + 1 bases.  A set keeps all q^3 exponents in one
+read-only (q, q, q) uint16 array, indexed [phase basis, vector, entry];
+sets with q^3 > 2^26 entries (q > 406) raise BudgetExceeded before any
+table is built.
 
 For two phase vectors the squared inner product times q^2 equals the squared
 magnitude of the phase-difference histogram, so unbiasedness is the exact
@@ -18,103 +21,98 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent import futures
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import classify
-from .errors import CharacteristicTooSmall, FieldMismatch, NotPlanar
+from .errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
 from .field import FieldSpec, make_field
 from .polyfun import Poly, parse_poly
 
 _VERIFY_CHUNK = 1 << 18
+MAX_PHASE_ENTRIES = 1 << 26  # q^3 bound of a MUB set: q <= 406
 
 
-@dataclass(frozen=True)
-class PhaseVector:
-    """Length-q table of phase exponents mod p with implicit 1/sqrt(q) amplitude."""
-
-    field: FieldSpec
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) != self.field.q:
-            raise ValueError("phase table length must equal the field order")
+def _check_size(field: FieldSpec) -> None:
+    if field.q**3 > MAX_PHASE_ENTRIES:
+        raise BudgetExceeded(
+            f"a MUB set over GF({field.q}) has {field.q**3} phase entries, "
+            f"more than the bound {MAX_PHASE_ENTRIES}"
+        )
 
 
-@dataclass(frozen=True)
-class StandardBasis:
-    """Marker for the standard basis."""
-
-
-@dataclass(frozen=True)
-class PhaseBasis:
-    """The q phase vectors of one basis, indexed by the b encoding."""
-
-    a: int
-    vectors: tuple[PhaseVector, ...]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MubSet:
-    """A complete collection: the standard basis plus q phase bases."""
+    """A complete collection: the standard basis plus q phase bases.
+
+    exponents[k, b, x] is entry x of vector b in phase basis k, whose label
+    is a[k]; `standard` is the position of the standard basis among the
+    q + 1 bases.
+    """
 
     field: FieldSpec
     construction: str  # "planar" | "alltop"
     poly: Poly
-    bases: list
+    a: tuple[int, ...]
+    exponents: np.ndarray
+    standard: int = 0
 
-    def phase_bases(self) -> list[tuple[int, PhaseBasis]]:
-        return [(i, b) for i, b in enumerate(self.bases) if isinstance(b, PhaseBasis)]
+    def __post_init__(self):
+        q = self.field.q
+        exps = self.exponents.view()
+        if exps.dtype != np.uint16 or exps.shape != (q, q, q) or len(self.a) != q:
+            raise ValueError(f"expected {q} phase bases of {q} vectors of length {q}")
+        if not 0 <= self.standard <= q:
+            raise ValueError(f"the standard basis position must be in [0, {q}]")
+        exps.setflags(write=False)
+        object.__setattr__(self, "exponents", exps)
 
-    def exponent_matrix(self, basis: PhaseBasis) -> np.ndarray:
-        return np.array([v.exponents for v in basis.vectors], dtype=np.int64)
+    def phase_bases(self) -> list[int]:
+        """Position of each phase basis among the q + 1 bases."""
+        return [k + (k >= self.standard) for k in range(self.field.q)]
 
-
-def _phase_bases_from_matrix(field: FieldSpec, a: int, mat: np.ndarray) -> PhaseBasis:
-    vectors = tuple(
-        PhaseVector(field, tuple(int(e) for e in row)) for row in mat
-    )
-    return PhaseBasis(a=a, vectors=vectors)
+    def exponent_matrix(self, k: int) -> np.ndarray:
+        """Phase basis k as int64: differences of uint16 entries would wrap."""
+        return self.exponents[k].astype(np.int64)
 
 
 def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
     """Bases V_a with exponents tr(a * pi(x) + b * x) for all a, plus standard."""
+    _check_size(field)
     if pi.field != field:
         raise FieldMismatch("generating polynomial belongs to a different field")
     if not classify.is_planar(pi):
         raise NotPlanar(f"{pi} is not planar over {field!r}")
-    p = field.p
+    q = field.q
     values = pi.value_table().values
     tb = field.trace_bilinear  # tb[b, x] = tr(b * x)
-    bases: list = [StandardBasis()]
-    for a in range(field.q):
+    exps = np.empty((q, q, q), dtype=np.uint16)
+    for a in range(q):
         ta = field.trace_table[field.mul_vec(np.int32(a), values)]
-        mat = (ta[None, :] + tb) % p
-        bases.append(_phase_bases_from_matrix(field, a, mat))
-    return MubSet(field=field, construction="planar", poly=pi, bases=bases)
+        exps[a] = (ta[None, :] + tb) % field.p
+    return MubSet(field, "planar", pi, tuple(range(q)), exps)
 
 
 def build_alltop_mubs(field: FieldSpec) -> MubSet:
     """Bases with exponents tr((x+a)^3 + b*(x+a)); needs characteristic >= 5."""
+    _check_size(field)
     if field.p < 5:
         raise CharacteristicTooSmall(
             f"cubic phase construction needs characteristic >= 5, got {field.p}"
         )
-    p = field.p
+    q = field.q
     enc = field.encodings
     cube = field.mul_vec(field.mul_vec(enc, enc), enc)
     tr_cube = field.trace_table[cube]
     tb = field.trace_bilinear
-    bases: list = [StandardBasis()]
-    for a in range(field.q):
+    exps = np.empty((q, q, q), dtype=np.uint16)
+    for a in range(q):
         shifted = field.add_vec(np.int32(a), enc)
-        mat = (tr_cube[shifted][None, :] + tb[:, shifted]) % p
-        bases.append(_phase_bases_from_matrix(field, a, mat))
-    return MubSet(
-        field=field, construction="alltop", poly=Poly.monomial(field, 3), bases=bases
-    )
+        exps[a] = (tr_cube[shifted][None, :] + tb[:, shifted]) % field.p
+    return MubSet(field, "alltop", Poly.monomial(field, 3), tuple(range(q)), exps)
 
 
 @dataclass(frozen=True)
@@ -220,24 +218,16 @@ def _verify_pairs(args):
 
 def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
     """Exact verification: orthonormality within each phase basis and squared
-    cross-basis magnitude q for every pair; failures become report content."""
+    cross-basis magnitude q for every pair; failures become report content.
+    At most one worker process per CPU is started."""
     fld = m.field
     q = fld.q
-    if len(m.bases) != q + 1:
-        raise ValueError(f"expected {q + 1} bases, got {len(m.bases)}")
-    standards = [b for b in m.bases if isinstance(b, StandardBasis)]
-    if len(standards) != 1:
-        raise ValueError("expected exactly one standard basis")
-    phase = m.phase_bases()
-    for _, b in phase:
-        if len(b.vectors) != q:
-            raise ValueError("every phase basis must hold exactly q vectors")
-
-    mats = {i: m.exponent_matrix(b) for i, b in phase}
-    idx = [i for i, _ in phase]
+    idx = m.phase_bases()
+    mats = {i: m.exponent_matrix(k) for k, i in enumerate(idx)}
     pair_list = [(i, i, True) for i in idx]
     pair_list += [(i, j, False) for n, i in enumerate(idx) for j in idx[n + 1 :]]
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(pair_list) < 2 * workers:
         raw = _verify_pairs((fld.p, q, mats, pair_list))
     else:
@@ -268,7 +258,7 @@ def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
     return MubVerification(
         passed=not violations,
         q=q,
-        num_bases=len(m.bases),
+        num_bases=q + 1,
         pairs_checked=n_within + n_cross,
         violations=violations,
     )
@@ -281,62 +271,45 @@ def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def _header(m: MubSet) -> dict:
+    return {
+        "field": m.field.to_json_dict(),
+        "construction": m.construction,
+        "poly": str(m.poly),
+    }
+
+
 def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
-    """Serialize a MubSet: 'json' and 'csv' are exact, 'float-json' is lossy."""
+    """Serialize a MubSet: 'json' and 'csv' are exact, 'float-json' is lossy.
+
+    Each exponent goes through a p-entry table: its decimal text for csv,
+    its [re, im] pair for float-json.
+    """
+    p = m.field.p
+    rows = m.exponents.tolist()
     if fmt == "json":
-        bases = []
-        for b in m.bases:
-            if isinstance(b, StandardBasis):
-                bases.append({"standard": True})
-            else:
-                bases.append(
-                    {"a": b.a, "vectors": [list(v.exponents) for v in b.vectors]}
-                )
-        return _json_bytes(
-            {
-                "field": m.field.to_json_dict(),
-                "construction": m.construction,
-                "poly": str(m.poly),
-                "bases": bases,
-            }
-        )
+        bases = [{"a": a, "vectors": vecs} for a, vecs in zip(m.a, rows)]
+        bases.insert(m.standard, {"standard": True})
+        return _json_bytes({**_header(m), "bases": bases})
     if fmt == "csv":
-        q = m.field.q
-        lines = ["basis,b," + ",".join(f"x{i}" for i in range(q))]
-        for b in m.bases:
-            if isinstance(b, StandardBasis):
-                continue
-            for bi, v in enumerate(b.vectors):
-                lines.append(f"{b.a},{bi}," + ",".join(str(e) for e in v.exponents))
+        text = [str(e) for e in range(p)]
+        lines = ["basis,b," + ",".join(f"x{i}" for i in range(m.field.q))]
+        for a, vecs in zip(m.a, rows):
+            for b, row in enumerate(vecs):
+                lines.append(f"{a},{b}," + ",".join([text[e] for e in row]))
         return ("\n".join(lines) + "\n").encode()
     if fmt == "float-json":
-        p = m.field.p
         amp = 1.0 / math.sqrt(m.field.q)
-        bases = []
-        for b in m.bases:
-            if isinstance(b, StandardBasis):
-                bases.append({"standard": True})
-                continue
-            entries = [
-                [
-                    [
-                        amp * math.cos(2.0 * math.pi * e / p),
-                        amp * math.sin(2.0 * math.pi * e / p),
-                    ]
-                    for e in v.exponents
-                ]
-                for v in b.vectors
-            ]
-            bases.append({"a": b.a, "entries": entries})
-        return _json_bytes(
-            {
-                "field": m.field.to_json_dict(),
-                "construction": m.construction,
-                "poly": str(m.poly),
-                "lossy": True,
-                "bases": bases,
-            }
-        )
+        phase = [
+            [amp * math.cos(2.0 * math.pi * e / p), amp * math.sin(2.0 * math.pi * e / p)]
+            for e in range(p)
+        ]
+        bases = [
+            {"a": a, "entries": [[phase[e] for e in row] for row in vecs]}
+            for a, vecs in zip(m.a, rows)
+        ]
+        bases.insert(m.standard, {"standard": True})
+        return _json_bytes({**_header(m), "lossy": True, "bases": bases})
     raise ValueError(f"unknown export format {fmt!r}")
 
 
@@ -347,11 +320,18 @@ def _json_value(value, kind: type, what: str):
     return value
 
 
-def _exponent_row(row, p: int) -> tuple[int, ...]:
-    exps = tuple(_json_value(row, list, "a phase vector"))
-    if exps and (set(map(type, exps)) != {int} or min(exps) < 0 or max(exps) >= p):
+def _counted(items: list, q: int, what: str) -> list:
+    if len(items) != q:
+        raise ValueError(f"expected {q} {what}, got {len(items)}")
+    return items
+
+
+def _exponent_row(row, p: int, q: int) -> list[int]:
+    """The row when it holds q ints in [0, p); this guards the uint16 cast."""
+    _counted(_json_value(row, list, "a phase vector"), q, "entries in a phase vector")
+    if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= p:
         raise ValueError(f"phase exponents must be integers in [0, {p})")
-    return exps
+    return row
 
 
 def import_mubs(
@@ -365,8 +345,10 @@ def import_mubs(
     """Rebuild a MubSet from an exact export (json or csv).
 
     csv carries no field header, so `field` is required for it; construction
-    and generating polynomial default to the planar square when absent.
-    Values of the wrong type or shape raise ValueError.
+    and generating polynomial default to the planar square when absent.  A
+    json file must match `field` (FieldMismatch) and `construction`
+    (ValueError) when they are given.  Values of the wrong type, count or
+    shape raise ValueError; a set above the size bound, BudgetExceeded.
     """
     text = data.decode() if isinstance(data, bytes) else data
     if fmt == "json":
@@ -374,46 +356,52 @@ def import_mubs(
         fd = _json_value(obj["field"], dict, "field")
         fld = make_field(_json_value(fd["p"], int, "field p"),
                          _json_value(fd["r"], int, "field r"))
+        if field is not None and fld != field:
+            raise FieldMismatch(f"the export is over {fld!r}, not {field!r}")
+        _check_size(fld)
         if fld.modulus != tuple(_json_value(fd["modulus"], list, "field modulus")):
             raise ValueError("modulus in file does not match the canonical field")
-        bases: list = []
-        for b in _json_value(obj["bases"], list, "bases"):
-            if _json_value(b, dict, "a basis").get("standard"):
-                bases.append(StandardBasis())
-            else:
-                a = _json_value(b["a"], int, "basis a")
-                rows = _json_value(b["vectors"], list, "basis vectors")
-                vectors = tuple(PhaseVector(fld, _exponent_row(r, fld.p)) for r in rows)
-                bases.append(PhaseBasis(a=a, vectors=vectors))
+        kind = _json_value(obj["construction"], str, "construction")
+        if construction is not None and kind != construction:
+            raise ValueError(f"the export holds a {kind} set, not a {construction} set")
+        bases = _json_value(obj["bases"], list, "bases")
+        (std,) = _counted([i for i, b in enumerate(bases)
+                           if _json_value(b, dict, "a basis").get("standard")],
+                          1, "standard basis")
+        q, p = fld.q, fld.p
+        phase = _counted(bases[:std] + bases[std + 1 :], q, "phase bases")
+        rows = []
+        for b in phase:
+            vectors = _json_value(b["vectors"], list, "basis vectors")
+            rows.append([_exponent_row(r, p, q) for r in _counted(vectors, q, "vectors")])
         return MubSet(
             field=fld,
-            construction=_json_value(obj["construction"], str, "construction"),
+            construction=kind,
             poly=parse_poly(_json_value(obj["poly"], str, "poly"), fld),
-            bases=bases,
+            a=tuple(_json_value(b["a"], int, "basis a") for b in phase),
+            exponents=np.array(rows, dtype=np.uint16),
+            standard=std,
         )
     if fmt == "csv":
         if field is None:
             raise ValueError("csv import needs the field")
+        _check_size(field)
+        q, p = field.q, field.p
+        groups: dict[int, list[list[int]]] = {}
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows = [ln.split(",") for ln in lines[1:]]
-        groups: dict[int, list[tuple[int, ...]]] = {}
-        order: list[int] = []
-        for row in rows:
-            a = int(row[0])
-            if a not in groups:
-                groups[a] = []
-                order.append(a)
-            groups[a].append(_exponent_row([int(e) for e in row[2:]], field.p))
-        bases = [StandardBasis()]
-        for a in order:
-            vectors = tuple(PhaseVector(field, exps) for exps in groups[a])
-            bases.append(PhaseBasis(a=a, vectors=vectors))
+        for row in (ln.split(",") for ln in lines[1:]):
+            groups.setdefault(int(row[0]), []).append(
+                _exponent_row(list(map(int, row[2:])), p, q)
+            )
+        _counted(list(groups), q, "phase bases")
+        rows = [_counted(vecs, q, "vectors") for vecs in groups.values()]
         construction = construction or "planar"
         poly_text = poly_text or ("x^3" if construction == "alltop" else "x^2")
         return MubSet(
             field=field,
             construction=construction,
             poly=parse_poly(poly_text, field),
-            bases=bases,
+            a=tuple(groups),
+            exponents=np.array(rows, dtype=np.uint16),
         )
     raise ValueError(f"unknown import format {fmt!r}")

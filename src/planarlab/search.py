@@ -8,6 +8,7 @@ serially or split across worker processes.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent import futures
 from dataclasses import dataclass, field as dataclass_field
@@ -129,7 +130,8 @@ def run_search(
     Raises BudgetExceeded when the family cardinality exceeds the candidate
     budget, or when the worst-case table-operation estimate (q^2 per planar
     candidate, q^3 per alltop candidate) exceeds 1000x that budget — with the
-    defaults, 10^7 candidates and 10^10 table operations.
+    defaults, 10^7 candidates and 10^10 table operations.  At most one
+    worker process per CPU is started.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -145,6 +147,7 @@ def run_search(
         )
 
     t0 = time.perf_counter()
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or n < 4 * workers:
         pairs = _scan(field, family, mode, 0, n)
     else:

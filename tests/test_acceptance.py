@@ -118,14 +118,16 @@ def test_criterion_06_mub_sets_verify_exactly():
         for p, r in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]:
             field = make_field(p, r)
             m = build_planar_mubs(field, Poly.monomial(field, 2))
-            assert len(m.bases) == field.q + 1
+            assert m.exponents.shape == (field.q,) * 3
             rep = verify_mub_set(m)
+            assert rep.num_bases == field.q + 1
             assert rep.passed and not rep.violations, ("planar", p, r)
         for p, r in [(5, 1), (7, 1), (5, 2)]:
             field = make_field(p, r)
             m = build_alltop_mubs(field)
-            assert len(m.bases) == field.q + 1
+            assert m.exponents.shape == (field.q,) * 3
             rep = verify_mub_set(m)
+            assert rep.num_bases == field.q + 1
             assert rep.passed and not rep.violations, ("alltop", p, r)
 
 

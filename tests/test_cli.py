@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -228,6 +229,29 @@ def _replaced(obj, path, value):
     return obj
 
 
+def _mubs_on_edited_export(runner, tmp_path, edit, action):
+    out = tmp_path / "mubs.json"
+    invoke(runner, "mubs", "--p", "5", "--r", "1", "--construction", "planar",
+           "--action", "build", "--out", str(out))
+    obj = json.loads(out.read_text())
+    out.write_text(json.dumps(edit(obj)))
+    return runner.invoke(main, ["mubs", "--p", "5", "--r", "1", "--construction",
+                                "planar", "--action", action, "--in", str(out)])
+
+
+# well-typed exports whose bases or vectors have the wrong counts
+STRUCTURAL_EDITS = [
+    lambda obj: _replaced(obj, ("bases", 1, "vectors"), obj["bases"][1]["vectors"][:-1]),
+    lambda obj: _replaced(obj, ("bases", 1, "vectors", 2),
+                          obj["bases"][1]["vectors"][2][:-1]),
+    lambda obj: _replaced(obj, ("bases",), obj["bases"][1:]),
+    lambda obj: _replaced(obj, ("bases",), obj["bases"] + [{"standard": True}]),
+    lambda obj: _replaced(obj, ("bases",), obj["bases"][:-1]),
+]
+STRUCTURAL_IDS = ["short-basis", "ragged-row", "no-standard", "two-standards",
+                  "short-set"]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -239,20 +263,51 @@ def _replaced(obj, path, value):
         lambda obj: _replaced(obj, ("bases", 1, "a"), None),
         lambda obj: _replaced(obj, ("bases",), 5),
         lambda obj: _replaced(obj, ("poly",), 2),
+        *STRUCTURAL_EDITS,
     ],
     ids=["list-document", "string-p", "basis-not-object", "float-exponent",
-         "bool-exponent", "null-a", "bases-not-list", "poly-not-string"],
+         "bool-exponent", "null-a", "bases-not-list", "poly-not-string",
+         *STRUCTURAL_IDS],
 )
 def test_cmd_mubs_malformed_import_exits_2(runner, tmp_path, edit):
-    out = tmp_path / "mubs.json"
-    invoke(runner, "mubs", "--p", "5", "--r", "1", "--construction", "planar",
-           "--action", "build", "--out", str(out))
-    obj = json.loads(out.read_text())
-    out.write_text(json.dumps(edit(obj)))
-    result = runner.invoke(main, ["mubs", "--p", "5", "--r", "1", "--construction",
-                                  "planar", "--action", "verify", "--in", str(out)])
+    result = _mubs_on_edited_export(runner, tmp_path, edit, "verify")
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize("edit", STRUCTURAL_EDITS, ids=STRUCTURAL_IDS)
+def test_cmd_mubs_export_malformed_exits_2(runner, tmp_path, edit):
+    # the array is built at import, so a malformed set is not written back
+    result = _mubs_on_edited_export(runner, tmp_path, edit, "export")
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+
+
+def test_cmd_mubs_import_must_match_options(runner, tmp_path):
+    out = tmp_path / "g5.json"
+    invoke(runner, "mubs", "--p", "5", "--construction", "planar", "--action", "build",
+           "--out", str(out))
+    for args in (["--p", "7", "--construction", "planar"],
+                 ["--p", "5", "--r", "2", "--construction", "planar"],
+                 ["--p", "5", "--construction", "alltop"],
+                 ["--p", "7", "--construction", "alltop"]):
+        result = runner.invoke(main, ["mubs", *args, "--action", "verify", "--in", str(out)])
+        assert result.exit_code == 2, (args, result.output)
+        assert "error:" in result.output
+    result = runner.invoke(main, ["mubs", "--p", "5", "--construction", "planar",
+                                  "--action", "verify", "--in", str(out)])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("p, r", [(7, 4), (5, 4)])
+def test_cmd_mubs_above_size_bound_exits_3(runner, p, r):
+    for construction in ("planar", "alltop"):
+        t0 = time.perf_counter()
+        result = runner.invoke(main, ["mubs", "--p", str(p), "--r", str(r),
+                                      "--construction", construction, "--action", "build"])
+        assert time.perf_counter() - t0 < 0.5
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output
 
 
 def test_cmd_mubs_pi_with_alltop_rejected(runner):

@@ -1,14 +1,15 @@
+import dataclasses
+import hashlib
 import json
+import time
 
+import numpy as np
 import pytest
 
-from planarlab.errors import CharacteristicTooSmall, FieldMismatch, NotPlanar
+from planarlab.errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
 from planarlab.field import make_field
 from planarlab.mub import (
-    MubSet,
-    PhaseBasis,
-    PhaseVector,
-    StandardBasis,
+    MAX_PHASE_ENTRIES,
     build_alltop_mubs,
     build_planar_mubs,
     export_mubs,
@@ -25,13 +26,9 @@ def planar_set(p, r=1, pi_text="x^2"):
 
 def corrupt(m):
     """Copy with a single phase exponent perturbed."""
-    basis = m.bases[1]
-    vec = basis.vectors[0]
-    exps = list(vec.exponents)
-    exps[0] = (exps[0] + 1) % m.field.p
-    vectors = (PhaseVector(m.field, tuple(exps)),) + basis.vectors[1:]
-    bases = [m.bases[0], PhaseBasis(a=basis.a, vectors=vectors)] + m.bases[2:]
-    return MubSet(field=m.field, construction=m.construction, poly=m.poly, bases=bases)
+    exps = m.exponents.copy()
+    exps[0, 0, 0] = (exps[0, 0, 0] + 1) % m.field.p
+    return dataclasses.replace(m, exponents=exps)
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +37,13 @@ def corrupt(m):
 
 def test_planar_build_examples():
     m = planar_set(5)
-    assert len(m.bases) == 6
-    assert isinstance(m.bases[0], StandardBasis)
-    assert [b.a for b in m.bases[1:]] == list(range(5))
+    assert m.exponents.shape == (5, 5, 5) and m.exponents.dtype == np.uint16
+    assert m.standard == 0
+    assert m.a == tuple(range(5))
     m3 = planar_set(3)
-    assert len(m3.bases) == 4
-    assert verify_mub_set(m3).passed
+    assert m3.exponents.shape == (3, 3, 3)
+    rep = verify_mub_set(m3)
+    assert rep.passed and rep.num_bases == 4
 
 
 def test_planar_build_rejects_non_planar():
@@ -62,33 +60,32 @@ def test_planar_exponents_definition():
     m = planar_set(5)
     field = m.field
     pi = m.poly
-    for basis in m.bases[1:]:
-        for b, vec in enumerate(basis.vectors):
+    for k, a in enumerate(m.a):
+        for b in range(5):
             for x in range(5):
-                want = field.trace(
-                    field.add(field.mul(basis.a, pi(x).enc), field.mul(b, x))
-                )
-                assert vec.exponents[x] == want
+                want = field.trace(field.add(field.mul(a, pi(x).enc), field.mul(b, x)))
+                assert m.exponents[k, b, x] == want
 
 
 def test_alltop_build_examples():
     m = build_alltop_mubs(make_field(5))
-    assert len(m.bases) == 6
+    assert m.exponents.shape == (5, 5, 5) and m.standard == 0
     with pytest.raises(CharacteristicTooSmall):
         build_alltop_mubs(make_field(3))
     m25 = build_alltop_mubs(make_field(5, 2))
-    assert len(m25.bases) == 26
+    assert m25.exponents.shape == (25, 25, 25)
+    assert verify_mub_set(m25).num_bases == 26
 
 
 def test_alltop_exponents_definition():
     field = make_field(7)
     m = build_alltop_mubs(field)
-    for basis in m.bases[1:]:
-        for b, vec in enumerate(basis.vectors):
+    for k, a in enumerate(m.a):
+        for b in range(7):
             for x in range(7):
-                y = field.add(x, basis.a)
+                y = field.add(x, a)
                 want = field.trace(field.add(field.pow(y, 3), field.mul(b, y)))
-                assert vec.exponents[x] == want
+                assert m.exponents[k, b, x] == want
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +103,9 @@ def test_verify_passes_for_other_planar_generators():
     # any planar generator works, not just the square
     f27 = make_field(3, 3)
     m = build_planar_mubs(f27, Poly.monomial(f27, 4))  # x^(3^1 + 1), planar
-    assert len(m.bases) == 28
-    assert verify_mub_set(m).passed
+    assert m.exponents.shape == (27, 27, 27)
+    rep = verify_mub_set(m)
+    assert rep.passed and rep.num_bases == 28
     f25 = make_field(5, 2)
     m = build_planar_mubs(f25, Poly.monomial(f25, 10))  # Frobenius twist of x^2
     assert verify_mub_set(m).passed
@@ -124,13 +122,31 @@ def test_verify_flags_corrupted_set():
 
 
 def test_verify_structural_validation():
+    # the shape and the standard position are checked when the set is made
     m = planar_set(5)
-    broken = MubSet(m.field, m.construction, m.poly, m.bases[:-1])
     with pytest.raises(ValueError):
-        verify_mub_set(broken)
-    no_standard = MubSet(m.field, m.construction, m.poly, m.bases[1:] + [m.bases[1]])
+        dataclasses.replace(m, exponents=m.exponents[:-1], a=m.a[:-1])
     with pytest.raises(ValueError):
-        verify_mub_set(no_standard)
+        dataclasses.replace(m, exponents=m.exponents[:, :-1])
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, a=m.a[:-1])
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, exponents=m.exponents.astype(np.int64))
+    for standard in (-1, 6):
+        with pytest.raises(ValueError):
+            dataclasses.replace(m, standard=standard)
+
+
+def test_exponents_are_read_only():
+    m = planar_set(5)
+    with pytest.raises(ValueError):
+        m.exponents[0, 0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.standard = 1
+    exps = m.exponents.copy()
+    m2 = dataclasses.replace(m, exponents=exps)
+    with pytest.raises(ValueError):
+        m2.exponents[0, 0, 0] = 1
 
 
 def test_verify_parallel_matches_serial():
@@ -143,6 +159,41 @@ def test_verify_parallel_matches_serial():
         verify_mub_set(mc, workers=1).to_json_dict()
         == verify_mub_set(mc, workers=2).to_json_dict()
     )
+
+
+def test_verify_caps_workers_at_the_machine(inline_pool):
+    m = corrupt(planar_set(7))
+    assert verify_mub_set(m, workers=64).to_json_dict() == (
+        verify_mub_set(m, workers=1).to_json_dict()
+    )
+    assert inline_pool == [2]
+
+
+# ---------------------------------------------------------------------------
+# size bound
+# ---------------------------------------------------------------------------
+
+def test_size_bound_admits_q_up_to_406():
+    assert 406**3 <= MAX_PHASE_ENTRIES < 407**3
+    for p, r in [(7, 4), (5, 4), (3, 6), (409, 1)]:
+        field = make_field(p, r)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            build_planar_mubs(field, parse_poly("x^2", field))
+        with pytest.raises(BudgetExceeded):
+            build_alltop_mubs(field)
+        with pytest.raises(BudgetExceeded):
+            import_mubs("basis,b,x0\n", "csv", field=field)
+        assert time.perf_counter() - t0 < 0.5, (p, r)
+    m = build_alltop_mubs(make_field(5, 3))
+    assert m.exponents.shape == (125, 125, 125)
+
+
+def test_json_import_checks_the_size_bound():
+    obj = json.loads(export_mubs(planar_set(5), "json"))
+    obj["field"] = make_field(7, 4).to_json_dict()
+    with pytest.raises(BudgetExceeded):
+        import_mubs(json.dumps(obj), "json")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +237,8 @@ def test_json_roundtrip_bit_exact():
         data = export_mubs(m, "json")
         back = import_mubs(data, "json")
         assert export_mubs(back, "json") == data
-        for b1, b2 in zip(m.bases[1:], back.bases[1:]):
-            assert b1 == b2
+        assert np.array_equal(m.exponents, back.exponents)
+        assert back.a == m.a and back.standard == 0
 
 
 def test_csv_roundtrip_bit_exact():
@@ -195,8 +246,8 @@ def test_csv_roundtrip_bit_exact():
     data = export_mubs(m, "csv")
     back = import_mubs(data, "csv", field=m.field)
     assert export_mubs(back, "csv") == data
-    for b1, b2 in zip(m.bases[1:], back.bases[1:]):
-        assert b1 == b2
+    assert np.array_equal(m.exponents, back.exponents)
+    assert back.a == m.a and back.standard == 0
 
 
 def test_import_rejects_wrong_modulus():
@@ -213,6 +264,51 @@ def test_import_rejects_out_of_range_exponents():
     obj["bases"][1]["vectors"][0][0] = 7  # >= p
     with pytest.raises(ValueError):
         import_mubs(json.dumps(obj), "json")
+
+
+def test_json_import_matches_given_field_and_construction():
+    m = planar_set(5)
+    data = export_mubs(m, "json")
+    with pytest.raises(FieldMismatch):
+        import_mubs(data, "json", field=make_field(7))
+    with pytest.raises(FieldMismatch):
+        import_mubs(data, "json", field=make_field(5, 2))
+    with pytest.raises(ValueError):
+        import_mubs(data, "json", construction="alltop")
+    back = import_mubs(data, "json", field=make_field(5), construction="planar")
+    assert export_mubs(back, "json") == data
+
+
+def _standard_last(m):
+    obj = json.loads(export_mubs(m, "json"))
+    obj["bases"].append(obj["bases"].pop(0))
+    return obj
+
+
+def test_json_standard_basis_last_roundtrip():
+    obj = _standard_last(planar_set(5))
+    data = (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    back = import_mubs(data, "json")
+    assert back.standard == 5 and back.phase_bases() == [0, 1, 2, 3, 4]
+    assert export_mubs(back, "json") == data
+    rep = verify_mub_set(back)
+    assert rep.passed and rep.num_bases == 6
+
+
+def test_json_standard_basis_last_violations():
+    # digest of the report made by the earlier tuple-of-vectors representation
+    obj = _standard_last(planar_set(5))
+    row = obj["bases"][2]["vectors"][3]
+    row[1] = (row[1] + 1) % 5
+    rep = verify_mub_set(import_mubs(json.dumps(obj), "json"))
+    assert len(rep.violations) == 24
+    v = rep.violations[0]
+    assert (v.kind, v.basis_i, v.vector_i, v.basis_j, v.vector_j) == (
+        "orthonormality", 2, 0, 2, 3)
+    digest = hashlib.sha256(json.dumps(rep.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "56aacde3527abfc2c6ce9f5ba6e1af41f0e9455330cef627a31c5be5f8de09a8"
+    )
 
 
 def test_builds_are_deterministic():

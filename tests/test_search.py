@@ -147,6 +147,15 @@ def test_parallel_equals_serial():
     assert serial.to_json_dict(canonical=True) == parallel.to_json_dict(canonical=True)
 
 
+def test_parallel_caps_workers_at_the_machine(inline_pool):
+    f5 = make_field(5)
+    fam = FamilySpec("all-reduced", 3)
+    serial = run_search(f5, fam, "alltop", workers=1)
+    parallel = run_search(f5, fam, "alltop", workers=64)
+    assert serial.to_json_dict(canonical=True) == parallel.to_json_dict(canonical=True)
+    assert inline_pool == [2]
+
+
 def test_report_json_shape():
     f5 = make_field(5)
     rep = run_search(f5, FamilySpec("monomials"), "planar")
