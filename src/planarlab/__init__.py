@@ -27,7 +27,6 @@ from .mub import (
 )
 from .polyfun import (
     Poly,
-    ValueTable,
     ZeroShiftWarning,
     delta,
     delta_table,
@@ -60,7 +59,6 @@ __all__ = [
     "PlanarLabError",
     "Poly",
     "SearchReport",
-    "ValueTable",
     "ZeroShiftWarning",
     "alltop_deltas_decompose",
     "apply_equiv_transform",

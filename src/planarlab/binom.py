@@ -4,6 +4,12 @@ binom(n, k) is nonzero mod p exactly when every base-p digit of k is at most
 the corresponding digit of n, in which case it is the product of the per-digit
 binomials.  The per-digit table is a (p, p) Pascal triangle computed once per
 prime.
+
+`expansion` is the one walk over the digits of n: it enumerates the
+dominated k in ascending order together with their residues, and
+`nonzero_support` and `binom_mod_p_row` are read off it.  `binom_mod_p`
+computes a single coefficient digit by digit and is the reference the
+tests compare the walk against.
 """
 
 from __future__ import annotations
@@ -57,53 +63,37 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
 
 
 def binom_mod_p_row(n: int, p: int) -> np.ndarray:
-    """The whole residue row [binom(n, 0) mod p, ..., binom(n, n) mod p].
-
-    Same digit-product rule as binom_mod_p, vectorized over k for bulk checks.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    tab = small_binom_table(p)
-    ks = np.arange(n + 1, dtype=np.int64)
-    out = np.ones(n + 1, dtype=np.int64)
-    nn = n
-    while nn or ks.any():
-        nn, nd = divmod(nn, p)
-        kd = ks % p
-        ks //= p
-        out = out * tab[nd, kd] % p
-    return out
+    """The whole residue row [binom(n, 0) mod p, ..., binom(n, n) mod p]."""
+    ks, vals = expansion(n, p)
+    row = np.zeros(n + 1, dtype=np.int64)
+    row[ks] = vals
+    return row
 
 
 def nonzero_support(n: int, p: int, bound: int = DEFAULT_SUPPORT_BOUND) -> set[int]:
     """All k with binom(n, k) not divisible by p: digitwise-dominated k."""
     if n > bound:
         raise BoundExceeded(f"n = {n} exceeds the bound {bound}")
-    digits = base_p_digits(n, p)
-    support = [0]
-    weight = 1
-    for d in digits:
-        support = [k + b * weight for k in support for b in range(d + 1)]
-        weight *= p
-    return set(support)
+    return set(expansion(n, p)[0].tolist())
 
 
 @functools.lru_cache(maxsize=4096)
 def expansion(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted nonzero support of binom(n, .) mod p with the residues.
 
-    Returns (k values ascending, binom(n, k) mod p) as read-only int arrays;
-    the cache makes repeated difference expansions of the same exponent cheap.
+    Returns (k values ascending, binom(n, k) mod p) as read-only int64
+    arrays.  Each digit of k runs over 0..(that digit of n), the higher digit
+    outermost, so the k come out ascending; the cache makes repeated
+    difference expansions of the same exponent cheap.
     """
-    ks = np.array(sorted(nonzero_support(n, p)), dtype=np.int64)
     tab = small_binom_table(p)
-    vals = np.ones(ks.shape, dtype=np.int64)
-    nn, kk = n, ks.copy()
-    while nn:
-        nn, a = divmod(nn, p)
-        b = kk % p
-        kk //= p
-        vals = vals * tab[a, b] % p
+    ks = np.zeros(1, dtype=np.int64)
+    vals = np.ones(1, dtype=np.int64)
+    weight = 1
+    for d in base_p_digits(n, p):
+        ks = (np.arange(d + 1)[:, None] * weight + ks[None, :]).ravel()
+        vals = (tab[d, : d + 1, None] * vals[None, :] % p).ravel()
+        weight *= p
     ks.setflags(write=False)
     vals.setflags(write=False)
     return ks, vals

@@ -43,7 +43,7 @@ def _first_collision(row) -> tuple[int, int]:
 
 def permutation_witness(f: Poly) -> tuple[int, int] | None:
     """None when f permutes the field, else the first colliding pair (x, x2)."""
-    t = f.value_table().values
+    t = f.value_table()
     q = f.field.q
     if np.bincount(t, minlength=q).max() == 1:
         return None
@@ -58,7 +58,7 @@ def additive_witness(f: Poly) -> tuple[int, int] | None:
     """None when f(x+y) = f(x) + f(y) everywhere, else the first bad (x, y)."""
     fld = f.field
     q = fld.q
-    t = f.value_table().values
+    t = f.value_table()
     enc = fld.encodings
     chunk = max(1, _CHUNK_ENTRIES // q)
     for x0 in range(0, q, chunk):
@@ -80,12 +80,10 @@ def _table_planar_witness(fld: FieldSpec, t: np.ndarray) -> tuple[int, int, int]
     """Planarity of the function given by table t: every nonzero-shift
     difference row must be a permutation.  Returns the first (a, x, x2)."""
     q = fld.q
-    enc = fld.encodings
     chunk = max(1, _CHUNK_ENTRIES // q)
     for a0 in range(1, q, chunk):
         shifts = np.arange(a0, min(a0 + chunk, q), dtype=np.int32)
-        idx = fld.add_vec(shifts[:, None], enc[None, :])
-        diff = fld.sub_vec(t[idx], t[None, :])
+        diff = polyfun._table_delta(fld, t, shifts[:, None])
         ok = _perm_rows_ok(q, diff)
         if not ok.all():
             i = int(np.argmax(~ok))
@@ -96,7 +94,7 @@ def _table_planar_witness(fld: FieldSpec, t: np.ndarray) -> tuple[int, int, int]
 
 def planar_witness(f: Poly) -> tuple[int, int, int] | None:
     """None when f is planar, else the first (a, x, x2) with a difference collision."""
-    return _table_planar_witness(f.field, f.value_table().values)
+    return _table_planar_witness(f.field, f.value_table())
 
 
 def is_planar(f: Poly) -> bool:
@@ -110,11 +108,9 @@ def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
     T[x+a+b] - T[x+b] - T[x+a] + T[x].
     """
     fld = f.field
-    t = f.value_table().values
-    enc = fld.encodings
+    t = f.value_table()
     for a in range(1, fld.q):
-        d = fld.sub_vec(t[fld.add_vec(np.int32(a), enc)], t)
-        w = _table_planar_witness(fld, d)
+        w = _table_planar_witness(fld, polyfun._table_delta(fld, t, a))
         if w is not None:
             return (a, *w)
     return None

@@ -69,7 +69,7 @@ def char_sum(field: FieldSpec, f: Poly) -> CycVec:
     """Histogram of tr(f(x)) over all x: coefficient j counts x with trace j."""
     if f.field != field:
         raise FieldMismatch("polynomial belongs to a different field")
-    traces = field.trace_table[f.value_table().values]
+    traces = field.trace_table[f.value_table()]
     counts = np.bincount(traces, minlength=field.p)
     return CycVec(field.p, tuple(int(c) for c in counts))
 

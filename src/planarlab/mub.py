@@ -49,8 +49,8 @@ class MubSet:
     """A complete collection: the standard basis plus q phase bases.
 
     exponents[k, b, x] is entry x of vector b in phase basis k, whose label
-    is a[k]; `standard` is the position of the standard basis among the
-    q + 1 bases.
+    is a[k] (the labels are the q elements of [0, q) in some order);
+    `standard` is the position of the standard basis among the q + 1 bases.
     """
 
     field: FieldSpec
@@ -63,8 +63,10 @@ class MubSet:
     def __post_init__(self):
         q = self.field.q
         exps = self.exponents.view()
-        if exps.dtype != np.uint16 or exps.shape != (q, q, q) or len(self.a) != q:
+        if exps.dtype != np.uint16 or exps.shape != (q, q, q):
             raise ValueError(f"expected {q} phase bases of {q} vectors of length {q}")
+        if sorted(self.a) != list(range(q)):
+            raise ValueError(f"the basis labels must be {q} distinct elements of [0, {q})")
         if not 0 <= self.standard <= q:
             raise ValueError(f"the standard basis position must be in [0, {q}]")
         exps.setflags(write=False)
@@ -87,7 +89,7 @@ def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
     if not classify.is_planar(pi):
         raise NotPlanar(f"{pi} is not planar over {field!r}")
     q = field.q
-    values = pi.value_table().values
+    values = pi.value_table()
     tb = field.trace_bilinear  # tb[b, x] = tr(b * x)
     exps = np.empty((q, q, q), dtype=np.uint16)
     for a in range(q):
@@ -161,11 +163,11 @@ class MubVerification:
         }
 
 
-def _pair_violations(p, q, mat_i, mat_j, same, expected):
+def _pair_violations(p, q, mat_i, mat_j, same):
     """Violation tuples for one basis pair, rows scanned in (u, v) order.
 
-    mag_sq of the phase-difference histogram must equal `expected`
-    (q^2 on the within-basis diagonal, 0 off it, q across bases).
+    mag_sq of the phase-difference histogram must be q^2 on the
+    within-basis diagonal, 0 off it, and q across bases.
     """
     out = []
     chunk = max(1, _VERIFY_CHUNK // (q * q))
@@ -185,7 +187,7 @@ def _pair_violations(p, q, mat_i, mat_j, same, expected):
             want = np.where(us == vs, q * q, 0)
             relevant = vs >= us
         else:
-            want = np.full((u1 - u0, q), expected)
+            want = np.full((u1 - u0, q), q)
             relevant = np.ones((u1 - u0, q), dtype=bool)
         bad = relevant & (~is_int | (value != want))
         for i, v in np.argwhere(bad):
@@ -207,10 +209,7 @@ def _verify_pairs(args):
     p, q, mats, pairs = args
     violations = []
     for bi, bj, same in pairs:
-        expected = q * q if same else q
-        for u, v, want, is_int, value, d in _pair_violations(
-            p, q, mats[bi], mats[bj], same, expected
-        ):
+        for u, v, want, is_int, value, d in _pair_violations(p, q, mats[bi], mats[bj], same):
             kind = "orthonormality" if same else "unbiasedness"
             violations.append((kind, bi, u, bj, v, want, is_int, value, d))
     return violations
@@ -348,7 +347,9 @@ def import_mubs(
     and generating polynomial default to the planar square when absent.  A
     json file must match `field` (FieldMismatch) and `construction`
     (ValueError) when they are given.  Values of the wrong type, count or
-    shape raise ValueError; a set above the size bound, BudgetExceeded.
+    shape, basis labels that are not q distinct elements of [0, q) and csv
+    rows whose b is not their position in the basis raise ValueError; a set
+    above the size bound, BudgetExceeded.
     """
     text = data.decode() if isinstance(data, bytes) else data
     if fmt == "json":
@@ -389,10 +390,11 @@ def import_mubs(
         q, p = field.q, field.p
         groups: dict[int, list[list[int]]] = {}
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        for row in (ln.split(",") for ln in lines[1:]):
-            groups.setdefault(int(row[0]), []).append(
-                _exponent_row(list(map(int, row[2:])), p, q)
-            )
+        for a, b, *cells in (ln.split(",") for ln in lines[1:]):
+            vecs = groups.setdefault(int(a), [])
+            if int(b) != len(vecs):
+                raise ValueError(f"row b = {b} of basis {a} is at position {len(vecs)}")
+            vecs.append(_exponent_row(list(map(int, cells)), p, q))
         _counted(list(groups), q, "phase bases")
         rows = [_counted(vecs, q, "vectors") for vecs in groups.values()]
         construction = construction or "planar"

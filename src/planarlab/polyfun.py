@@ -6,6 +6,12 @@ formal by default: exponents may reach or exceed q until reduce() rewrites
 them modulo x^q - x.  Degree statements about difference polynomials concern
 the formal degree, which silent reduction would destroy.
 
+A value table is a read-only int32 array of length q, entry e = f(element
+with encoding e).  `_table_delta` is the one table difference
+T[x + a] - T[x], for one shift or a column of shifts; `delta_table` and the
+planar and Alltop scans in `classify` call it.  `delta` and `shift_scale`
+expand each monomial binomially and sum the pieces with `_accumulate`.
+
 Text grammar (whitespace ignored, output uses decreasing exponents):
 
     poly  := term ('+' term)*
@@ -140,11 +146,10 @@ class Poly:
 
     def reduce(self) -> "Poly":
         """Rewrite exponents modulo x^q - x; the induced function is unchanged."""
-        q = self.field.q
         f = self.field
         merged: dict[int, int] = {}
         for e, c in self._terms.items():
-            re_ = e if e == 0 else (e - 1) % (q - 1) + 1
+            re_ = _reduced_exponent(e, f.q)
             merged[re_] = f.add(merged.get(re_, 0), c)
         return Poly(self.field, merged)
 
@@ -166,51 +171,21 @@ class Poly:
         acc = f.mul(acc, f.pow(xe, items[-1][0]))
         return f.element(acc)
 
-    def value_table(self) -> "ValueTable":
-        """Evaluate at all q points (exponents reduced on the fly; same function)."""
+    def value_table(self) -> np.ndarray:
+        """Read-only int32 array of the values at all q points (exponents
+        reduced on the fly; same function)."""
         f = self.field
-        q = f.q
-        enc = f.encodings
-        total = np.zeros(q, dtype=np.int32)
+        total = np.zeros(f.q, dtype=np.int32)
         for e, c in self._terms.items():
-            re_ = e if e == 0 else (e - 1) % (q - 1) + 1
-            col = f.pow_vec(enc, re_)
+            col = f.pow_vec(f.encodings, _reduced_exponent(e, f.q))
             total = f.add_vec(total, f.mul_vec(col, np.int32(c)))
-        return ValueTable(f, total)
+        total.setflags(write=False)
+        return total
 
 
-class ValueTable:
-    """Length-q table of value encodings, entry e = f(element with encoding e)."""
-
-    __slots__ = ("field", "_values")
-
-    def __init__(self, field: FieldSpec, values):
-        arr = np.asarray(values, dtype=np.int32)
-        if arr.shape != (field.q,):
-            raise ValueError(f"expected {field.q} entries, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.field = field
-        self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only int32 array of value encodings."""
-        return self._values
-
-    def __len__(self) -> int:
-        return self.field.q
-
-    def __getitem__(self, i: int) -> int:
-        return int(self._values[i])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ValueTable):
-            return NotImplemented
-        return self.field == other.field and np.array_equal(self._values, other._values)
-
-    def __repr__(self) -> str:
-        return f"ValueTable[{self.field!r}]({self._values.tolist()})"
+def _reduced_exponent(e: int, q: int) -> int:
+    """The exponent in [0, q) that x^e equals as a function on GF(q)."""
+    return e if e == 0 else (e - 1) % (q - 1) + 1
 
 
 def parse_poly(text: str, field: FieldSpec) -> Poly:
@@ -251,6 +226,17 @@ def format_poly(f: Poly) -> str:
     return " + ".join(parts)
 
 
+def _accumulate(fld: FieldSpec, pieces) -> Poly:
+    """Sum the terms given as (exponent array, coefficient array) pieces."""
+    acc: dict[int, int] = {}
+    for exps, coeffs in pieces:
+        for e, c in zip(exps.tolist(), coeffs.tolist()):
+            if c:
+                prev = acc.get(e)
+                acc[e] = c if prev is None else fld.add(prev, c)
+    return Poly(fld, acc)
+
+
 def delta(f: Poly, a) -> Poly:
     """Formal difference polynomial f(x + a) - f(x).
 
@@ -267,29 +253,31 @@ def delta(f: Poly, a) -> Poly:
             stacklevel=2,
         )
         return Poly.zero(fld)
-    acc: dict[int, int] = {}
-    for n, c in f._terms.items():
-        if n == 0:
-            continue
-        ks, bs = binom.expansion(n, fld.p)
-        ks, bs = ks[1:], bs[1:]  # k = 0 reproduces f(x), which cancels
-        apow = fld.pow_elemwise(a_enc, ks)
-        coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), apow), np.int32(c))
-        for k, cc in zip(ks.tolist(), coeffs.tolist()):
-            if cc:
-                e = n - k
-                prev = acc.get(e)
-                acc[e] = cc if prev is None else fld.add(prev, cc)
-    return Poly(fld, acc)
+
+    def pieces():
+        for n, c in f._terms.items():
+            if n == 0:
+                continue
+            ks, bs = binom.expansion(n, fld.p)
+            ks, bs = ks[1:], bs[1:]  # k = 0 reproduces f(x), which cancels
+            apow = fld.pow_elemwise(a_enc, ks)
+            yield n - ks, fld.mul_vec(fld.mul_vec(bs.astype(np.int32), apow), np.int32(c))
+
+    return _accumulate(fld, pieces())
 
 
-def delta_table(f: Poly, a) -> ValueTable:
-    """Table form of the difference: entry e = T[e + a] - T[e], in O(q)."""
+def _table_delta(fld: FieldSpec, t: np.ndarray, a) -> np.ndarray:
+    """T[x + a] - T[x] for the value table t: a row of length q for one
+    shift a, a (k, q) array for a (k, 1) column of shifts."""
+    return fld.sub_vec(t[fld.add_vec(a, fld.encodings)], t)
+
+
+def delta_table(f: Poly, a) -> np.ndarray:
+    """Table form of the difference as a read-only int32 array, in O(q)."""
     fld = f.field
-    a_enc = fld.enc_of(a)
-    t = f.value_table().values
-    shifted = t[fld.add_vec(np.int32(a_enc), fld.encodings)]
-    return ValueTable(fld, fld.sub_vec(shifted, t))
+    d = _table_delta(fld, f.value_table(), fld.enc_of(a))
+    d.setflags(write=False)
+    return d
 
 
 def double_delta(f: Poly, a, b) -> Poly:
@@ -304,22 +292,14 @@ def shift_scale(f: Poly, s, t) -> Poly:
     t_enc = fld.enc_of(t)
     if s_enc == 0:
         raise ZeroScale("scale factor s must be nonzero")
-    acc: dict[int, int] = {}
-    for n, c in f._terms.items():
-        if n == 0:
-            acc[0] = fld.add(acc.get(0, 0), c)
-            continue
-        ks, bs = binom.expansion(n, fld.p)
-        spow = fld.pow_elemwise(s_enc, ks)
-        tpow = fld.pow_elemwise(t_enc, n - ks)
-        coeffs = fld.mul_vec(
-            fld.mul_vec(bs.astype(np.int32), fld.mul_vec(spow, tpow)), np.int32(c)
-        )
-        for k, cc in zip(ks.tolist(), coeffs.tolist()):
-            if cc:
-                prev = acc.get(k)
-                acc[k] = cc if prev is None else fld.add(prev, cc)
-    return Poly(fld, acc)
+
+    def pieces():
+        for n, c in f._terms.items():
+            ks, bs = binom.expansion(n, fld.p)
+            st = fld.mul_vec(fld.pow_elemwise(s_enc, ks), fld.pow_elemwise(t_enc, n - ks))
+            yield ks, fld.mul_vec(fld.mul_vec(bs.astype(np.int32), st), np.int32(c))
+
+    return _accumulate(fld, pieces())
 
 
 def predicted_delta_degree(n: int, p: int) -> int:

@@ -112,5 +112,6 @@ def test_expansion_matches_pointwise():
         for n in (1, 6, 9, 27, 28, 50):
             ks, vals = expansion(n, p)
             assert list(ks) == sorted(nonzero_support(n, p))
+            assert ks.tolist() == [k for k in range(n + 1) if binom_mod_p(n, k, p)]
             for k, v in zip(ks.tolist(), vals.tolist()):
                 assert v == binom_mod_p(n, k, p) != 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -310,3 +311,101 @@ def test_frobenius_twisted_cubic_is_alltop_but_outside_decomposition():
     f = Poly.monomial(f25, 15)
     assert is_alltop(f)
     assert not alltop_deltas_decompose(f)
+
+
+# ---------------------------------------------------------------------------
+# witnesses against literal loops over their definitions
+# ---------------------------------------------------------------------------
+
+def _values(f):
+    return [f(x).enc for x in range(f.field.q)]
+
+
+def _difference(field, row, a):
+    """x -> row[x + a] - row[x], one scalar field op per entry."""
+    return [field.sub(row[field.add(x, a)], row[x]) for x in range(field.q)]
+
+
+def _collision_oracle(row):
+    for x2 in range(len(row)):
+        for x in range(x2):
+            if row[x] == row[x2]:
+                return x, x2
+    return None
+
+
+def _additive_oracle(field, t):
+    for x in range(field.q):
+        for y in range(field.q):
+            if t[field.add(x, y)] != field.add(t[x], t[y]):
+                return x, y
+    return None
+
+
+def _planar_oracle(field, t):
+    for a in range(1, field.q):
+        w = _collision_oracle(_difference(field, t, a))
+        if w is not None:
+            return (a, *w)
+    return None
+
+
+def _alltop_oracle(field, t):
+    for a in range(1, field.q):
+        w = _planar_oracle(field, _difference(field, t, a))
+        if w is not None:
+            return (a, *w)
+    return None
+
+
+def _seeded_polys(field, rng, n):
+    out = []
+    for _ in range(n):
+        exps = rng.integers(0, field.q, size=3).tolist()
+        out.append(Poly(field, {e: int(rng.integers(0, field.q)) for e in exps}))
+    return out
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
+def test_witnesses_match_literal_loops(p, r):
+    """Every reduced polynomial over GF(5); elsewhere the monomials, additive
+    maps with and without a constant, and seeded polynomials."""
+    field = make_field(p, r)
+    q = field.q
+    if q == 5:
+        pool = [Poly.from_coeffs(field, cs) for cs in itertools.product(range(q), repeat=q)]
+    else:
+        rng = np.random.default_rng(q)
+        pool = [Poly.monomial(field, n) for n in range(q)]
+        for d in range(5):
+            pool.append(random_additive(field, rng) + Poly.constant(field, d))
+        pool += _seeded_polys(field, rng, 60)
+    checks = [
+        ("permutation", permutation_witness, _collision_oracle),
+        ("additive", additive_witness, lambda t: _additive_oracle(field, t)),
+        ("planar", planar_witness, lambda t: _planar_oracle(field, t)),
+    ]
+    outcomes = set()
+    for f in pool:
+        t = _values(f)
+        for name, fast, oracle in checks:
+            w = fast(f)
+            assert w == oracle(t), (name, str(f))
+            outcomes.add((name, w is None))
+    assert outcomes == {(name, hit) for name, _, _ in checks for hit in (True, False)}
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
+def test_alltop_witness_matches_literal_loop(p, r):
+    """A few polynomials per field: no function over GF(9) is Alltop."""
+    field = make_field(p, r)
+    cubic = Poly.monomial(field, 3)
+    pool = [cubic, shift_scale(cubic, 2, 1) + parse_poly("x^2 + x + 1", field),
+            Poly.monomial(field, 2), Poly.monomial(field, 4)]
+    pool += _seeded_polys(field, np.random.default_rng(field.q), 8)
+    outcomes = set()
+    for f in pool:
+        w = alltop_witness(f)
+        assert w == _alltop_oracle(field, _values(f)), str(f)
+        outcomes.add(w is None)
+    assert outcomes == ({False} if p == 3 else {True, False})

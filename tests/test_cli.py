@@ -247,9 +247,10 @@ STRUCTURAL_EDITS = [
     lambda obj: _replaced(obj, ("bases",), obj["bases"][1:]),
     lambda obj: _replaced(obj, ("bases",), obj["bases"] + [{"standard": True}]),
     lambda obj: _replaced(obj, ("bases",), obj["bases"][:-1]),
+    lambda obj: _replaced(_replaced(obj, ("bases", 1, "a"), 99), ("bases", 2, "a"), 99),
 ]
 STRUCTURAL_IDS = ["short-basis", "ragged-row", "no-standard", "two-standards",
-                  "short-set"]
+                  "short-set", "label-99"]
 
 
 @pytest.mark.parametrize(
@@ -281,6 +282,22 @@ def test_cmd_mubs_export_malformed_exits_2(runner, tmp_path, edit):
     result = _mubs_on_edited_export(runner, tmp_path, edit, "export")
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+@pytest.mark.parametrize("action", ["verify", "export"])
+def test_cmd_mubs_csv_rows_out_of_place_exit_2(runner, tmp_path, action):
+    out = tmp_path / "mubs.csv"
+    invoke(runner, "mubs", "--p", "5", "--construction", "planar", "--action", "build",
+           "--export-format", "csv", "--out", str(out))
+    lines = out.read_text().splitlines(keepends=True)
+    swapped = lines[:6] + [lines[7], lines[6]] + lines[8:]
+    relabelled = [ln.replace("2,", "99,", 1) if ln.startswith("2,") else ln for ln in lines]
+    for edited in (swapped, relabelled):
+        out.write_text("".join(edited))
+        result = runner.invoke(main, ["mubs", "--p", "5", "--construction", "planar",
+                                      "--action", action, "--in", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output
 
 
 def test_cmd_mubs_import_must_match_options(runner, tmp_path):

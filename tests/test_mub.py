@@ -250,6 +250,37 @@ def test_csv_roundtrip_bit_exact():
     assert back.a == m.a and back.standard == 0
 
 
+def test_csv_import_checks_vector_positions():
+    # rows "1,0,..." and "1,1,..." are lines 6 and 7 of the GF(5) export
+    m = planar_set(5)
+    data = export_mubs(m, "csv")
+    lines = data.decode().splitlines(keepends=True)
+    lines[6], lines[7] = lines[7], lines[6]
+    swapped = "".join(lines)
+    assert swapped.splitlines()[6].startswith("1,1,")
+    with pytest.raises(ValueError):
+        import_mubs(swapped, "csv", field=m.field)
+    with pytest.raises(ValueError):
+        import_mubs(data.decode().replace("\n0,4,", "\n0,7,"), "csv", field=m.field)
+    with pytest.raises(ValueError):
+        import_mubs(data.decode() + "9\n", "csv", field=m.field)
+
+
+def test_import_checks_basis_labels():
+    m = planar_set(5)
+    obj = json.loads(export_mubs(m, "json"))
+    obj["bases"][1]["a"] = obj["bases"][2]["a"] = 99
+    with pytest.raises(ValueError):
+        import_mubs(json.dumps(obj), "json")
+    relabelled = export_mubs(m, "csv").decode().replace("\n2,", "\n99,")
+    with pytest.raises(ValueError):
+        import_mubs(relabelled, "csv", field=m.field)
+    for a in ((0, 0, 2, 3, 4), (1, 2, 3, 4, 5), (-1, 1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(m, a=a)
+    assert dataclasses.replace(m, a=(4, 3, 2, 1, 0)).a == (4, 3, 2, 1, 0)
+
+
 def test_import_rejects_wrong_modulus():
     m = planar_set(5, r=2)
     obj = json.loads(export_mubs(m, "json"))
