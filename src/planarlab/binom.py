@@ -5,11 +5,12 @@ the corresponding digit of n, in which case it is the product of the per-digit
 binomials.  The per-digit table is a (p, p) Pascal triangle computed once per
 prime.
 
-`expansion` is the one walk over the digits of n: it enumerates the
-dominated k in ascending order together with their residues, and
-`nonzero_support` and `binom_mod_p_row` are read off it.  `binom_mod_p`
-computes a single coefficient digit by digit and is the reference the
-tests compare the walk against.
+`_digit_walk` is the one walk over the digits of n: it enumerates the
+dominated k in ascending order together with their residues.  `expansion`
+is its cached, size-bounded form for the difference expansions;
+`nonzero_support` (with its own bound) and `binom_mod_p_row` read the walk
+uncached.  `binom_mod_p` computes a single coefficient digit by digit and
+is the reference the tests compare the walk against.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
 
 def binom_mod_p_row(n: int, p: int) -> np.ndarray:
     """The whole residue row [binom(n, 0) mod p, ..., binom(n, n) mod p]."""
-    ks, vals = expansion(n, p)
+    ks, vals = _digit_walk(n, p)
     row = np.zeros(n + 1, dtype=np.int64)
     row[ks] = vals
     return row
@@ -74,7 +75,7 @@ def nonzero_support(n: int, p: int, bound: int = DEFAULT_SUPPORT_BOUND) -> set[i
     """All k with binom(n, k) not divisible by p: digitwise-dominated k."""
     if n > bound:
         raise BoundExceeded(f"n = {n} exceeds the bound {bound}")
-    return set(expansion(n, p)[0].tolist())
+    return set(_digit_walk(n, p)[0].tolist())
 
 
 @functools.lru_cache(maxsize=4096)
@@ -82,9 +83,19 @@ def expansion(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted nonzero support of binom(n, .) mod p with the residues.
 
     Returns (k values ascending, binom(n, k) mod p) as read-only int64
-    arrays.  Each digit of k runs over 0..(that digit of n), the higher digit
-    outermost, so the k come out ascending; the cache makes repeated
-    difference expansions of the same exponent cheap.
+    arrays; raises BoundExceeded when n exceeds DEFAULT_SUPPORT_BOUND.  The
+    cache makes repeated difference expansions of the same exponent cheap.
+    """
+    if n > DEFAULT_SUPPORT_BOUND:
+        raise BoundExceeded(f"n = {n} exceeds the bound {DEFAULT_SUPPORT_BOUND}")
+    return _digit_walk(n, p)
+
+
+def _digit_walk(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit walk behind `expansion`: uncached and unbounded.
+
+    Each digit of k runs over 0..(that digit of n), the higher digit
+    outermost, so the k come out ascending.
     """
     tab = small_binom_table(p)
     ks = np.zeros(1, dtype=np.int64)

@@ -98,6 +98,19 @@ def test_nonzero_support_bound():
     nonzero_support(10**6 + 1, 5, bound=2 * 10**6)
 
 
+def test_expansion_bound():
+    with pytest.raises(BoundExceeded):
+        expansion(10**6 + 1, 5)
+    assert expansion(10**6, 5)[0].tolist() == sorted(nonzero_support(10**6, 5))
+
+
+def test_uncached_readers_leave_expansion_cache_alone():
+    expansion.cache_clear()
+    nonzero_support(10**6 + 1, 5, bound=2 * 10**6)
+    binom_mod_p_row(50, 7)
+    assert expansion.cache_info().currsize == 0
+
+
 def test_base_p_digits_roundtrip():
     for p in PRIMES:
         for n in range(0, 400, 7):

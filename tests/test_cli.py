@@ -114,6 +114,13 @@ def test_cmd_delta_bad_shift_exits_2(runner):
     assert result.exit_code == 2
 
 
+def test_cmd_delta_huge_exponent_exits_2(runner):
+    result = runner.invoke(main, ["delta", "--p", "7", "--poly", f"x^{7**12 - 1}",
+                                  "--a", "1"])
+    assert result.exit_code == 2
+    assert "error:" in result.output
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------

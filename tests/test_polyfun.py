@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from planarlab.errors import (
+    BoundExceeded,
     CoefficientOutOfRange,
     FieldMismatch,
     PolySyntaxError,
@@ -198,6 +199,15 @@ def test_delta_additive_in_f():
         g = random_poly(field, rng)
         for a in range(1, field.q):
             assert delta(f + g, a) == delta(f, a) + delta(g, a)
+
+
+def test_huge_exponent_refused_before_expansion():
+    # 7^12 - 1 would expand to 7^12 binomial terms; the bound refuses it.
+    f = Poly.monomial(make_field(7), 7**12 - 1)
+    with pytest.raises(BoundExceeded):
+        delta(f, 1)
+    with pytest.raises(BoundExceeded):
+        shift_scale(f, 1, 1)
 
 
 def test_double_delta_examples():
