@@ -28,6 +28,7 @@ import functools
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     CharTwoUnsupported,
     DivisionByZero,
     FieldMismatch,
@@ -36,6 +37,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 10_000
+MAX_TABLE_ENTRIES = 1 << 24  # q^2 bound of the O(q^2) tables: q <= 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -303,9 +305,17 @@ class FieldSpec:
             self._cache["trace"] = tab
         return tab
 
+    def _check_square_table(self, name: str) -> None:
+        if self.q**2 > MAX_TABLE_ENTRIES:
+            raise BudgetExceeded(
+                f"{name} of GF({self.q}) has {self.q**2} entries, "
+                f"more than the bound {MAX_TABLE_ENTRIES}"
+            )
+
     @property
     def power_table(self) -> np.ndarray:
-        """Matrix POW[a, e] = a**e for e in [0, q); built on demand, O(q^2) memory.
+        """Matrix POW[a, e] = a**e for e in [0, q); built on demand, O(q^2) memory
+        (BudgetExceeded when q^2 > MAX_TABLE_ENTRIES).
 
         Filled column by column from pow_vec, a lookup in the O(q)
         log/antilog tables.  pow_vec and pow_elemwise give the same powers
@@ -314,6 +324,7 @@ class FieldSpec:
         """
         tab = self._cache.get("pow")
         if tab is None:
+            self._check_square_table("power_table")
             enc = self.encodings
             tab = np.empty((self.q, self.q), dtype=np.int32)
             for e in range(self.q):
@@ -324,9 +335,11 @@ class FieldSpec:
 
     @property
     def trace_bilinear(self) -> np.ndarray:
-        """Matrix TB[b, x] = tr(b * x); built on demand, O(q^2) memory."""
+        """Matrix TB[b, x] = tr(b * x); built on demand, O(q^2) memory
+        (BudgetExceeded when q^2 > MAX_TABLE_ENTRIES)."""
         tab = self._cache.get("tb")
         if tab is None:
+            self._check_square_table("trace_bilinear")
             enc = self.encodings
             tab = self.trace_table[self.mul_vec(enc[:, None], enc[None, :])]
             tab.setflags(write=False)

@@ -15,11 +15,20 @@ magnitude of the phase-difference histogram, so unbiasedness is the exact
 statement mag_sq = q, orthonormality mag_sq = q^2 on the diagonal and 0 off
 it.  Pairs involving the standard basis are unbiased by construction (every
 entry has modulus 1/sqrt(q)) and are recorded as such, not recomputed.
+
+A phase basis passes the translation certificate when every row b differs
+from row 0 by tr(b * x) plus a constant mod p; both constructions pass it
+(the cubic one with the constant tr(a * b)).  Between two certified bases
+the histogram of vectors u and v is a rotation of one that depends only on
+v - u, so a basis pair costs O(q^2) and the set O(q^4).  A pair involving an
+uncertified basis, such as a corrupted import, takes the generic kernel:
+one histogram per vector pair, O(p * q^3) per basis pair.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 from concurrent import futures
@@ -34,6 +43,7 @@ from .polyfun import Poly, parse_poly
 
 _VERIFY_CHUNK = 1 << 18
 MAX_PHASE_ENTRIES = 1 << 26  # q^3 bound of a MUB set: q <= 406
+_log = logging.getLogger("planarlab")
 
 
 def _check_size(field: FieldSpec) -> None:
@@ -163,97 +173,146 @@ class MubVerification:
         }
 
 
+def _judge(q, d, us, vs, same):
+    """(is_int, value, want, bad) for autocorrelations d of vectors u of basis
+    i and v of basis j, `same` saying i == j (a bool or a broadcast array).
+    mag_sq = d[0] - d[1], a rational integer when d[1:] are all equal, must be
+    q^2 on the within-basis diagonal, 0 off it and q across bases; within a
+    basis only v >= u is judged."""
+    same = np.asarray(same)
+    is_int = (d[..., 1:] == d[..., 1:2]).all(axis=-1)
+    value = d[..., 0] - d[..., 1]
+    want = np.where(same, np.where(us == vs, q * q, 0), q)
+    bad = (~is_int | (value != want)) & (~same | (vs >= us))
+    return is_int, value, want, bad
+
+
+def _violations(q, d, u0, same):
+    """Violation tuples of the autocorrelations d[u - u0, v], in (u, v) order."""
+    is_int, value, want, bad = _judge(q, d, np.arange(u0, u0 + len(d))[:, None],
+                                      np.arange(q)[None, :], same)
+    i, v = np.nonzero(bad)
+    rows = zip((i + u0).tolist(), v.tolist(), want[i, v].tolist(), is_int[i, v].tolist(),
+               value[i, v].tolist(), d[i, v].tolist())
+    return [(u, v, w, ok, val if ok else None, tuple(dd)) for u, v, w, ok, val, dd in rows]
+
+
+def _autocorrelation(counts):
+    """d[..., m] = sum over j of counts[..., j] * counts[..., j + m mod p]."""
+    rolls = range(counts.shape[-1])
+    return np.stack([(counts * np.roll(counts, -m, axis=-1)).sum(axis=-1) for m in rolls],
+                    axis=-1)
+
+
 def _pair_violations(p, q, mat_i, mat_j, same):
     """Violation tuples for one basis pair, rows scanned in (u, v) order.
 
-    mag_sq of the phase-difference histogram must be q^2 on the
-    within-basis diagonal, 0 off it, and q across bases.
+    The generic kernel: one phase-difference histogram per (u, v), O(p q^3).
     """
     out = []
     chunk = max(1, _VERIFY_CHUNK // (q * q))
     for u0 in range(0, q, chunk):
-        u1 = min(u0 + chunk, q)
-        diff = (mat_j[None, :, :] - mat_i[u0:u1, None, :]) % p
+        diff = (mat_j[None, :, :] - mat_i[u0 : u0 + chunk, None, :]) % p
         counts = np.stack([(diff == j).sum(axis=-1) for j in range(p)], axis=-1)
-        d = np.stack(
-            [(counts * np.roll(counts, -m, axis=-1)).sum(axis=-1) for m in range(p)],
-            axis=-1,
-        )
-        is_int = (d[..., 1:] == d[..., 1:2]).all(axis=-1)
-        value = d[..., 0] - d[..., 1]
-        if same:
-            us = np.arange(u0, u1)[:, None]
-            vs = np.arange(q)[None, :]
-            want = np.where(us == vs, q * q, 0)
-            relevant = vs >= us
-        else:
-            want = np.full((u1 - u0, q), q)
-            relevant = np.ones((u1 - u0, q), dtype=bool)
-        bad = relevant & (~is_int | (value != want))
-        for i, v in np.argwhere(bad):
-            u = u0 + int(i)
-            out.append(
-                (
-                    u,
-                    int(v),
-                    int(want[i, v]),
-                    bool(is_int[i, v]),
-                    int(value[i, v]) if is_int[i, v] else None,
-                    tuple(int(x) for x in d[i, v]),
-                )
-            )
+        out += _violations(q, _autocorrelation(counts), u0, same)
+    return out
+
+
+def _translation_certified(p, tb, mat):
+    """Whether mat[b, x] - mat[0, x] - tr(b * x) mod p is constant along x
+    for every row b."""
+    rest = (mat - mat[0] - tb) % p
+    return bool((rest == rest[:, :1]).all())
+
+
+def _certified_violations(p, q, keyed_tb, delta, g, batch):
+    """Violation tuples of each basis pair in batch, both bases certified.
+
+    Vector v of basis l minus vector u of basis k is g_l - g_k + tr(δ x) plus
+    a constant, with g the rows 0 and δ = v - u, so its histogram is a
+    rotation of the one for (k, l, δ) and has the same autocorrelation.  All
+    q histograms of a pair come from one bincount; a pair is expanded to
+    (u, v) only when some δ fails.  keyed_tb[δ, x] = tr(δ x) + 2p δ.
+    """
+    n = len(batch)
+    shift = np.stack([(g[l] - g[k]) % p for k, l, _ in batch])
+    shift += 2 * p * q * np.arange(n)[:, None]
+    # a shift plus a trace is below 2p: count 2p bins per histogram, then fold
+    keys = (shift[:, None, :] + keyed_tb).ravel()
+    counts = np.bincount(keys, minlength=n * q * 2 * p).reshape(n, q, 2, p).sum(axis=2)
+    d = _autocorrelation(counts)
+    same = np.array([s for _, _, s in batch])[:, None]
+    # row u = 0 of a pair meets every δ = v - 0 once
+    *_, bad = _judge(q, d, 0, np.arange(q)[None, :], same)
+    failing = bad.any(axis=1)
+    out = [[] for _ in batch]
+    chunk = max(1, _VERIFY_CHUNK // (q * q))
+    for t in np.flatnonzero(failing):
+        for u0 in range(0, q, chunk):
+            out[t] += _violations(q, d[t][delta[u0 : u0 + chunk]], u0, batch[t][2])
     return out
 
 
 def _verify_pairs(args):
-    p, q, mats, pairs = args
+    """Report tuples for pairs (k, l, k == l) of phase bases k <= l of m."""
+    m, tb, delta, certified, pairs = args
+    p, q = m.field.p, m.field.q
+    fast = [n for n, (k, l, _) in enumerate(pairs) if k in certified and l in certified]
+    g = m.exponents[:, 0, :].astype(np.int64)
+    keyed_tb = tb + 2 * p * np.arange(q)[:, None]
+    # at most q pairs a batch: no more memory than the generic kernel's q rows
+    cap = max(1, min(q, _VERIFY_CHUNK // (q * q)))
+    found = {}
+    for batch in (fast[s : s + cap] for s in range(0, len(fast), cap)):
+        out = _certified_violations(p, q, keyed_tb, delta, g, [pairs[n] for n in batch])
+        found.update(zip(batch, out))
+    idx, mat = m.phase_bases(), m.exponent_matrix
     violations = []
-    for bi, bj, same in pairs:
-        for u, v, want, is_int, value, d in _pair_violations(p, q, mats[bi], mats[bj], same):
-            kind = "orthonormality" if same else "unbiasedness"
-            violations.append((kind, bi, u, bj, v, want, is_int, value, d))
+    for n, (k, l, same) in enumerate(pairs):
+        raw = found[n] if n in found else _pair_violations(p, q, mat(k), mat(l), same)
+        kind = "orthonormality" if same else "unbiasedness"
+        violations += [(kind, idx[k], u, idx[l], v, *rest) for u, v, *rest in raw]
     return violations
 
 
 def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
     """Exact verification: orthonormality within each phase basis and squared
     cross-basis magnitude q for every pair; failures become report content.
-    At most one worker process per CPU is started."""
-    fld = m.field
-    q = fld.q
-    idx = m.phase_bases()
-    mats = {i: m.exponent_matrix(k) for k, i in enumerate(idx)}
-    pair_list = [(i, i, True) for i in idx]
-    pair_list += [(i, j, False) for n, i in enumerate(idx) for j in idx[n + 1 :]]
 
+    Pairs of bases that pass the translation certificate take the O(q^2)
+    per-pair kernel, every other pair the generic one.  At most one worker
+    process per CPU is started; logs one INFO line on the "planarlab" logger.
+    """
+    fld = m.field
+    p, q = fld.p, fld.q
+    tb = fld.trace_bilinear
+    delta = fld.sub_vec(fld.encodings[None, :], fld.encodings[:, None])  # v - u
+    certified = {k for k in range(q) if _translation_certified(p, tb, m.exponent_matrix(k))}
+    pair_list = [(k, k, True) for k in range(q)]
+    pair_list += [(k, l, False) for k in range(q) for l in range(k + 1, q)]
+    n_fast = sum(k in certified and l in certified for k, l, _ in pair_list)
+    _log.info(
+        "verify GF(%d): %d of %d phase bases pass the translation certificate; "
+        "%d basis pairs by the certified kernel, %d by the generic kernel",
+        q, len(certified), q, n_fast, len(pair_list) - n_fast,
+    )
+
+    args = (m, tb, delta, certified)
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(pair_list) < 2 * workers:
-        raw = _verify_pairs((fld.p, q, mats, pair_list))
+        raw = _verify_pairs((*args, pair_list))
     else:
         bounds = [len(pair_list) * w // workers for w in range(workers + 1)]
         chunks = [pair_list[bounds[w] : bounds[w + 1]] for w in range(workers)]
         raw = []
         with futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            jobs = [ex.submit(_verify_pairs, (fld.p, q, mats, ch)) for ch in chunks if ch]
+            jobs = [ex.submit(_verify_pairs, (*args, ch)) for ch in chunks if ch]
             for job in jobs:
                 raw.extend(job.result())
 
-    violations = [
-        MubViolation(
-            kind=kind,
-            basis_i=bi,
-            vector_i=u,
-            basis_j=bj,
-            vector_j=v,
-            expected=want,
-            is_rational_integer=is_int,
-            value=value,
-            autocorrelation=d,
-        )
-        for kind, bi, u, bj, v, want, is_int, value, d in raw
-    ]
-    n_within = len(idx) * (q * (q + 1) // 2)
-    n_cross = (len(idx) * (len(idx) - 1) // 2) * q * q
+    violations = [MubViolation(*v) for v in raw]  # tuples in field order
+    n_within = q * (q * (q + 1) // 2)
+    n_cross = (q * (q - 1) // 2) * q * q
     return MubVerification(
         passed=not violations,
         q=q,

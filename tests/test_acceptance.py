@@ -115,14 +115,14 @@ def test_criterion_05_gf5_exhaustive_census():
 
 def test_criterion_06_mub_sets_verify_exactly():
     with criterion(6, "complete MUB sets verify exactly (planar and cubic)", 60.0):
-        for p, r in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]:
+        for p, r in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (5, 3)]:
             field = make_field(p, r)
             m = build_planar_mubs(field, Poly.monomial(field, 2))
             assert m.exponents.shape == (field.q,) * 3
             rep = verify_mub_set(m)
             assert rep.num_bases == field.q + 1
             assert rep.passed and not rep.violations, ("planar", p, r)
-        for p, r in [(5, 1), (7, 1), (5, 2)]:
+        for p, r in [(5, 1), (7, 1), (5, 2), (7, 2)]:
             field = make_field(p, r)
             m = build_alltop_mubs(field)
             assert m.exponents.shape == (field.q,) * 3

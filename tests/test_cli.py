@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -226,6 +227,24 @@ def test_cmd_mubs_verify_corrupted_exits_4(runner, tmp_path):
     assert result.exit_code == 4
     report = json.loads(result.output)
     assert report["passed"] is False and report["violations"]
+
+
+def test_cmd_mubs_verify_corrupted_gf49_report_is_pinned(runner, tmp_path):
+    # digest of the report made by the O(p q^5) verifier, which ran every
+    # basis pair through the generic kernel
+    out = tmp_path / "mubs.json"
+    invoke(runner, "mubs", "--p", "7", "--r", "2", "--construction", "planar",
+           "--action", "build", "--out", str(out))
+    obj = json.loads(out.read_text())
+    obj["bases"][1]["vectors"][0][0] = (obj["bases"][1]["vectors"][0][0] + 1) % 7
+    out.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["mubs", "--p", "7", "--r", "2", "--construction",
+                                  "planar", "--action", "verify", "--in", str(out),
+                                  "--canonical"])
+    assert result.exit_code == 4
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "171830083299c3c30eb6755d79f441825d2d7ac864555108d53430480d9a9286"
+    )
 
 
 def _replaced(obj, path, value):

@@ -1,4 +1,5 @@
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem
 
 from planarlab.errors import (
+    BudgetExceeded,
     CharTwoUnsupported,
     DivisionByZero,
     FieldMismatch,
     FieldTooLarge,
     NotPrime,
 )
-from planarlab.field import FieldElement, make_field
+from planarlab.field import MAX_TABLE_ENTRIES, FieldElement, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,21 @@ def test_vector_ops_match_scalar(p, r):
     exps = rng.integers(0, 50, size=200)
     got = f.pow_elemwise(a, exps)
     assert all(int(v) == f.pow(x, int(e)) for v, x, e in zip(got, a.tolist(), exps))
+
+
+def test_square_tables_are_size_guarded():
+    assert 4096**2 <= MAX_TABLE_ENTRIES < 4097**2
+    big = make_field(3, 8)  # q = 6561
+    for name in ("trace_bilinear", "power_table"):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            getattr(big, name)
+        assert time.perf_counter() - t0 < 0.1, name
+    assert not {"tb", "pow"} & set(big._cache)
+    f = make_field(7, 4)  # q = 2401, the largest benchmark field
+    assert f.trace_bilinear.shape == f.power_table.shape == (2401, 2401)
+    assert f.trace_bilinear[5, 9] == f.trace(f.mul(5, 9))
+    assert f.power_table[5, 9] == f.pow(5, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import time
 
 import numpy as np
 import pytest
 
+from planarlab.classify import is_planar
 from planarlab.errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
 from planarlab.field import make_field
 from planarlab.mub import (
     MAX_PHASE_ENTRIES,
+    MubSet,
+    _pair_violations,
+    _translation_certified,
     build_alltop_mubs,
     build_planar_mubs,
     export_mubs,
@@ -24,11 +29,20 @@ def planar_set(p, r=1, pi_text="x^2"):
     return build_planar_mubs(field, parse_poly(pi_text, field))
 
 
-def corrupt(m):
-    """Copy with a single phase exponent perturbed."""
+def corrupt(m, k=0, b=0, x=0):
+    """Copy with the phase exponent [k, b, x] perturbed."""
     exps = m.exponents.copy()
-    exps[0, 0, 0] = (exps[0, 0, 0] + 1) % m.field.p
+    exps[k, b, x] = (exps[k, b, x] + 1) % m.field.p
     return dataclasses.replace(m, exponents=exps)
+
+
+def unchecked_planar_set(p, r, pi_text):
+    """The planar construction from any polynomial, planar or not."""
+    field = make_field(p, r)
+    pi = parse_poly(pi_text, field)
+    ta = field.trace_table[field.mul_vec(field.encodings[:, None], pi.value_table()[None, :])]
+    exps = (ta[:, None, :] + field.trace_bilinear[None, :, :]) % field.p
+    return MubSet(field, "planar", pi, tuple(range(field.q)), exps.astype(np.uint16))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +181,99 @@ def test_verify_caps_workers_at_the_machine(inline_pool):
         verify_mub_set(m, workers=1).to_json_dict()
     )
     assert inline_pool == [2]
+
+
+def generic_violations(m):
+    """The report's violations from the generic kernel over every basis pair,
+    diagonal pairs first, as tuples in report order."""
+    p, q = m.field.p, m.field.q
+    idx = m.phase_bases()
+    mats = [m.exponent_matrix(k) for k in range(q)]
+    pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
+    out = []
+    for k, l in pairs:
+        kind = "orthonormality" if k == l else "unbiasedness"
+        for u, v, *rest in _pair_violations(p, q, mats[k], mats[l], k == l):
+            out.append((kind, idx[k], u, idx[l], v, *rest))
+    return out
+
+
+def report_violations(m, workers=1):
+    return [
+        (v.kind, v.basis_i, v.vector_i, v.basis_j, v.vector_j, v.expected,
+         v.is_rational_integer, v.value, v.autocorrelation)
+        for v in verify_mub_set(m, workers=workers).violations
+    ]
+
+
+def uncertified(m):
+    tb = m.field.trace_bilinear
+    return [k for k in range(m.field.q)
+            if not _translation_certified(m.field.p, tb, m.exponent_matrix(k))]
+
+
+@pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("pi_text", ["x^3", "x^4+x"])
+def test_certified_kernel_matches_generic_on_non_planar_sets(p, r, pi_text):
+    m = unchecked_planar_set(p, r, pi_text)
+    assert uncertified(m) == []
+    want = generic_violations(m)
+    assert bool(want) != is_planar(m.poly)  # x^4+x is planar over GF(27) only
+    assert report_violations(m) == want
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (5, 2)])
+def test_certified_kernel_matches_generic_on_alltop_sets(p, r):
+    m = build_alltop_mubs(make_field(p, r))
+    assert uncertified(m) == []
+    # the rows of basis a differ from its row 0 by tr(b x) + tr(a b), not by tr(b x)
+    rest = (m.exponent_matrix(1) - m.exponent_matrix(1)[0] - m.field.trace_bilinear) % p
+    assert rest.any()
+    assert report_violations(m) == generic_violations(m) == []
+
+
+@pytest.mark.parametrize("b", [0, 3])
+@pytest.mark.parametrize("build", [lambda: planar_set(5, 2), lambda: build_alltop_mubs(make_field(7)),
+                                   lambda: unchecked_planar_set(5, 2, "x^3")])
+def test_generic_kernel_takes_corrupted_bases(build, b):
+    # one flipped exponent in row 0 or in a middle row of phase basis 2
+    m = corrupt(build(), k=2, b=b, x=1)
+    assert uncertified(m) == [2]
+    want = generic_violations(m)
+    assert want
+    assert report_violations(m) == want
+
+
+def test_kernels_agree_with_standard_basis_last():
+    obj = _standard_last(planar_set(5, 2))
+    row = obj["bases"][7]["vectors"][4]
+    row[3] = (row[3] + 1) % 5
+    m = import_mubs(json.dumps(obj), "json")
+    assert m.standard == 25 and uncertified(m) == [7]
+    want = generic_violations(m)
+    assert want and want[0][1] == 7
+    assert report_violations(m) == want
+
+
+def test_kernels_agree_across_workers(inline_pool):
+    m = corrupt(unchecked_planar_set(7, 1, "x^3"), k=4, b=2, x=0)
+    assert report_violations(m, workers=2) == report_violations(m) == generic_violations(m)
+    assert inline_pool == [2]
+
+
+def test_verify_logs_the_kernel_split(caplog):
+    caplog.set_level(logging.INFO, logger="planarlab")
+    m = planar_set(5, 2)
+    verify_mub_set(m)
+    verify_mub_set(corrupt(m, k=3, b=1, x=1))
+    assert [r.name for r in caplog.records] == ["planarlab", "planarlab"]
+    assert [r.levelno for r in caplog.records] == [logging.INFO] * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "verify GF(25): 25 of 25 phase bases pass the translation certificate; "
+        "325 basis pairs by the certified kernel, 0 by the generic kernel",
+        "verify GF(25): 24 of 25 phase bases pass the translation certificate; "
+        "300 basis pairs by the certified kernel, 25 by the generic kernel",
+    ]
 
 
 # ---------------------------------------------------------------------------
