@@ -430,3 +430,49 @@ def test_json_outputs_are_single_documents(runner):
         lines = [ln for ln in result.output.splitlines() if ln]
         assert len(lines) == 1
         json.loads(lines[0])
+
+
+# ---------------------------------------------------------------------------
+# pinned output over extension fields
+# ---------------------------------------------------------------------------
+
+# sha256 of stdout made by the digit-vector addition kernel; field-info, delta
+# and charsum read the field kernel, binom reads the base-p digit walk
+PINNED_STDOUT = [
+    (["field-info", "--p", "3", "--r", "2", "--mul-table", "--format", "json"],
+     "322922b72dafa9991bcbf7b4f6ff53c7f5468e9f5e5a7a4a05134df3aaa99640"),
+    (["field-info", "--p", "3", "--r", "2", "--mul-table"],
+     "56328660229a394655838649205ae93ea77d3b2477563d64bf0f202e3f01d30d"),
+    (["field-info", "--p", "5", "--r", "3", "--format", "json"],
+     "f17043cba75d6a730829da74d65579e602dc7ac6cf81c3e83ba8b8444991ba6f"),
+    (["field-info", "--p", "7", "--r", "4"],
+     "09afd5538e9ae88b6fea0019da8939c2d7a11345fa67c8d71abaf6a3c01d7140"),
+    (["delta", "--p", "3", "--r", "2", "--poly", "5*x^7 + x^4 + 2*x", "--a", "4"],
+     "cc1d50524fa2993f0e17a13ff25c616867b24f9f81ce23659cd21ec118eb8040"),
+    (["delta", "--p", "5", "--r", "3", "--poly", "7*x^31 + 3*x^6 + x^2", "--a", "17",
+      "--b", "101", "--format", "json"],
+     "9917aa9d4c1efffa1da42ff8380c504183d6424be2d307a13248cfc0053b3c79"),
+    (["delta", "--p", "7", "--r", "4", "--poly", "x^400 + 1000*x^50 + 3*x^3", "--a",
+      "1234", "--format", "json"],
+     "5023ff611f282c139268c50ada64ff12ba29752ec108178657ecec22a4b9d909"),
+    (["charsum", "--p", "3", "--r", "2", "--poly", "x^4 + 3*x", "--format", "json"],
+     "76ff013183e61eb76e95e25bedd5119950f18d86ba9b9b8adc6a66157c51d995"),
+    (["charsum", "--p", "5", "--r", "3", "--poly", "x^3 + 2*x"],
+     "85f3803bc70a49bf350b33637616610f8ecbe2f64246d530aa2d1b20535b8efb"),
+    (["charsum", "--p", "7", "--r", "4", "--poly", "x^2 + 5*x^8 + 77", "--format", "json"],
+     "5c1d1fd319eab3149f56139c1b87300529124733c597ba201e6c6ec34e2ffbaa"),
+    (["binom", "--n", "80", "--k", "40", "--p", "3", "--format", "json"],
+     "262f5232ecf27d720b0ae4f98f31bc2415dbb9c0ff1d19838a94b35cd938b886"),
+    (["binom", "--n", "124", "--k", "31", "--p", "5"],
+     "5357b9fc954ccb6cb5db1bafd377a1bc0da23823d02302852d5ab5d719551a86"),
+    (["binom", "--n", "2400", "--k", "1201", "--p", "7", "--format", "json"],
+     "67fbf3ed4aafb80ba5e59bb04e83e18f662af04486dde3095e0831f535303fef"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_STDOUT,
+                         ids=[" ".join(args) for args, _ in PINNED_STDOUT])
+def test_extension_field_stdout_is_pinned(runner, args, digest):
+    result = invoke(runner, *args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
