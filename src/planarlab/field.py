@@ -15,10 +15,15 @@ process or any other.
 
 Scalar arithmetic works on plain integers.  The ``*_vec`` methods operate on
 numpy arrays of encodings (any broadcastable shapes) and are the performance
-core used by the classification and search modules.  Products, powers and
-inverses are lookups in O(q) log/antilog tables of the smallest-encoding
-generator g of GF(q)*; additions work on base-p digit vectors.  Prime fields
-multiply residues directly, which costs less per call than two lookups.
+core used by the classification and search modules.  For r > 1 they are
+gathers into four O(q) int32 tables of the smallest-encoding generator g of
+GF(q)*, built once per field (see FieldSpec._log_exp): LOG and EXP give
+products, powers and inverses, a Zech-logarithm table gives sums,
+g**i + g**j = g**(i + Z(j - i)) (Huber, IEEE Trans. IT 36(4), 1990), and NEG
+gives negatives.  LOG[0] puts zero operands in index ranges of their own, so
+sums, differences and negatives need no masks for zero.  Prime fields add
+and multiply residues mod p directly, which costs less per call than the
+lookups.
 """
 
 from __future__ import annotations
@@ -232,51 +237,45 @@ class FieldSpec:
         return tab
 
     @property
-    def _coeff_mat(self) -> np.ndarray:
-        tab = self._cache.get("coeff")
-        if tab is None:
-            q, p, r = self.q, self.p, self.r
-            tab = np.empty((q, r), dtype=np.int32)
-            t = np.arange(q, dtype=np.int32)
-            for i in range(r):
-                tab[:, i] = t % p
-                t //= p
-            tab.setflags(write=False)
-            self._cache["coeff"] = tab
-        return tab
-
-    @property
-    def _weights(self) -> np.ndarray:
-        tab = self._cache.get("weights")
-        if tab is None:
-            tab = self.p ** np.arange(self.r, dtype=np.int32)
-            tab.setflags(write=False)
-            self._cache["weights"] = tab
-        return tab
-
-    @property
     def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
-        """(LOG, EXP) for the smallest-encoding generator g of GF(q)*.
+        """(LOG, EXP) for the smallest-encoding generator g of GF(q)*; the same
+        pass puts ZECH and NEG in _cache next to them.  With m = q - 1:
 
-        LOG[a] = k with g**k = a for a != 0, and LOG[0] = 2(q-1).  EXP has
-        4(q-1) + 1 entries: EXP[k] = g**(k mod (q-1)) for k < 2(q-1) and 0
-        from there up, so EXP[LOG[a] + LOG[b]] is a*b even when a or b is 0.
+        - LOG[a] = k with g**k = a for a != 0, and LOG[0] = 2m.
+        - EXP has 4m + 1 entries: EXP[k] = g**(k mod m) for k < 2m and 0 from
+          there up, so EXP[LOG[a] + LOG[b]] is a*b even when a or b is 0.
+        - NEG[a] = LOG[-a], with NEG[0] = 2m, so EXP[NEG[a]] is -a.
+        - ZECH has 4m + 1 entries indexed by d = LOG[b] - LOG[a], negative d
+          counted from the end, and EXP[LOG[a] + ZECH[d]] is a + b.  Because
+          LOG[0] = 2m, d falls in three disjoint ranges, one per case:
+          [-(m-1), m-1] when a, b != 0, where ZECH[d] = LOG[1 + g**d]
+          (2m, into EXP's zero tail, when 1 + g**d = 0); [-2m, -m-1] when
+          a = 0, where ZECH[d] = d; [m+1, 2m] when b = 0, where ZECH[d] = 0.
+          For a = b = 0, d = 0 and LOG[a] + ZECH[0] = 2m + LOG[2] is in the
+          zero tail.  The entries at d = m and d = -m are never read.
         """
         log = self._cache.get("log")
         if log is None:
-            m = self.q - 1
-            powers = np.array(_generator_powers(self.p, self.r, self.modulus),
-                              dtype=np.int32)
+            p, m = self.p, self.q - 1
+            powers = np.array(_generator_powers(p, self.r, self.modulus), dtype=np.int32)
             exp = np.zeros(4 * m + 1, dtype=np.int32)
             exp[:m] = powers
             exp[m : 2 * m] = powers
             log = np.empty(self.q, dtype=np.int32)
             log[powers] = np.arange(m, dtype=np.int32)
             log[0] = 2 * m
-            for tab in (log, exp):
+            neg = np.empty(self.q, dtype=np.int32)
+            neg[powers] = (np.arange(m, dtype=np.int32) + m // 2) % m  # -1 = g**(m/2)
+            neg[0] = 2 * m
+            # 1 + g**d: add 1 to the lowest base-p digit, wrapping p - 1 to 0
+            one_plus = powers + 1 - p * (powers % p == p - 1)
+            zech = np.zeros(4 * m + 1, dtype=np.int32)
+            zech[:m] = log[one_plus]
+            zech[3 * m + 2 :] = log[one_plus[1:]]
+            zech[2 * m + 1 : 3 * m + 1] = np.arange(-2 * m, -m, dtype=np.int32)
+            for name, tab in (("log", log), ("exp", exp), ("zech", zech), ("neg", neg)):
                 tab.setflags(write=False)
-            self._cache["log"] = log
-            self._cache["exp"] = exp
+                self._cache[name] = tab
         return log, self._cache["exp"]
 
     @property
@@ -353,22 +352,25 @@ class FieldSpec:
         b = np.asarray(b, dtype=np.int32)
         if self.r == 1:
             return (a + b) % self.p
-        C = self._coeff_mat
-        return ((C[a] + C[b]) % self.p) @ self._weights
+        log, exp = self._log_exp  # also fills _cache["zech"] and _cache["neg"]
+        la = log[a]
+        return exp[la + self._cache["zech"][log[b] - la]]
 
     def sub_vec(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
         if self.r == 1:
             return (a - b) % self.p
-        C = self._coeff_mat
-        return ((C[a] - C[b]) % self.p) @ self._weights
+        log, exp = self._log_exp
+        la = log[a]
+        return exp[la + self._cache["zech"][self._cache["neg"][b] - la]]
 
     def neg_vec(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int32)
         if self.r == 1:
             return (-a) % self.p
-        return ((-self._coeff_mat[a]) % self.p) @ self._weights
+        _, exp = self._log_exp
+        return exp[self._cache["neg"][a]]
 
     def mul_vec(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int32)

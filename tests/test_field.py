@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem
+from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_sub
 
 from planarlab.errors import (
     BudgetExceeded,
@@ -274,8 +274,9 @@ def test_square_tables_are_size_guarded():
 # ---------------------------------------------------------------------------
 
 def check_against_galoistools(f, a, b, base, exps):
-    """mul_vec on the pairs (a, b), pow_elemwise on (base, exps) and inv on
-    the nonzero a, each against sympy's dense GF(p)[x] arithmetic."""
+    """add_vec, sub_vec and mul_vec on the pairs (a, b), neg_vec on a,
+    pow_elemwise on (base, exps) and inv on the nonzero a, each against
+    sympy's dense GF(p)[x] arithmetic."""
     p, r = f.p, f.r
     modulus = list(f.modulus)[::-1]  # galoistools lists coefficients high-to-low
 
@@ -298,6 +299,11 @@ def check_against_galoistools(f, a, b, base, exps):
         return from_gf(gf_pow_mod(to_gf(x), e, modulus, p, ZZ))
 
     a, b, base, exps = (np.asarray(v).tolist() for v in (a, b, base, exps))
+    assert f.add_vec(a, b).tolist() == [
+        from_gf(gf_add(to_gf(x), to_gf(y), p, ZZ)) for x, y in zip(a, b)]
+    assert f.sub_vec(a, b).tolist() == [
+        from_gf(gf_sub(to_gf(x), to_gf(y), p, ZZ)) for x, y in zip(a, b)]
+    assert f.neg_vec(a).tolist() == [from_gf(gf_neg(to_gf(x), p, ZZ)) for x in a]
     assert f.mul_vec(a, b).tolist() == [mul(x, y) for x, y in zip(a, b)]
     assert f.pow_elemwise(base, exps).tolist() == [power(x, e) for x, e in zip(base, exps)]
     assert all(mul(x, f.inv(x)) == 1 for x in a if x)
@@ -327,6 +333,27 @@ def test_kernel_matches_galoistools_sampled(p, r):
     exps = rng.integers(0, 3 * f.q, size=2000)
     exps[:2] = 0  # 0**0 = 1 and 0**e = 0 for e > 0 both occur
     check_against_galoistools(f, a, b, a, exps)
+
+
+SMALL_FIELDS = [(p, r) for p in sympy.primerange(3, 126) for r in range(1, 5) if p**r <= 125]
+
+
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
+def test_addition_zero_edges_exhaustive(p, r):
+    # the log-domain kernel sends 0 and sums equal to 0 through their own
+    # index ranges of its tables; -x is negated digit by digit here
+    f = make_field(p, r)
+    enc = f.encodings
+    zero = np.zeros_like(enc)
+    minus = sum((-(enc // p**i) % p) * p**i for i in range(r))
+    assert f.add_vec(0, 0) == 0 and f.neg_vec(0) == 0
+    assert np.array_equal(f.add_vec(zero, enc), enc)
+    assert np.array_equal(f.add_vec(enc, zero), enc)
+    assert not f.add_vec(enc, minus).any()
+    assert not f.sub_vec(enc, enc).any()
+    assert np.array_equal(f.sub_vec(enc, zero), enc)
+    assert np.array_equal(f.sub_vec(zero, enc), minus)
+    assert np.array_equal(f.neg_vec(enc), minus)
 
 
 # ---------------------------------------------------------------------------
