@@ -4,7 +4,7 @@ JSON on stdout is the machine-readable compatibility surface: one document
 per invocation, keys sorted, no timestamps except the elapsed_ms field of
 search reports, which --canonical omits so identical invocations are
 byte-identical.  Text output is human-oriented and unstable.  Diagnostics go
-to stderr.
+to stderr; the global -v adds the INFO lines of the "planarlab" logger there.
 
 Exit codes: 0 success/pass, 2 usage or input error, 3 budget exceeded,
 4 verification failure.
@@ -13,6 +13,7 @@ Exit codes: 0 success/pass, 2 usage or input error, 3 budget exceeded,
 from __future__ import annotations
 
 import json
+import logging
 import os
 import sys
 
@@ -50,9 +51,24 @@ def _emit_json(payload) -> None:
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-def main():
+@click.option("-v", "--verbose", is_flag=True, help="log progress (INFO) to stderr")
+@click.pass_context
+def main(ctx, verbose):
     """Planar/Alltop classification, MUB construction, and exhaustive search
     over small odd-characteristic finite fields."""
+    if verbose:
+        log = logging.getLogger("planarlab")
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        level = log.level
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
+
+        def detach():
+            log.removeHandler(handler)
+            log.setLevel(level)
+
+        ctx.call_on_close(detach)
 
 
 @main.command("field-info")

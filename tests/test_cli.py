@@ -365,6 +365,28 @@ def test_cmd_mubs_non_planar_pi_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["mubs", "--p", "5", "--r", "2", "--construction", "planar", "--action", "verify"],
+    ["mubs", "--p", "5", "--r", "2", "--construction", "planar", "--action", "verify",
+     "--canonical"],
+    ["search", "--p", "5", "--r", "1", "--family", "all-reduced", "--max-deg", "2",
+     "--mode", "planar", "--canonical"],
+])
+def test_verbose_logs_to_stderr_only(runner, args):
+    quiet = invoke(runner, *args)
+    loud = invoke(runner, "-v", *args)
+    assert quiet.exit_code == loud.exit_code == 0
+    assert quiet.stderr_bytes == b""
+    assert loud.stdout_bytes == quiet.stdout_bytes
+    if args[0] == "mubs":
+        assert loud.stderr_bytes.decode() == (
+            "INFO planarlab: verify GF(25): 25 of 25 phase bases pass the translation "
+            "certificate; 325 basis pairs by the certified kernel, 0 by the generic "
+            "kernel\n"
+        )
+    assert invoke(runner, *args).stderr_bytes == b""  # the handler left with -v
+
+
 # ---------------------------------------------------------------------------
 # charsum
 # ---------------------------------------------------------------------------
