@@ -269,10 +269,10 @@ class FieldSpec:
             neg[0] = 2 * m
             # 1 + g**d: add 1 to the lowest base-p digit, wrapping p - 1 to 0
             one_plus = powers + 1 - p * (powers % p == p - 1)
-            zech = np.zeros(4 * m + 1, dtype=np.int32)
-            zech[:m] = log[one_plus]
-            zech[3 * m + 2 :] = log[one_plus[1:]]
-            zech[2 * m + 1 : 3 * m + 1] = np.arange(-2 * m, -m, dtype=np.int32)
+            zech = np.zeros(4 * m + 1, dtype=np.int32)  # b = 0, d in [m+1, 2m]: 0
+            zech[:m] = log[one_plus]  # d in [0, m-1]
+            zech[3 * m + 2 :] = log[one_plus[1:]]  # d in [-(m-1), -1]
+            zech[2 * m + 1 : 3 * m + 1] = np.arange(-2 * m, -m, dtype=np.int32)  # a = 0
             for name, tab in (("log", log), ("exp", exp), ("zech", zech), ("neg", neg)):
                 tab.setflags(write=False)
                 self._cache[name] = tab
