@@ -498,3 +498,33 @@ def test_extension_field_stdout_is_pinned(runner, args, digest):
     result = invoke(runner, *args)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+# sha256 of `search --canonical` stdout made by the scan that classifies every
+# candidate; campaigns where reduced exponents collide (x^5 = x over GF(5),
+# x^3 = x and x^4 = x^2 over GF(3)), an extension field, a worker split and a
+# family built by shift_scale
+PINNED_SEARCH = [
+    (["--p", "5", "--family", "all-reduced", "--max-deg", "5", "--mode", "alltop"],
+     "7a3ca3a31f2b342602f93026a5483b6c67f4e6fe40516234cd5dafce308ed624"),
+    (["--p", "3", "--family", "all-reduced", "--max-deg", "4", "--mode", "planar"],
+     "5a765001c3fc435d602412dec3fb7586e023461e4b892bdf14a5928c39ccb6b1"),
+    (["--p", "3", "--family", "all-reduced", "--max-deg", "4", "--mode", "alltop"],
+     "094a104ce368ed3e4d68ea984438e08623a6533850480309fb83634b37dea813"),
+    (["--p", "3", "--r", "2", "--family", "all-reduced", "--max-deg", "3", "--mode",
+      "planar"],
+     "2a2ff66322e4f8df256fa843d87bfd398144e84b38daf2acf4893c3dad9672d5"),
+    (["--p", "5", "--r", "2", "--family", "all-reduced", "--max-deg", "2", "--mode",
+      "planar", "--workers", "2"],
+     "7e22cd1f69efe09c6f365997518ec025a056ebcff156c42d42f220475ec40c37"),
+    (["--p", "7", "--family", "shifted-cubics", "--mode", "alltop"],
+     "335cc281085e73431d1e54cdf7486dcefe47184e68e76ea004849ba5358969d5"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_SEARCH,
+                         ids=[" ".join(args) for args, _ in PINNED_SEARCH])
+def test_search_canonical_stdout_is_pinned(runner, args, digest):
+    result = invoke(runner, "search", *args, "--canonical")
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
