@@ -76,12 +76,15 @@ def is_additive_function(f: Poly) -> bool:
     return additive_witness(f) is None
 
 
-def _table_planar_witness(fld: FieldSpec, t: np.ndarray) -> tuple[int, int, int] | None:
-    """Planarity of the function given by table t: every nonzero-shift
-    difference row must be a permutation.  Returns the first (a, x, x2)."""
+def _table_planar_witness(
+    fld: FieldSpec, t: np.ndarray, first: int = 1
+) -> tuple[int, int, int] | None:
+    """Planarity of the function given by table t: every difference row with
+    shift a >= first (nonzero) must be a permutation.  Returns the first
+    (a, x, x2)."""
     q = fld.q
     chunk = max(1, _CHUNK_ENTRIES // q)
-    for a0 in range(1, q, chunk):
+    for a0 in range(first, q, chunk):
         shifts = np.arange(a0, min(a0 + chunk, q), dtype=np.int32)
         diff = polyfun._table_delta(fld, t, shifts[:, None])
         ok = _perm_rows_ok(q, diff)
@@ -105,12 +108,14 @@ def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
     """None when every difference of f is planar, else the first (a, b, x, x2).
 
     Works entirely on the value table: the second difference at (a, b) is
-    T[x+a+b] - T[x+b] - T[x+a] + T[x].
+    T[x+a+b] - T[x+b] - T[x+a] + T[x].  That row is symmetric in a and b, so
+    a failing row (a, b) with b < a also fails as row (b, a), which comes
+    first; scanning only b >= a finds the same first witness.
     """
     fld = f.field
     t = f.value_table()
     for a in range(1, fld.q):
-        w = _table_planar_witness(fld, polyfun._table_delta(fld, t, a))
+        w = _table_planar_witness(fld, polyfun._table_delta(fld, t, a), a)
         if w is not None:
             return (a, *w)
     return None

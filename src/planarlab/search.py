@@ -4,10 +4,16 @@ Families are finite and enumerated in a fixed deterministic order (coefficient
 vectors lexicographically by encoding, monomials by ascending degree), so a
 report's hit list is reproducible and identical whether the range is scanned
 serially or split across worker processes.
+
+A scan classifies one candidate per core: the reduced terms left after the
+affine terms (and, for Alltop, the Dembowski-Ostrom terms) are dropped,
+which cannot change the verdict.  Candidate and table-operation budgets
+still count every candidate.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from concurrent import futures
@@ -20,6 +26,8 @@ from .polyfun import Poly
 
 FAMILY_KINDS = ("monomials", "all-reduced", "shifted-cubics", "do-monomials")
 MODES = ("planar", "alltop")
+
+_log = logging.getLogger("planarlab")
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 TABLE_OPS_PER_CANDIDATE = 1000  # ops ceiling = candidate budget * this
@@ -101,14 +109,55 @@ class SearchReport:
         return out
 
 
+def _free_exponents(field: FieldSpec, mode: str) -> frozenset[int]:
+    """Reduced exponents whose terms cannot change the mode's verdict.
+
+    Adding an affine function (exponents 0 and p^i) preserves planarity; in
+    alltop mode the Dembowski-Ostrom exponents p^i + p^j, whose first
+    differences are affine, are free as well.
+    """
+    powers = classify._p_power_exponents(field)
+    free = {0, *powers}
+    if mode == "alltop":
+        free.update(a + b for a in powers for b in powers)
+    return frozenset(free)
+
+
+def _core(f: Poly, free: frozenset[int]) -> frozenset[tuple[int, int]]:
+    """The reduced (exponent, coefficient) terms of f outside the free set.
+
+    Free terms are dropped before any coefficients are combined, and only
+    exponents that collide after reduction cost a field addition.
+    """
+    fld = f.field
+    core: dict[int, int] = {}
+    for e, c in f.terms.items():
+        e = polyfun._reduced_exponent(e, fld.q)
+        if e not in free:
+            prev = core.get(e)
+            core[e] = c if prev is None else fld.add(prev, c)
+    return frozenset(item for item in core.items() if item[1])
+
+
 def _scan(field, family, mode, start, stop):
+    """Hits (idx, poly) in [start, stop) and the number of classifier calls.
+
+    Candidates with equal cores differ by free terms, so only the first
+    candidate of each core is classified and the rest reuse its verdict.
+    """
     predicate = classify.is_planar if mode == "planar" else classify.is_alltop
+    free = _free_exponents(field, mode)
+    verdicts: dict[frozenset, bool] = {}
     hits = []
     for idx in range(start, stop):
         f = family.candidate(field, idx)
-        if predicate(f):
-            hits.append((idx, str(f)))
-    return hits
+        key = _core(f, free)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = predicate(f)
+        if verdict:
+            hits.append((idx, f))
+    return hits, len(verdicts)
 
 
 def _search_range(p, r, max_order, kind, max_degree, mode, start, stop):
@@ -125,13 +174,19 @@ def run_search(
     budget: int | None = None,
     workers: int = 1,
 ) -> SearchReport:
-    """Classify every candidate in the family; hits are the mode positives.
+    """Decide every candidate in the family; hits are the mode positives.
 
-    Raises BudgetExceeded when the family cardinality exceeds the candidate
-    budget, or when the worst-case table-operation estimate (q^2 per planar
-    candidate, q^3 per alltop candidate) exceeds 1000x that budget — with the
-    defaults, 10^7 candidates and 10^10 table operations.  At most one
-    worker process per CPU is started.
+    Only the first candidate of each core (see `_core`) in a scanned range
+    is classified; the others take its verdict, which the free terms cannot
+    change.  The budgets still count candidates, and the table-operation
+    estimate is the worst case of classifying every one of them: BudgetExceeded
+    is raised when the family cardinality exceeds the candidate budget, or
+    when q^2 operations per planar candidate (q^3 per alltop candidate)
+    exceed 1000x that budget — with the defaults, 10^7 candidates and 10^10
+    table operations.  At most one worker process per CPU is started; logs
+    one INFO line on the "planarlab" logger with the number of candidates,
+    of classifier calls (one per distinct core in each worker's range) and
+    of hits.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -149,11 +204,11 @@ def run_search(
     t0 = time.perf_counter()
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or n < 4 * workers:
-        pairs = _scan(field, family, mode, 0, n)
+        hits, classified = _scan(field, family, mode, 0, n)
     else:
         args = (field.p, field.r, field.q, family.kind, family.max_degree, mode)
         bounds = [n * w // workers for w in range(workers + 1)]
-        pairs = []
+        hits, classified = [], 0
         with futures.ProcessPoolExecutor(max_workers=workers) as ex:
             jobs = [
                 ex.submit(_search_range, *args, bounds[w], bounds[w + 1])
@@ -161,19 +216,26 @@ def run_search(
                 if bounds[w] < bounds[w + 1]
             ]
             for job in jobs:  # submission order == range order
-                pairs.extend(job.result())
+                part, count = job.result()
+                hits.extend(part)
+                classified += count
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+    label = family.kind
+    if family.max_degree is not None:
+        label += f" (max degree {family.max_degree})"
+    _log.info(
+        "search %r %s, %s: %d candidates, cores classified: %d, hits: %d",
+        field, label, mode, n, classified, len(hits),
+    )
 
-    indices = [i for i, _ in pairs]
-    texts = [t for _, t in pairs]
-    polys = [family.candidate(field, i) for i in indices]
+    polys = [f for _, f in hits]
     return SearchReport(
         field=field,
         family=family,
         mode=mode,
         tested=n,
-        hit_indices=indices,
-        hit_texts=texts,
+        hit_indices=[i for i, _ in hits],
+        hit_texts=[str(f) for f in polys],
         hit_polys=polys,
         elapsed_ms=elapsed_ms,
     )
@@ -253,10 +315,8 @@ class CubicScopeReport:
 
 def _stripped_degree(f: Poly) -> int | None:
     """Degree of reduce(f) after removing the constant and power-of-p terms."""
-    g = f.reduce()
-    p_powers = classify._p_power_exponents(f.field)
-    core = {e: c for e, c in g.terms.items() if e != 0 and e not in p_powers}
-    return max(core) if core else None
+    core = _core(f, _free_exponents(f.field, "planar"))
+    return max((e for e, _ in core), default=None)
 
 
 def verify_alltop_hits_cubic(

@@ -113,6 +113,30 @@ def test_criterion_05_gf5_exhaustive_census():
             assert max(core) == 3
 
 
+def test_criterion_12_gf7_exhaustive_census():
+    with criterion(12, "GF(7) deg<=5 Alltop census hits exactly the cubics", 10.0):
+        field = make_field(7)
+        fam = FamilySpec("all-reduced", 5)
+        rep = run_search(field, fam, "alltop")
+        assert rep.tested == 7**6
+
+        # c_3 != 0 and c_4 = c_5 = 0, read off the enumeration order; x^2 is
+        # a Dembowski-Ostrom term and x, 1 are affine, so they range freely
+        expected = []
+        for idx in range(7**6):
+            coeffs = [(idx // 7**j) % 7 for j in range(5, -1, -1)]  # (c_0, ..., c_5)
+            if coeffs[3] != 0 and coeffs[4] == 0 and coeffs[5] == 0:
+                expected.append(idx)
+        assert rep.hit_indices == expected
+        assert len(expected) == 2058
+
+        # the classifier itself, outside the search, on a hit and on the
+        # same hit plus a quartic term
+        hit = rep.hit_polys[-1]
+        assert str(hit) == "6*x^3 + 6*x^2 + 6*x + 6" and is_alltop(hit)
+        assert not is_alltop(hit + Poly.monomial(field, 4))
+
+
 def test_criterion_06_mub_sets_verify_exactly():
     with criterion(6, "complete MUB sets verify exactly (planar and cubic)", 60.0):
         for p, r in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (5, 3)]:

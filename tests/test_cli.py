@@ -371,13 +371,23 @@ def test_cmd_mubs_non_planar_pi_exits_2(runner):
      "--canonical"],
     ["search", "--p", "5", "--r", "1", "--family", "all-reduced", "--max-deg", "2",
      "--mode", "planar", "--canonical"],
+    ["search", "--p", "7", "--family", "shifted-cubics", "--mode", "alltop"],
+    ["search", "--p", "5", "--r", "2", "--family", "monomials", "--mode", "planar",
+     "--canonical"],
 ])
 def test_verbose_logs_to_stderr_only(runner, args):
     quiet = invoke(runner, *args)
     loud = invoke(runner, "-v", *args)
     assert quiet.exit_code == loud.exit_code == 0
     assert quiet.stderr_bytes == b""
-    assert loud.stdout_bytes == quiet.stdout_bytes
+    if args[0] == "search" and "--canonical" not in args:  # elapsed_ms may differ
+        assert {**json.loads(loud.stdout_bytes), "elapsed_ms": 0} == {
+            **json.loads(quiet.stdout_bytes), "elapsed_ms": 0}
+    else:
+        assert loud.stdout_bytes == quiet.stdout_bytes
+    if args[0] == "search":
+        assert loud.stderr_bytes.decode().startswith("INFO planarlab: search GF(")
+        assert loud.stderr_bytes.count(b"\n") == 1
     if args[0] == "mubs":
         assert loud.stderr_bytes.decode() == (
             "INFO planarlab: verify GF(25): 25 of 25 phase bases pass the translation "

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from planarlab import classify
 from planarlab.classify import is_alltop
 from planarlab.errors import BudgetExceeded, CharacteristicTooSmall
 from planarlab.field import make_field
@@ -135,6 +138,51 @@ def test_hits_match_public_predicate_sample():
     sample = rng.choice(rep.tested, size=max(1, rep.tested // 100), replace=False)
     for idx in sorted(int(i) for i in sample):
         assert (idx in hit_set) == is_alltop(fam.candidate(f5, idx))
+
+
+DIFFERENTIAL_CAMPAIGNS = [
+    (3, 1, "all-reduced", 4),
+    (5, 1, "all-reduced", 3),
+    (7, 1, "all-reduced", 3),
+    (3, 2, "all-reduced", 2),
+    (5, 2, "all-reduced", 1),
+    (7, 2, "monomials", None),
+    (7, 2, "shifted-cubics", None),
+]
+
+
+@pytest.mark.parametrize("mode", ["planar", "alltop"])
+@pytest.mark.parametrize("p, r, kind, max_deg", DIFFERENTIAL_CAMPAIGNS)
+def test_hits_equal_predicate_on_every_candidate(p, r, kind, max_deg, mode):
+    """The verdicts run_search reuses across a core match the classifier
+    called on each candidate by itself."""
+    fld = make_field(p, r)
+    fam = FamilySpec(kind, max_deg)
+    predicate = classify.is_planar if mode == "planar" else classify.is_alltop
+    rep = run_search(fld, fam, mode)
+    candidates = [fam.candidate(fld, idx) for idx in range(rep.tested)]
+    expected = [idx for idx, f in enumerate(candidates) if predicate(f)]
+    assert rep.hit_indices == expected
+    assert rep.hit_polys == [candidates[idx] for idx in expected]
+    assert rep.hit_texts == [str(candidates[idx]) for idx in expected]
+
+
+@pytest.mark.parametrize("mode, cores", [("planar", 125), ("alltop", 25)])
+def test_one_classification_per_core(monkeypatch, caplog, mode, cores):
+    # over GF(5), deg <= 5: x^5 = x and the constant are free in both modes,
+    # x^2 only in alltop mode, so the cores range over x^2..x^4 or x^3..x^4
+    name = "is_planar" if mode == "planar" else "is_alltop"
+    original = getattr(classify, name)
+    calls = []
+    monkeypatch.setattr(classify, name, lambda f: calls.append(f) or original(f))
+    with caplog.at_level(logging.INFO, logger="planarlab"):
+        rep = run_search(make_field(5), FamilySpec("all-reduced", 5), mode)
+    assert len(calls) == cores
+    assert rep.tested == 15625
+    assert [r.getMessage() for r in caplog.records] == [
+        f"search GF(5) all-reduced (max degree 5), {mode}: 15625 candidates, "
+        f"cores classified: {cores}, hits: {len(rep.hit_indices)}"
+    ]
 
 
 def test_parallel_equals_serial():
