@@ -247,6 +247,23 @@ def test_cmd_mubs_verify_corrupted_gf49_report_is_pinned(runner, tmp_path):
     )
 
 
+def test_cmd_mubs_verify_corrupted_gf25_report_is_pinned(runner, tmp_path):
+    # digest of the report made by the report objects that wrapped the
+    # kernel's tuples in dataclasses
+    out = tmp_path / "mubs.json"
+    invoke(runner, "mubs", "--p", "5", "--r", "2", "--construction", "planar",
+           "--action", "build", "--out", str(out))
+    obj = json.loads(out.read_text())
+    obj["bases"][3]["vectors"][2][4] = (obj["bases"][3]["vectors"][2][4] + 1) % 5
+    out.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["mubs", "--p", "5", "--r", "2", "--construction",
+                                  "planar", "--action", "verify", "--in", str(out)])
+    assert result.exit_code == 4
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "f16ffd29b04cfe0d364f490d9cb2f2bfee3fe6a396070baae882eb220996abcc"
+    )
+
+
 def _replaced(obj, path, value):
     target = obj
     for key in path[:-1]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from planarlab.classify import is_planar
+from planarlab.cyclo import mag_sq, phase_inner_counts
 from planarlab.errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
 from planarlab.field import make_field
 from planarlab.mub import (
@@ -212,14 +213,26 @@ def uncertified(m):
             if not _translation_certified(m.field.p, tb, m.exponent_matrix(k))]
 
 
-@pytest.mark.parametrize("p, r", [(5, 1), (3, 2), (5, 2), (3, 3)])
-@pytest.mark.parametrize("pi_text", ["x^3", "x^4+x"])
-def test_certified_kernel_matches_generic_on_non_planar_sets(p, r, pi_text):
+# sha256 of each compact canonical report, made by the report objects that
+# wrapped the kernel's tuples in dataclasses
+@pytest.mark.parametrize("p, r, pi_text, digest", [
+    (5, 1, "x^3", "7a6cc849bde61b74e9428d90d3eba799755da7cb3977e5628c3053f8a2396b29"),
+    (5, 1, "x^4+x", "42166b43fdb1ebff269230eebe0e417f7d0e4010519e1663c605eec557bf905e"),
+    (3, 2, "x^3", "3ba0bc692158d78e85a9c71659a58920a275551bf770e2792d1acfd1dfc47deb"),
+    (3, 2, "x^4+x", "f003fc3420a0a22f2b289d0f022dac31af530096dae83b3f25bff6fcf5427e7c"),
+    (5, 2, "x^3", "1c988cfe2b1ab5970637b23d23b651b2618b84fa40a7bd0633725f61da829196"),
+    (5, 2, "x^4+x", "1c3c75738447cc607faebb28399042796137d084225db3116a6224c221e723f8"),
+    (3, 3, "x^3", "46e8b17d76120d50612507a99ab55566000e3de31fc0ff0c2cd710c701a74429"),
+    (3, 3, "x^4+x", "0a9dc145a462a19caff2fa0978a9ebcffda9df997c4d5f6d5d1a3d728e529b83"),
+])
+def test_certified_kernel_matches_generic_on_non_planar_sets(p, r, pi_text, digest):
     m = unchecked_planar_set(p, r, pi_text)
     assert uncertified(m) == []
     want = generic_violations(m)
     assert bool(want) != is_planar(m.poly)  # x^4+x is planar over GF(27) only
     assert report_violations(m) == want
+    text = json.dumps(verify_mub_set(m).to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p, r", [(7, 1), (5, 2)])
@@ -259,6 +272,51 @@ def test_kernels_agree_across_workers(inline_pool):
     m = corrupt(unchecked_planar_set(7, 1, "x^3"), k=4, b=2, x=0)
     assert report_violations(m, workers=2) == report_violations(m) == generic_violations(m)
     assert inline_pool == [2]
+
+
+def literal_violations(m):
+    """The report's violations from the definition: one phase-difference
+    histogram and one cyclo.mag_sq per vector pair, basis pairs in report
+    order, v >= u within a basis."""
+    p, q = m.field.p, m.field.q
+    idx = m.phase_bases()
+    pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
+    out = []
+    for k, l in pairs:
+        kind = "orthonormality" if k == l else "unbiasedness"
+        for u in range(q):
+            for v in range(u if k == l else 0, q):
+                res = mag_sq(phase_inner_counts(m.exponents[k, u], m.exponents[l, v], p))
+                want = (q * q if u == v else 0) if k == l else q
+                if not res.is_rational_integer or res.value != want:
+                    out.append((kind, idx[k], u, idx[l], v, want, res.is_rational_integer,
+                                res.value, res.autocorrelation))
+    return out
+
+
+def _flipped_standard_last(m, basis, vector, x):
+    obj = _standard_last(m)
+    row = obj["bases"][basis]["vectors"][vector]
+    row[x] = (row[x] + 1) % m.field.p
+    return import_mubs(json.dumps(obj), "json")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: planar_set(5),
+    lambda: planar_set(3, 2),
+    lambda: build_alltop_mubs(make_field(7)),
+    lambda: corrupt(build_alltop_mubs(make_field(7)), k=3, b=0, x=2),
+    lambda: corrupt(build_alltop_mubs(make_field(7)), k=3, b=4, x=2),
+    lambda: corrupt(planar_set(3, 2), k=5, b=0, x=1),
+    lambda: corrupt(planar_set(3, 2), k=5, b=4, x=1),
+    lambda: unchecked_planar_set(5, 1, "x^3"),
+    lambda: unchecked_planar_set(3, 2, "x^4+x"),
+    lambda: _flipped_standard_last(planar_set(3, 2), basis=4, vector=2, x=7),
+], ids=["planar-5", "planar-9", "alltop-7", "alltop-7-row0", "alltop-7-row4",
+        "planar-9-row0", "planar-9-row4", "x3-5", "x4+x-9", "planar-9-standard-last"])
+def test_verify_matches_literal_definition(build):
+    m = build()
+    assert report_violations(m) == literal_violations(m)
 
 
 def test_verify_logs_the_kernel_split(caplog):
