@@ -74,19 +74,27 @@ def char_sum(field: FieldSpec, f: Poly) -> CycVec:
     return CycVec(field.p, tuple(int(c) for c in counts))
 
 
-def mag_sq(v: CycVec) -> MagSqResult:
-    """Squared magnitude via the cyclic autocorrelation d of the coefficients.
+def autocorrelation(counts: np.ndarray) -> np.ndarray:
+    """d[..., m] = sum over j of counts[..., j] * counts[..., (j + m) mod p],
+    for int64 count arrays of any leading shape."""
+    p = counts.shape[-1]
+    twice = np.concatenate((counts, counts), axis=-1)  # index j + m, no wrap-around
+    return np.stack([np.einsum("...j,...j->...", counts, twice[..., m : m + p])
+                     for m in range(p)], axis=-1)
 
-    d_m = sum_j c_j * c_{(j+m) mod p}; the value is the rational integer
-    d_0 - d_1 exactly when d_1 = ... = d_{p-1}.
-    """
-    p = v.p
-    c = v.counts
-    d = tuple(sum(c[j] * c[(j + m) % p] for j in range(p)) for m in range(p))
-    tail = set(d[1:])
-    if len(tail) == 1:
-        return MagSqResult(True, d[0] - d[1], d)
-    return MagSqResult(False, None, d)
+
+def rational_mag_sq(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(is_rational_integer, value) of autocorrelations d along the last axis:
+    the squared magnitude is the rational integer d_0 - d_1 exactly when
+    d_1 = ... = d_{p-1}."""
+    return (d[..., 1:] == d[..., 1:2]).all(axis=-1), d[..., 0] - d[..., 1]
+
+
+def mag_sq(v: CycVec) -> MagSqResult:
+    """Squared magnitude via the cyclic autocorrelation d of the coefficients."""
+    d = autocorrelation(np.array(v.counts, dtype=np.int64))
+    is_int, value = rational_mag_sq(d)
+    return MagSqResult(bool(is_int), int(value) if is_int else None, tuple(d.tolist()))
 
 
 def phase_inner_counts(e1, e2, p: int) -> CycVec:

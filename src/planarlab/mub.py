@@ -22,7 +22,8 @@ from row 0 by tr(b * x) plus a constant mod p; both constructions pass it
 the histogram of vectors u and v is a rotation of one that depends only on
 v - u, so a basis pair costs O(q^2) and the set O(q^4).  A pair involving an
 uncertified basis, such as a corrupted import, takes the generic kernel:
-one histogram per vector pair, O(p * q^3) per basis pair.
+one histogram per vector pair, O(q^3) per basis pair.  Both kernels judge
+histograms by cyclo's exact rule and emit the report's rows directly.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ import math
 import os
 from concurrent import futures
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import classify
+from . import classify, cyclo
 from .errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
 from .field import FieldSpec, make_field
 from .polyfun import Poly, parse_poly
@@ -127,8 +129,9 @@ def build_alltop_mubs(field: FieldSpec) -> MubSet:
     return MubSet(field, "alltop", Poly.monomial(field, 3), tuple(range(q)), exps)
 
 
-@dataclass(frozen=True)
-class MubViolation:
+class MubViolation(NamedTuple):
+    """A failing vector pair, as the verification kernels emit it."""
+
     kind: str  # "orthonormality" | "unbiasedness"
     basis_i: int
     vector_i: int
@@ -139,28 +142,28 @@ class MubViolation:
     value: int | None
     autocorrelation: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "basis_i": self.basis_i,
-            "vector_i": self.vector_i,
-            "basis_j": self.basis_j,
-            "vector_j": self.vector_j,
-            "expected": self.expected,
-            "is_rational_integer": self.is_rational_integer,
-            "value": self.value,
-            "autocorrelation": list(self.autocorrelation),
-        }
+
+STANDARD_NOTE = "standard-basis pairs are unbiased by construction"
 
 
 @dataclass
 class MubVerification:
-    passed: bool
     q: int
-    num_bases: int
-    pairs_checked: int
     violations: list[MubViolation] = dataclass_field(default_factory=list)
-    standard_note: str = "standard-basis pairs are unbiased by construction"
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    @property
+    def num_bases(self) -> int:
+        return self.q + 1
+
+    @property
+    def pairs_checked(self) -> int:
+        """Vector pairs judged: v >= u within each phase basis, all across two."""
+        q = self.q
+        return q * (q * (q + 1) // 2) + (q * (q - 1) // 2) * q * q
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,53 +171,57 @@ class MubVerification:
             "q": self.q,
             "bases": self.num_bases,
             "pairs_checked": self.pairs_checked,
-            "violations": [v.to_json_dict() for v in self.violations],
-            "standard_basis": self.standard_note,
+            "violations": [
+                {"kind": kind, "basis_i": bi, "vector_i": u, "basis_j": bj, "vector_j": v,
+                 "expected": want, "is_rational_integer": ok, "value": value,
+                 "autocorrelation": list(d)}
+                for kind, bi, u, bj, v, want, ok, value, d in self.violations
+            ],
+            "standard_basis": STANDARD_NOTE,
         }
 
 
 def _judge(q, d, us, vs, same):
     """(is_int, value, want, bad) for autocorrelations d of vectors u of basis
     i and v of basis j, `same` saying i == j (a bool or a broadcast array).
-    mag_sq = d[0] - d[1], a rational integer when d[1:] are all equal, must be
-    q^2 on the within-basis diagonal, 0 off it and q across bases; within a
-    basis only v >= u is judged."""
+    The squared magnitude (cyclo.rational_mag_sq) must be q^2 on the
+    within-basis diagonal, 0 off it and q across bases; within a basis only
+    v >= u is judged."""
     same = np.asarray(same)
-    is_int = (d[..., 1:] == d[..., 1:2]).all(axis=-1)
-    value = d[..., 0] - d[..., 1]
+    is_int, value = cyclo.rational_mag_sq(d)
     want = np.where(same, np.where(us == vs, q * q, 0), q)
     bad = (~is_int | (value != want)) & (~same | (vs >= us))
     return is_int, value, want, bad
 
 
-def _violations(q, d, u0, same):
-    """Violation tuples of the autocorrelations d[u - u0, v], in (u, v) order."""
+def _violations(q, d, u0, bi, bj):
+    """Report rows of the autocorrelations d[u - u0, v] of vectors u of the
+    basis at position bi and v of the one at bj, in (u, v) order."""
+    same = bi == bj
     is_int, value, want, bad = _judge(q, d, np.arange(u0, u0 + len(d))[:, None],
                                       np.arange(q)[None, :], same)
+    kind = "orthonormality" if same else "unbiasedness"
     i, v = np.nonzero(bad)
     rows = zip((i + u0).tolist(), v.tolist(), want[i, v].tolist(), is_int[i, v].tolist(),
                value[i, v].tolist(), d[i, v].tolist())
-    return [(u, v, w, ok, val if ok else None, tuple(dd)) for u, v, w, ok, val, dd in rows]
+    return [MubViolation(kind, bi, u, bj, v, w, ok, val if ok else None, tuple(dd))
+            for u, v, w, ok, val, dd in rows]
 
 
-def _autocorrelation(counts):
-    """d[..., m] = sum over j of counts[..., j] * counts[..., j + m mod p]."""
-    rolls = range(counts.shape[-1])
-    return np.stack([(counts * np.roll(counts, -m, axis=-1)).sum(axis=-1) for m in rolls],
-                    axis=-1)
+def _pair_violations(p, q, mat_i, mat_j, bi, bj):
+    """Report rows of one basis pair at positions bi <= bj, in (u, v) order.
 
-
-def _pair_violations(p, q, mat_i, mat_j, same):
-    """Violation tuples for one basis pair, rows scanned in (u, v) order.
-
-    The generic kernel: one phase-difference histogram per (u, v), O(p q^3).
+    The generic kernel: one phase-difference histogram per (u, v), O(q^3).
     """
     out = []
     chunk = max(1, _VERIFY_CHUNK // (q * q))
     for u0 in range(0, q, chunk):
-        diff = (mat_j[None, :, :] - mat_i[u0 : u0 + chunk, None, :]) % p
-        counts = np.stack([(diff == j).sum(axis=-1) for j in range(p)], axis=-1)
-        out += _violations(q, _autocorrelation(counts), u0, same)
+        # a difference plus p lies in [1, 2p): count 2p bins per (u, v), then fold
+        keys = mat_j[None, :, :] - mat_i[u0 : u0 + chunk, None, :] + p
+        keys += 2 * p * np.arange(len(keys) * q).reshape(-1, q, 1)
+        counts = np.bincount(keys.ravel(), minlength=len(keys) * q * 2 * p)
+        counts = counts.reshape(-1, q, 2, p).sum(axis=2)
+        out += _violations(q, cyclo.autocorrelation(counts), u0, bi, bj)
     return out
 
 
@@ -225,14 +232,15 @@ def _translation_certified(p, tb, mat):
     return bool((rest == rest[:, :1]).all())
 
 
-def _certified_violations(p, q, keyed_tb, delta, g, batch):
-    """Violation tuples of each basis pair in batch, both bases certified.
+def _certified_violations(p, q, keyed_tb, delta, g, idx, batch):
+    """Report rows of each basis pair (k, l, _) in batch, both bases certified.
 
     Vector v of basis l minus vector u of basis k is g_l - g_k + tr(δ x) plus
     a constant, with g the rows 0 and δ = v - u, so its histogram is a
     rotation of the one for (k, l, δ) and has the same autocorrelation.  All
     q histograms of a pair come from one bincount; a pair is expanded to
-    (u, v) only when some δ fails.  keyed_tb[δ, x] = tr(δ x) + 2p δ.
+    (u, v) only when some δ fails.  keyed_tb[δ, x] = tr(δ x) + 2p δ and
+    idx[k] is the position of phase basis k.
     """
     n = len(batch)
     shift = np.stack([(g[l] - g[k]) % p for k, l, _ in batch])
@@ -240,38 +248,41 @@ def _certified_violations(p, q, keyed_tb, delta, g, batch):
     # a shift plus a trace is below 2p: count 2p bins per histogram, then fold
     keys = (shift[:, None, :] + keyed_tb).ravel()
     counts = np.bincount(keys, minlength=n * q * 2 * p).reshape(n, q, 2, p).sum(axis=2)
-    d = _autocorrelation(counts)
-    same = np.array([s for _, _, s in batch])[:, None]
+    d = cyclo.autocorrelation(counts)
+    same = np.array([k == l for k, l, _ in batch])[:, None]
     # row u = 0 of a pair meets every δ = v - 0 once
     *_, bad = _judge(q, d, 0, np.arange(q)[None, :], same)
     failing = bad.any(axis=1)
     out = [[] for _ in batch]
     chunk = max(1, _VERIFY_CHUNK // (q * q))
     for t in np.flatnonzero(failing):
+        k, l, _ = batch[t]
         for u0 in range(0, q, chunk):
-            out[t] += _violations(q, d[t][delta[u0 : u0 + chunk]], u0, batch[t][2])
+            out[t] += _violations(q, d[t][delta[u0 : u0 + chunk]], u0, idx[k], idx[l])
     return out
 
 
-def _verify_pairs(args):
-    """Report tuples for pairs (k, l, k == l) of phase bases k <= l of m."""
-    m, tb, delta, certified, pairs = args
-    p, q = m.field.p, m.field.q
-    fast = [n for n, (k, l, _) in enumerate(pairs) if k in certified and l in certified]
+def _verify_pairs(m, pairs):
+    """Report rows of the pairs (k, l, certified) of phase bases k <= l of m;
+    certified pairs take the certified kernel, the others the generic one."""
+    fld = m.field
+    p, q = fld.p, fld.q
+    delta = fld.sub_vec(fld.encodings[None, :], fld.encodings[:, None])  # v - u
+    keyed_tb = fld.trace_bilinear + 2 * p * np.arange(q)[:, None]
     g = m.exponents[:, 0, :].astype(np.int64)
-    keyed_tb = tb + 2 * p * np.arange(q)[:, None]
+    idx = m.phase_bases()
+    fast = [n for n, (*_, certified) in enumerate(pairs) if certified]
     # at most q pairs a batch: no more memory than the generic kernel's q rows
     cap = max(1, min(q, _VERIFY_CHUNK // (q * q)))
     found = {}
     for batch in (fast[s : s + cap] for s in range(0, len(fast), cap)):
-        out = _certified_violations(p, q, keyed_tb, delta, g, [pairs[n] for n in batch])
+        out = _certified_violations(p, q, keyed_tb, delta, g, idx, [pairs[n] for n in batch])
         found.update(zip(batch, out))
-    idx, mat = m.phase_bases(), m.exponent_matrix
+    mat = m.exponent_matrix
     violations = []
-    for n, (k, l, same) in enumerate(pairs):
-        raw = found[n] if n in found else _pair_violations(p, q, mat(k), mat(l), same)
-        kind = "orthonormality" if same else "unbiasedness"
-        violations += [(kind, idx[k], u, idx[l], v, *rest) for u, v, *rest in raw]
+    for n, (k, l, _) in enumerate(pairs):
+        violations += found[n] if n in found else _pair_violations(p, q, mat(k), mat(l),
+                                                                    idx[k], idx[l])
     return violations
 
 
@@ -283,43 +294,29 @@ def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
     per-pair kernel, every other pair the generic one.  At most one worker
     process per CPU is started; logs one INFO line on the "planarlab" logger.
     """
-    fld = m.field
-    p, q = fld.p, fld.q
-    tb = fld.trace_bilinear
-    delta = fld.sub_vec(fld.encodings[None, :], fld.encodings[:, None])  # v - u
+    p, q = m.field.p, m.field.q
+    tb = m.field.trace_bilinear
     certified = {k for k in range(q) if _translation_certified(p, tb, m.exponent_matrix(k))}
-    pair_list = [(k, k, True) for k in range(q)]
-    pair_list += [(k, l, False) for k in range(q) for l in range(k + 1, q)]
-    n_fast = sum(k in certified and l in certified for k, l, _ in pair_list)
+    pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
+    pairs = [(k, l, k in certified and l in certified) for k, l in pairs]
+    n_fast = sum(fast for *_, fast in pairs)
     _log.info(
         "verify GF(%d): %d of %d phase bases pass the translation certificate; "
         "%d basis pairs by the certified kernel, %d by the generic kernel",
-        q, len(certified), q, n_fast, len(pair_list) - n_fast,
+        q, len(certified), q, n_fast, len(pairs) - n_fast,
     )
 
-    args = (m, tb, delta, certified)
     workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(pair_list) < 2 * workers:
-        raw = _verify_pairs((*args, pair_list))
-    else:
-        bounds = [len(pair_list) * w // workers for w in range(workers + 1)]
-        chunks = [pair_list[bounds[w] : bounds[w + 1]] for w in range(workers)]
-        raw = []
-        with futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            jobs = [ex.submit(_verify_pairs, (*args, ch)) for ch in chunks if ch]
-            for job in jobs:
-                raw.extend(job.result())
-
-    violations = [MubViolation(*v) for v in raw]  # tuples in field order
-    n_within = q * (q * (q + 1) // 2)
-    n_cross = (q * (q - 1) // 2) * q * q
-    return MubVerification(
-        passed=not violations,
-        q=q,
-        num_bases=q + 1,
-        pairs_checked=n_within + n_cross,
-        violations=violations,
-    )
+    if workers <= 1 or len(pairs) < 2 * workers:
+        return MubVerification(q, _verify_pairs(m, pairs))
+    bounds = [len(pairs) * w // workers for w in range(workers + 1)]
+    chunks = [pairs[bounds[w] : bounds[w + 1]] for w in range(workers)]
+    violations = []
+    with futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        jobs = [ex.submit(_verify_pairs, m, ch) for ch in chunks if ch]
+        for job in jobs:
+            violations.extend(job.result())
+    return MubVerification(q, violations)
 
 
 # -- export / import --------------------------------------------------------

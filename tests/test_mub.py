@@ -193,9 +193,7 @@ def generic_violations(m):
     pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
     out = []
     for k, l in pairs:
-        kind = "orthonormality" if k == l else "unbiasedness"
-        for u, v, *rest in _pair_violations(p, q, mats[k], mats[l], k == l):
-            out.append((kind, idx[k], u, idx[l], v, *rest))
+        out += _pair_violations(p, q, mats[k], mats[l], idx[k], idx[l])
     return out
 
 
@@ -215,7 +213,7 @@ def uncertified(m):
 
 # sha256 of each compact canonical report, made by the report objects that
 # wrapped the kernel's tuples in dataclasses
-@pytest.mark.parametrize("p, r, pi_text, digest", [
+NON_PLANAR_REPORTS = [
     (5, 1, "x^3", "7a6cc849bde61b74e9428d90d3eba799755da7cb3977e5628c3053f8a2396b29"),
     (5, 1, "x^4+x", "42166b43fdb1ebff269230eebe0e417f7d0e4010519e1663c605eec557bf905e"),
     (3, 2, "x^3", "3ba0bc692158d78e85a9c71659a58920a275551bf770e2792d1acfd1dfc47deb"),
@@ -224,7 +222,11 @@ def uncertified(m):
     (5, 2, "x^4+x", "1c3c75738447cc607faebb28399042796137d084225db3116a6224c221e723f8"),
     (3, 3, "x^3", "46e8b17d76120d50612507a99ab55566000e3de31fc0ff0c2cd710c701a74429"),
     (3, 3, "x^4+x", "0a9dc145a462a19caff2fa0978a9ebcffda9df997c4d5f6d5d1a3d728e529b83"),
-])
+]
+
+
+@pytest.mark.parametrize("p, r, pi_text, digest", NON_PLANAR_REPORTS,
+                         ids=[f"{pi}-{p}-{r}" for p, r, pi, _ in NON_PLANAR_REPORTS])
 def test_certified_kernel_matches_generic_on_non_planar_sets(p, r, pi_text, digest):
     m = unchecked_planar_set(p, r, pi_text)
     assert uncertified(m) == []
