@@ -10,8 +10,9 @@ The reduction modulus depends only on (p, r): it is the monic irreducible of
 degree r over Z_p whose non-leading coefficient vector has the smallest
 encoding.  It is found by scanning encodings upward, testing irreducibility
 by trial division against every monic polynomial of degree at most r // 2.
-Two fields built from the same (p, r) are therefore interchangeable, in this
-process or any other.
+A process holds one FieldSpec per (p, r): make_field returns it, whatever
+its max_order, and a field pickled in any process loads as it, so fields
+compare by identity.
 
 Scalar arithmetic works on plain integers.  The ``*_vec`` methods operate on
 numpy arrays of encodings (any broadcastable shapes) and are the performance
@@ -139,7 +140,7 @@ def _generator_powers(p: int, r: int, modulus: tuple[int, ...]) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, r: int = 1, *, max_order: int = DEFAULT_MAX_ORDER) -> "FieldSpec":
-    """Construct (or fetch the cached) GF(p^r) with the canonical modulus.
+    """The process's GF(p^r) with the canonical modulus, whatever max_order.
 
     Raises CharTwoUnsupported for p = 2, NotPrime for composite p, and
     FieldTooLarge when p**r exceeds max_order.
@@ -154,6 +155,12 @@ def make_field(p: int, r: int = 1, *, max_order: int = DEFAULT_MAX_ORDER) -> "Fi
         raise ValueError("extension degree r must be >= 1")
     if p**r > max_order:
         raise FieldTooLarge(f"p**r = {p**r} exceeds the bound {max_order}")
+    return _canonical_field(p, r)
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_field(p: int, r: int) -> "FieldSpec":
+    """The one FieldSpec of GF(p^r) in this process; unpickling resolves to it."""
     return FieldSpec(p, r, _canonical_modulus(p, r))
 
 
@@ -174,21 +181,8 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.r})" if self.r > 1 else f"GF({self.p})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.r, self.modulus))
-
-    def __getstate__(self):
-        return (self.p, self.r, self.modulus)
-
-    def __setstate__(self, state):
-        self.p, self.r, self.modulus = state
-        self.q = self.p**self.r
-        self._cache = {}
+    def __reduce__(self):
+        return _canonical_field, (self.p, self.r)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}

@@ -90,6 +90,8 @@ def test_order_bound():
 def test_same_parameters_same_field():
     assert make_field(3, 2) is make_field(3, 2)
     assert make_field(3, 2) == make_field(3, 2)
+    assert make_field(5, 2) is make_field(5, 2, max_order=25)
+    assert make_field(3, 9, max_order=20000) is make_field(3, 9, max_order=19683)
 
 
 def test_field_json_shape():
@@ -101,6 +103,9 @@ def test_fieldspec_pickles_to_equal_field():
     g = pickle.loads(pickle.dumps(f))
     assert g == f and g.q == 25
     assert g.mul(7, 7) == f.mul(7, 7)
+    assert g is f
+    big = make_field(3, 9, max_order=20000)
+    assert pickle.loads(pickle.dumps(big)) is big
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,13 @@ def test_parallel_equals_serial():
     assert serial.to_json_dict(canonical=True) == parallel.to_json_dict(canonical=True)
 
 
+def test_worker_hits_share_the_callers_field():
+    field = make_field(5, 2)
+    rep = run_search(field, FamilySpec("all-reduced", 2), "planar", workers=2)
+    assert len(rep.hit_polys) == 15000
+    assert all(f.field is field for f in rep.hit_polys)
+
+
 def test_parallel_caps_workers_at_the_machine(inline_pool):
     f5 = make_field(5)
     fam = FamilySpec("all-reduced", 3)
