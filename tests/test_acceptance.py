@@ -3,10 +3,12 @@ and holding its stated runtime budget.  Run with `pytest tests/test_acceptance.p
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from planarlab.search import (
     verify_char3_no_alltop,
     verify_monomial_delta_degrees,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # every field the suite exercises, orders up to 343
 TEST_FIELDS_SMALL = [
@@ -272,8 +276,10 @@ def test_criterion_10_transform_invariance():
 
 
 def _cli(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "planarlab", *args],
+        env=env,
         capture_output=True,
         timeout=600,
     )
