@@ -3,7 +3,14 @@ import cmath
 import numpy as np
 import pytest
 
-from planarlab.cyclo import CycVec, char_sum, mag_sq, phase_inner_counts
+from planarlab.cyclo import (
+    CycVec,
+    autocorrelation,
+    char_sum,
+    mag_sq,
+    phase_inner_counts,
+    rational_mag_sq,
+)
 from planarlab.errors import FieldMismatch, LengthMismatch
 from planarlab.field import make_field
 from planarlab.mub import build_planar_mubs
@@ -95,6 +102,23 @@ def test_mag_sq_float_cross_check():
                 approx = float_mag_sq(counts)
                 scale = max(1.0, abs(approx))
                 assert abs(approx - res.value) / scale < 1e-6
+
+
+def test_stacked_autocorrelations_match_the_sums():
+    rng = np.random.default_rng(73)
+    for p in (3, 5, 7):
+        counts = rng.integers(0, 40, size=(3, 4, p))
+        counts[0, 0] = [9] + [5] * (p - 1)  # flat tail: a rational integer
+        d = autocorrelation(counts)
+        is_int, value = rational_mag_sq(d)
+        for i in range(3):
+            for k in range(4):
+                c = counts[i, k].tolist()
+                want = [sum(c[j] * c[(j + m) % p] for j in range(p)) for m in range(p)]
+                assert d[i, k].tolist() == want
+                assert is_int[i, k] == (len(set(want[1:])) == 1)
+                assert value[i, k] == want[0] - want[1]
+        assert is_int[0, 0]
 
 
 def test_planar_char_sums_have_magnitude_q():
