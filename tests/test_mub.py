@@ -198,11 +198,7 @@ def generic_violations(m):
 
 
 def report_violations(m, workers=1):
-    return [
-        (v.kind, v.basis_i, v.vector_i, v.basis_j, v.vector_j, v.expected,
-         v.is_rational_integer, v.value, v.autocorrelation)
-        for v in verify_mub_set(m, workers=workers).violations
-    ]
+    return verify_mub_set(m, workers=workers).violations
 
 
 def uncertified(m):
