@@ -84,9 +84,8 @@ def autocorrelation(counts: np.ndarray) -> np.ndarray:
 
 
 def rational_mag_sq(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(is_rational_integer, value) of autocorrelations d along the last axis:
-    the squared magnitude is the rational integer d_0 - d_1 exactly when
-    d_1 = ... = d_{p-1}."""
+    """(is_rational_integer, d_0 - d_1) of autocorrelations d along the last
+    axis: the squared magnitude is that integer exactly when d_1 = ... = d_{p-1}."""
     return (d[..., 1:] == d[..., 1:2]).all(axis=-1), d[..., 0] - d[..., 1]
 
 

@@ -10,9 +10,8 @@ The reduction modulus depends only on (p, r): it is the monic irreducible of
 degree r over Z_p whose non-leading coefficient vector has the smallest
 encoding.  It is found by scanning encodings upward, testing irreducibility
 by trial division against every monic polynomial of degree at most r // 2.
-A process holds one FieldSpec per (p, r): make_field returns it, whatever
-its max_order, and a field pickled in any process loads as it, so fields
-compare by identity.
+A process holds one FieldSpec per (p, r), which make_field (whatever its
+max_order) and unpickling return, so fields compare by identity.
 
 Scalar arithmetic works on plain integers.  The ``*_vec`` methods operate on
 numpy arrays of encodings (any broadcastable shapes) and are the performance
@@ -44,6 +43,7 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 10_000
 MAX_TABLE_ENTRIES = 1 << 24  # q^2 bound of the O(q^2) tables: q <= 4096
+_FIELDS: dict[tuple[int, int], "FieldSpec"] = {}  # (p, r) -> the process's field
 
 
 def _is_prime(n: int) -> bool:
@@ -158,10 +158,11 @@ def make_field(p: int, r: int = 1, *, max_order: int = DEFAULT_MAX_ORDER) -> "Fi
     return _canonical_field(p, r)
 
 
-@functools.lru_cache(maxsize=None)
 def _canonical_field(p: int, r: int) -> "FieldSpec":
     """The one FieldSpec of GF(p^r) in this process; unpickling resolves to it."""
-    return FieldSpec(p, r, _canonical_modulus(p, r))
+    if (p, r) not in _FIELDS:  # of two racing threads' fields, setdefault keeps one
+        _FIELDS.setdefault((p, r), FieldSpec(p, r, _canonical_modulus(p, r)))
+    return _FIELDS[p, r]
 
 
 class FieldSpec:

@@ -1,5 +1,8 @@
 import pickle
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_sub
 
+from planarlab import field as field_module
 from planarlab.errors import (
     BudgetExceeded,
     CharTwoUnsupported,
@@ -92,6 +96,24 @@ def test_same_parameters_same_field():
     assert make_field(3, 2) == make_field(3, 2)
     assert make_field(5, 2) is make_field(5, 2, max_order=25)
     assert make_field(3, 9, max_order=20000) is make_field(3, 9, max_order=19683)
+
+
+def test_racing_threads_get_one_field(monkeypatch):
+    monkeypatch.setattr(field_module, "_FIELDS", {})
+    start = threading.Barrier(8)
+
+    def build(_):
+        start.wait(timeout=60)
+        return field_module._canonical_field(3, 8)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(build, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 8 and all(f is got[0] for f in got)
 
 
 def test_field_json_shape():
