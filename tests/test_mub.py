@@ -413,6 +413,108 @@ def test_csv_roundtrip_bit_exact():
     assert back.a == m.a and back.standard == 0
 
 
+# sha256 of export_mubs output made by the serializers that dumped nested
+# lists (json, float-json) and joined each csv row on its own
+EXPORT_DIGESTS = {
+    ("planar", 5, 2): (
+        "3e98c56bb5aa1c1114d17c179cc0a1cc5eddf271b03b8d323e5926f9d0c5954f",
+        "6c1fa0bcdd54ff43f0ed265e9355f694cc80b3eaebcbe94da7df87b53768494e",
+        "740f131568dbed9d6abeaf3d233b513035f605bdf259e7a01afe92c9129974d0",
+    ),
+    ("planar", 3, 3): (
+        "49234bde308308a87e81e59fa17f1b13445ff3762df4ebedf9f46e6899b6c273",
+        "7deb89cd0f05dfbfa14ef30c73e6881292535c472411e0afca3ecf779affe714",
+        "f31607abb6b0420c953944190bb477859fc7c51802912d47af34cb87aee0d434",
+    ),
+    ("planar", 7, 2): (
+        "990b96ba6fef20a893199abce164c86fccbf50c8928ee02a0016b27a316b569f",
+        "0b48bfd0a5f413a49a300d6c9d7864a3093403b7a9ec761dde59fb618bb416b9",
+        "51f4f87a3fc0fe45449cd7e072760dc04383c2d222399eee75aa47f7c940b135",
+    ),
+    ("planar", 5, 3): (
+        "d0770c36f7c2676ea5e908fac92cd7fdfe62e975d350a2be5e780d9db96ddf23",
+        "0602fcfdb2a647c8175b260d4ddcc2b2a62c588cc77aa6df27d92a111e781672",
+        "1ab7ea7c660dc62abebe7fdbeeeea0c962905c28434ff927aecab482b268a578",
+    ),
+    ("alltop", 5, 2): (
+        "cf373b8f8d64be96697266e130c81e14dbdd9ece372d481fa24ab2ee37a8c84c",
+        "93956eb07f87d148ba05f98df874d1d860fec2dd949ae68268d08b3a9ce6faa2",
+        "7ce6348e048ee71f1e341a98042d82690e7d65cc6cccea24450952efe71bd480",
+    ),
+    ("alltop", 5, 3): (
+        "eb77056099eda55cbf0bed40f42474b2324cd6a15fc6e47037bd5004d11041f8",
+        "e0909a1fe9c86431587730a966908a8b77007ee9b3836131231bf102fba07943",
+        "40b76ac6d9cc2e74883f56b5f424808f9ee2b25b139549ae240cfc5f68771bbc",
+    ),
+}
+
+
+@pytest.mark.parametrize("construction, p, r", list(EXPORT_DIGESTS))
+def test_export_bytes_are_pinned(construction, p, r):
+    if construction == "planar":
+        m = planar_set(p, r)
+    else:
+        m = build_alltop_mubs(make_field(p, r))
+    for fmt, digest in zip(("json", "csv", "float-json"), EXPORT_DIGESTS[construction, p, r]):
+        assert hashlib.sha256(export_mubs(m, fmt)).hexdigest() == digest, fmt
+
+
+def test_export_bytes_with_standard_basis_last_are_pinned():
+    obj = _standard_last(planar_set(5, 2))
+    data = (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    out = export_mubs(import_mubs(data, "json"), "json")
+    assert out == data
+    assert hashlib.sha256(out).hexdigest() == (
+        "eabb75bcbbfe695495b4cac5016d8ecaf323f497cb98c052a6c1575e5077ffb7"
+    )
+
+
+# json exponents that are not ints in [0, p) for p = 5; 65539 wraps to 3 in
+# uint16 and 2**64 and 10**30 do not fit int64
+BAD_JSON_EXPONENTS = [-1, 5, 65539, 2**64, 10**30, 1.0, True, None, "3"]
+BAD_CSV_CELLS = ["-1", "p", "65539", "99999999999999999999", "", "x"]
+
+
+@pytest.mark.parametrize("value", BAD_JSON_EXPONENTS, ids=repr)
+def test_json_import_rejects_bad_exponents(value):
+    obj = json.loads(export_mubs(planar_set(5), "json"))
+    obj["bases"][2]["vectors"][3][1] = value
+    with pytest.raises(ValueError):
+        import_mubs(json.dumps(obj), "json")
+
+
+def _csv_with_cell(m, line, cell, value):
+    lines = export_mubs(m, "csv").decode().splitlines(keepends=True)
+    fields = lines[line].split(",")
+    fields[2 + cell] = value
+    lines[line] = ",".join(fields)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("value", BAD_CSV_CELLS, ids=repr)
+def test_csv_import_rejects_bad_cells(value):
+    m = planar_set(5)
+    with pytest.raises(ValueError):
+        import_mubs(_csv_with_cell(m, 8, 1, value), "csv", field=m.field)
+
+
+def test_csv_import_accepts_non_canonical_integers():
+    m = planar_set(5, 2)
+    canonical = export_mubs(m, "csv").decode().splitlines(keepends=True)
+    edited = canonical[:1]
+    for n, line in enumerate(canonical[1:]):
+        if n % 3:  # every third line stays canonical
+            a, b, *cells = line.rstrip("\n").split(",")
+            cells = [("0{}", " {}", "+{}", "{} ")[i % 4].format(c) for i, c in enumerate(cells)]
+            line = ",".join([a, b, *cells]) + "\n"
+        edited.append(line)
+    assert edited[2].split(",")[2:4] == ["0" + canonical[2].split(",")[2],
+                                         " " + canonical[2].split(",")[3]]
+    back = import_mubs("".join(edited), "csv", field=m.field)
+    assert np.array_equal(back.exponents, m.exponents)
+    assert export_mubs(back, "csv") == export_mubs(m, "csv")
+
+
 def test_csv_import_checks_vector_positions():
     # rows "1,0,..." and "1,1,..." are lines 6 and 7 of the GF(5) export
     m = planar_set(5)
