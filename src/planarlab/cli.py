@@ -233,7 +233,8 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, worker
             data = fh.read()
         in_fmt = "csv" if path.endswith(".csv") else "json"
         try:
-            return mub.import_mubs(data, in_fmt, field=fld, construction=construction)
+            return mub.import_mubs(data, in_fmt, field=fld, construction=construction,
+                                   poly_text=pi_text)
         except BudgetExceeded as exc:
             _fail(str(exc), code=3)
         except (PlanarLabError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -34,6 +34,7 @@ import math
 import os
 from concurrent import futures
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -322,49 +323,63 @@ def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
 # -- export / import --------------------------------------------------------
 
 
-def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+def _rows_text(m: MubSet, texts: list[str], end: str, heads: list[list[str]]) -> list[bytes]:
+    """Each phase basis of m as text: row b of basis k is heads[k][b], then
+    texts[e] of each entry e, followed by "," or, on the last one, by `end`.
+
+    The 2p tokens are rendered once; a basis is one gather of tokens into a
+    (q, q + 1) array of cells and one join.
+    """
+    p, q = m.field.p, m.field.q
+    tok = np.array([t + "," for t in texts] + [t + end for t in texts], dtype=object)
+    last = np.zeros(q, dtype=np.intp)
+    last[-1] = p
+    cells = np.empty((q, q + 1), dtype=object)
+    out = []
+    for k in range(q):
+        cells[:, 0] = heads[k]
+        cells[:, 1:] = tok[m.exponents[k] + last]
+        out.append("".join(cells.ravel().tolist()).encode())
+    return out
 
 
-def _header(m: MubSet) -> dict:
-    return {
-        "field": m.field.to_json_dict(),
-        "construction": m.construction,
-        "poly": str(m.poly),
-    }
+def _json_sets(m: MubSet, key: str, bodies: list[bytes], **extra) -> bytes:
+    """The json document: basis k as {"a": a[k], key: [bodies[k]]}, the
+    standard basis at its position, then the header, all keys sorted."""
+    bases = [[b'{"a":%d,"%s":[' % (a, key.encode()), body, b"]}"] for a, body in zip(m.a, bodies)]
+    bases.insert(m.standard, [b'{"standard":true}'])
+    header = {"field": m.field.to_json_dict(), "construction": m.construction,
+              "poly": str(m.poly), **extra}
+    # "bases" sorts before every header key; one join, so the bodies are copied once
+    parts = [b'{"bases":[', *chain.from_iterable(basis + [b","] for basis in bases)]
+    parts[-1] = b"],"
+    parts.append(json.dumps(header, sort_keys=True, separators=(",", ":"))[1:].encode() + b"\n")
+    return b"".join(parts)
 
 
 def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
     """Serialize a MubSet: 'json' and 'csv' are exact, 'float-json' is lossy.
 
-    Each exponent goes through a p-entry table: its decimal text for csv,
-    its [re, im] pair for float-json.
+    Each of the p exponents is rendered once: its decimal text for json and
+    csv, its compact [re, im] pair for float-json.
     """
-    p = m.field.p
-    rows = m.exponents.tolist()
-    if fmt == "json":
-        bases = [{"a": a, "vectors": vecs} for a, vecs in zip(m.a, rows)]
-        bases.insert(m.standard, {"standard": True})
-        return _json_bytes({**_header(m), "bases": bases})
+    p, q = m.field.p, m.field.q
+    digits = [str(e) for e in range(p)]
     if fmt == "csv":
-        text = [str(e) for e in range(p)]
-        lines = ["basis,b," + ",".join(f"x{i}" for i in range(m.field.q))]
-        for a, vecs in zip(m.a, rows):
-            for b, row in enumerate(vecs):
-                lines.append(f"{a},{b}," + ",".join([text[e] for e in row]))
-        return ("\n".join(lines) + "\n").encode()
+        heads = [[f"{a},{b}," for b in range(q)] for a in m.a]
+        header = "basis,b," + ",".join(f"x{i}" for i in range(q)) + "\n"
+        return b"".join([header.encode(), *_rows_text(m, digits, "\n", heads)])
+    row_heads = [["["] + [",["] * (q - 1)] * q
+    if fmt == "json":
+        return _json_sets(m, "vectors", _rows_text(m, digits, "]", row_heads))
     if fmt == "float-json":
-        amp = 1.0 / math.sqrt(m.field.q)
-        phase = [
-            [amp * math.cos(2.0 * math.pi * e / p), amp * math.sin(2.0 * math.pi * e / p)]
+        amp = 1.0 / math.sqrt(q)
+        pairs = [
+            json.dumps([amp * math.cos(2.0 * math.pi * e / p),
+                        amp * math.sin(2.0 * math.pi * e / p)], separators=(",", ":"))
             for e in range(p)
         ]
-        bases = [
-            {"a": a, "entries": [[phase[e] for e in row] for row in vecs]}
-            for a, vecs in zip(m.a, rows)
-        ]
-        bases.insert(m.standard, {"standard": True})
-        return _json_bytes({**_header(m), "lossy": True, "bases": bases})
+        return _json_sets(m, "entries", _rows_text(m, pairs, "]", row_heads), lossy=True)
     raise ValueError(f"unknown export format {fmt!r}")
 
 
@@ -381,12 +396,17 @@ def _counted(items: list, q: int, what: str) -> list:
     return items
 
 
-def _exponent_row(row, p: int, q: int) -> list[int]:
-    """The row when it holds q ints in [0, p); this guards the uint16 cast."""
-    _counted(_json_value(row, list, "a phase vector"), q, "entries in a phase vector")
-    if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= p:
+def _exponent_array(rows: list[list[int]], p: int, q: int) -> np.ndarray:
+    """The q rows of q ints as a (q, q) array when every int lies in [0, p);
+    the range is checked on int64, before the uint16 cast could wrap."""
+    try:
+        exps = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=q * q)
+        in_range = 0 <= exps.min() and exps.max() < p
+    except OverflowError:  # beyond int64
+        in_range = False
+    if not in_range:
         raise ValueError(f"phase exponents must be integers in [0, {p})")
-    return row
+    return exps.reshape(q, q)
 
 
 def import_mubs(
@@ -427,16 +447,22 @@ def import_mubs(
                           1, "standard basis")
         q, p = fld.q, fld.p
         phase = _counted(bases[:std] + bases[std + 1 :], q, "phase bases")
-        rows = []
-        for b in phase:
-            vectors = _json_value(b["vectors"], list, "basis vectors")
-            rows.append([_exponent_row(r, p, q) for r in _counted(vectors, q, "vectors")])
+        exps = np.empty((q, q, q), dtype=np.uint16)
+        for k, b in enumerate(phase):
+            rows = _counted(_json_value(b["vectors"], list, "basis vectors"), q, "vectors")
+            for row in rows:
+                _counted(_json_value(row, list, "a phase vector"), q, "entries in a phase vector")
+            kinds = set(map(type, chain.from_iterable(rows)))
+            if kinds != {int}:
+                names = ", ".join(sorted(t.__name__ for t in kinds - {int}))
+                raise ValueError(f"phase exponents must be integers, not {names}")
+            exps[k] = _exponent_array(rows, p, q)
         return MubSet(
             field=fld,
             construction=kind,
             poly=parse_poly(_json_value(obj["poly"], str, "poly"), fld),
             a=tuple(_json_value(b["a"], int, "basis a") for b in phase),
-            exponents=np.array(rows, dtype=np.uint16),
+            exponents=exps,
             standard=std,
         )
     if fmt == "csv":
@@ -444,15 +470,22 @@ def import_mubs(
             raise ValueError("csv import needs the field")
         _check_size(field)
         q, p = field.q, field.p
+        exponent_of = {str(e): e for e in range(p)}.__getitem__
         groups: dict[int, list[list[int]]] = {}
         lines = [ln for ln in text.splitlines() if ln.strip()]
         for a, b, *cells in (ln.split(",") for ln in lines[1:]):
             vecs = groups.setdefault(int(a), [])
             if int(b) != len(vecs):
                 raise ValueError(f"row b = {b} of basis {a} is at position {len(vecs)}")
-            vecs.append(_exponent_row(list(map(int, cells)), p, q))
+            _counted(cells, q, "entries in a phase vector")
+            try:
+                vecs.append(list(map(exponent_of, cells)))
+            except KeyError:  # not canonical text, such as "03" or " 3"
+                vecs.append(list(map(int, cells)))
         _counted(list(groups), q, "phase bases")
-        rows = [_counted(vecs, q, "vectors") for vecs in groups.values()]
+        exps = np.empty((q, q, q), dtype=np.uint16)
+        for k, vecs in enumerate(groups.values()):
+            exps[k] = _exponent_array(_counted(vecs, q, "vectors"), p, q)
         construction = construction or "planar"
         poly_text = poly_text or ("x^3" if construction == "alltop" else "x^2")
         return MubSet(
@@ -460,6 +493,6 @@ def import_mubs(
             construction=construction,
             poly=parse_poly(poly_text, field),
             a=tuple(groups),
-            exponents=np.array(rows, dtype=np.uint16),
+            exponents=exps,
         )
     raise ValueError(f"unknown import format {fmt!r}")

@@ -359,6 +359,42 @@ def test_cmd_mubs_import_must_match_options(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("value", [-1, 5, 65539, 2**64, 10**30, 1.0, None, "3"], ids=repr)
+def test_cmd_mubs_json_exponent_out_of_range_exits_2(runner, tmp_path, value):
+    edit = lambda obj: _replaced(obj, ("bases", 2, "vectors", 3, 1), value)  # noqa: E731
+    result = _mubs_on_edited_export(runner, tmp_path, edit, "verify")
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+
+
+@pytest.mark.parametrize("value", ["-1", "p", "65539", "99999999999999999999", "", "x"],
+                         ids=repr)
+def test_cmd_mubs_csv_cell_out_of_range_exits_2(runner, tmp_path, value):
+    out = tmp_path / "mubs.csv"
+    invoke(runner, "mubs", "--p", "5", "--construction", "planar", "--action", "build",
+           "--export-format", "csv", "--out", str(out))
+    lines = out.read_text().splitlines(keepends=True)
+    fields = lines[8].split(",")
+    fields[3] = value
+    lines[8] = ",".join(fields)
+    out.write_text("".join(lines))
+    result = runner.invoke(main, ["mubs", "--p", "5", "--construction", "planar",
+                                  "--action", "export", "--in", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+
+
+def test_cmd_mubs_csv_to_json_keeps_pi(runner, tmp_path):
+    base = ["mubs", "--p", "5", "--construction", "planar", "--pi", "2*x^2"]
+    csv_out = tmp_path / "g5.csv"
+    invoke(runner, *base, "--action", "build", "--export-format", "csv", "--out", str(csv_out))
+    built = invoke(runner, *base, "--action", "build")
+    converted = invoke(runner, *base, "--action", "export", "--in", str(csv_out))
+    assert converted.exit_code == 0, converted.output
+    assert json.loads(converted.output)["poly"] == "2*x^2"
+    assert converted.stdout_bytes == built.stdout_bytes
+
+
 @pytest.mark.parametrize("p, r", [(7, 4), (5, 4)])
 def test_cmd_mubs_above_size_bound_exits_3(runner, p, r):
     for construction in ("planar", "alltop"):
