@@ -352,7 +352,7 @@ def _json_sets(m: MubSet, key: str, bodies: list[bytes], **extra) -> bytes:
               "poly": str(m.poly), **extra}
     # "bases" sorts before every header key; one join, so the bodies are copied once
     parts = [b'{"bases":[', *chain.from_iterable(basis + [b","] for basis in bases)]
-    parts[-1] = b"],"
+    parts[-1] = b"],"  # the comma after the last basis closes the list
     parts.append(json.dumps(header, sort_keys=True, separators=(",", ":"))[1:].encode() + b"\n")
     return b"".join(parts)
 
