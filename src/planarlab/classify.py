@@ -5,7 +5,12 @@ transforms.
 Everything runs on value tables, never on repeated polynomial evaluation: a
 full Alltop verification costs O(q^3) integer table lookups with early exit,
 scanned in deterministic order (a ascending, then b, then x) so reported
-witnesses are reproducible.
+witnesses are reproducible.  The scans read rows in chunks that start at
+about 2^14 entries and double up to 2^20 (`_row_chunks`), so a negative
+costs roughly the rows up to its witness and a field with q <= 128 is one
+chunk.  An additive positive costs O(terms): a function is additive exactly
+when its reduced polynomial is linearized, sum c_i x^(p^i), so that case
+needs no table at all.
 """
 
 from __future__ import annotations
@@ -20,7 +25,21 @@ from .errors import NonAdditiveM, NotAlltop, ZeroScale
 from .field import FieldElement, FieldSpec
 from .polyfun import Poly
 
+_FIRST_CHUNK_ENTRIES = 1 << 14
 _CHUNK_ENTRIES = 1 << 20
+
+
+def _row_chunks(start: int, stop: int, q: int):
+    """Consecutive ascending int32 arrays covering rows [start, stop) of a
+    q-wide scan: the first holds about _FIRST_CHUNK_ENTRIES entries, each
+    later one twice the rows of the one before, up to _CHUNK_ENTRIES."""
+    size = max(1, _FIRST_CHUNK_ENTRIES // q)
+    cap = max(1, _CHUNK_ENTRIES // q)
+    while start < stop:
+        end = min(start + size, stop)
+        yield np.arange(start, end, dtype=np.int32)
+        start = end
+        size = min(2 * size, cap)
 
 
 def _perm_rows_ok(q: int, rows: np.ndarray) -> np.ndarray:
@@ -55,14 +74,19 @@ def is_permutation(f: Poly) -> bool:
 
 
 def additive_witness(f: Poly) -> tuple[int, int] | None:
-    """None when f(x+y) = f(x) + f(y) everywhere, else the first bad (x, y)."""
+    """None when f(x+y) = f(x) + f(y) everywhere, else the first bad (x, y).
+
+    The reduced polynomial of a function is unique, and it is additive
+    exactly when that polynomial is linearized (only exponents p^i), so
+    that case returns at once and every other polynomial has a witness.
+    """
     fld = f.field
+    if f.reduce().terms.keys() <= _p_power_exponents(fld):
+        return None
     q = fld.q
     t = f.value_table()
     enc = fld.encodings
-    chunk = max(1, _CHUNK_ENTRIES // q)
-    for x0 in range(0, q, chunk):
-        xs = np.arange(x0, min(x0 + chunk, q), dtype=np.int32)
+    for xs in _row_chunks(0, q, q):
         lhs = t[fld.add_vec(xs[:, None], enc[None, :])]
         rhs = fld.add_vec(t[xs][:, None], t[None, :])
         bad = lhs != rhs
@@ -83,9 +107,7 @@ def _table_planar_witness(
     shift a >= first (nonzero) must be a permutation.  Returns the first
     (a, x, x2)."""
     q = fld.q
-    chunk = max(1, _CHUNK_ENTRIES // q)
-    for a0 in range(first, q, chunk):
-        shifts = np.arange(a0, min(a0 + chunk, q), dtype=np.int32)
+    for shifts in _row_chunks(first, q, q):
         diff = polyfun._table_delta(fld, t, shifts[:, None])
         ok = _perm_rows_ok(q, diff)
         if not ok.all():

@@ -421,11 +421,11 @@ def import_mubs(
 
     csv carries no field header, so `field` is required for it; construction
     and generating polynomial default to the planar square when absent.  A
-    json file must match `field` (FieldMismatch) and `construction`
-    (ValueError) when they are given.  Values of the wrong type, count or
-    shape, basis labels that are not q distinct elements of [0, q) and csv
-    rows whose b is not their position in the basis raise ValueError; a set
-    above the size bound, BudgetExceeded.
+    json file must match `field` (FieldMismatch), `construction` and
+    `poly_text` (ValueError) when they are given.  Values of the wrong type,
+    count or shape, basis labels that are not q distinct elements of [0, q)
+    and csv rows whose b is not their position in the basis raise ValueError;
+    a set above the size bound, BudgetExceeded.
     """
     text = data.decode() if isinstance(data, bytes) else data
     if fmt == "json":
@@ -441,6 +441,9 @@ def import_mubs(
         kind = _json_value(obj["construction"], str, "construction")
         if construction is not None and kind != construction:
             raise ValueError(f"the export holds a {kind} set, not a {construction} set")
+        poly = parse_poly(_json_value(obj["poly"], str, "poly"), fld)
+        if poly_text is not None and parse_poly(poly_text, fld) != poly:
+            raise ValueError(f"the export is generated by {poly}, not {poly_text}")
         bases = _json_value(obj["bases"], list, "bases")
         (std,) = _counted([i for i, b in enumerate(bases)
                            if _json_value(b, dict, "a basis").get("standard")],
@@ -460,7 +463,7 @@ def import_mubs(
         return MubSet(
             field=fld,
             construction=kind,
-            poly=parse_poly(_json_value(obj["poly"], str, "poly"), fld),
+            poly=poly,
             a=tuple(_json_value(b["a"], int, "basis a") for b in phase),
             exponents=exps,
             standard=std,

@@ -19,7 +19,9 @@ import time
 from concurrent import futures
 from dataclasses import dataclass, field as dataclass_field
 
-from . import classify, polyfun
+import numpy as np
+
+from . import binom, classify, polyfun
 from .errors import BudgetExceeded, CharacteristicTooSmall
 from .field import FieldSpec, make_field
 from .polyfun import Poly
@@ -274,18 +276,32 @@ class DeltaDegreeReport:
         }
 
 
+def _monomial_delta_degrees(field: FieldSpec, n: int, shifts: np.ndarray) -> np.ndarray:
+    """deg delta(x^n, a) for each shift a, -1 where the difference is zero.
+
+    delta(x^n, a) has the coefficient C(n, k) * a^k on x^(n-k) for each k >= 1
+    in the binomial support mod p; all shifts are one pow_elemwise array.
+    """
+    ks, bs = binom.expansion(n, field.p)
+    ks, bs = ks[1:], bs[1:]  # k = 0 reproduces x^n, which cancels
+    coeffs = field.mul_vec(bs.astype(np.int32), field.pow_elemwise(shifts[:, None], ks))
+    nonzero = coeffs != 0
+    # ks ascend, so the first nonzero column has the largest exponent n - k
+    return np.where(nonzero.any(axis=1), n - ks[nonzero.argmax(axis=1)], -1)
+
+
 def verify_monomial_delta_degrees(field: FieldSpec) -> tuple[bool, DeltaDegreeReport]:
     """Check deg delta(x^n, a) against the predicted p^s*(m-1) for every
     n in [1, q-1] and every nonzero a."""
     report = DeltaDegreeReport(field=field, pairs_checked=0)
+    shifts = field.encodings[1:]
     for n in range(1, field.q):
         expected = polyfun.predicted_delta_degree(n, field.p)
-        mono = Poly.monomial(field, n)
-        for a in range(1, field.q):
-            got = polyfun.delta(mono, a).degree()
-            report.pairs_checked += 1
-            if got != expected:
-                report.mismatches.append((n, a, got, expected))
+        got = _monomial_delta_degrees(field, n, shifts)
+        report.pairs_checked += len(shifts)
+        for i in np.flatnonzero(got != expected).tolist():
+            d = int(got[i])
+            report.mismatches.append((n, int(shifts[i]), None if d < 0 else d, expected))
     return (not report.mismatches, report)
 
 

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from planarlab import classify
 from planarlab.classify import (
     DODecomposition,
     additive_witness,
@@ -334,10 +336,39 @@ def _collision_oracle(row):
     return None
 
 
+@functools.cache
+def _scalar_tables(field):
+    """Sums and products of all pairs, one scalar field op each."""
+    q = field.q
+    return ([[field.add(x, y) for y in range(q)] for x in range(q)],
+            [[field.mul(x, y) for y in range(q)] for x in range(q)])
+
+
+@functools.cache
+def _power_row(field, e):
+    """x^e for every x, by e scalar products."""
+    _, mul = _scalar_tables(field)
+    row = [1] * field.q
+    for _ in range(e):
+        row = [mul[v][x] for x, v in enumerate(row)]
+    return row
+
+
+def _literal_values(f):
+    """f(x) for every x as a sum of c * x^e, through the scalar tables."""
+    field = f.field
+    add, mul = _scalar_tables(field)
+    out = [0] * field.q
+    for e, c in f.terms.items():
+        out = [add[acc][mul[c][v]] for acc, v in zip(out, _power_row(field, e))]
+    return out
+
+
 def _additive_oracle(field, t):
+    add, _ = _scalar_tables(field)
     for x in range(field.q):
         for y in range(field.q):
-            if t[field.add(x, y)] != field.add(t[x], t[y]):
+            if t[add[x][y]] != add[t[x]][t[y]]:
                 return x, y
     return None
 
@@ -366,10 +397,10 @@ def _seeded_polys(field, rng, n):
     return out
 
 
-@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
-def test_witnesses_match_literal_loops(p, r):
+def _witnesses_against_oracles(p, r):
     """Every reduced polynomial over GF(5); elsewhere the monomials, additive
-    maps with and without a constant, and seeded polynomials."""
+    maps with and without a constant, and seeded polynomials.  Returns the
+    witnesses found, by check."""
     field = make_field(p, r)
     q = field.q
     if q == 5:
@@ -385,27 +416,171 @@ def test_witnesses_match_literal_loops(p, r):
         ("additive", additive_witness, lambda t: _additive_oracle(field, t)),
         ("planar", planar_witness, lambda t: _planar_oracle(field, t)),
     ]
-    outcomes = set()
+    found = {name: [] for name, _, _ in checks}
     for f in pool:
         t = _values(f)
         for name, fast, oracle in checks:
             w = fast(f)
             assert w == oracle(t), (name, str(f))
-            outcomes.add((name, w is None))
-    assert outcomes == {(name, hit) for name, _, _ in checks for hit in (True, False)}
+            found[name].append(w)
+    for name, ws in found.items():
+        assert None in ws and any(w is not None for w in ws), name
+    return found
 
 
-@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
-def test_alltop_witness_matches_literal_loop(p, r):
+def _alltop_witnesses_against_oracle(p, r):
     """A few polynomials per field: no function over GF(9) is Alltop."""
     field = make_field(p, r)
     cubic = Poly.monomial(field, 3)
     pool = [cubic, shift_scale(cubic, 2, 1) + parse_poly("x^2 + x + 1", field),
             Poly.monomial(field, 2), Poly.monomial(field, 4)]
     pool += _seeded_polys(field, np.random.default_rng(field.q), 8)
-    outcomes = set()
+    found = []
     for f in pool:
         w = alltop_witness(f)
         assert w == _alltop_oracle(field, _values(f)), str(f)
-        outcomes.add(w is None)
-    assert outcomes == ({False} if p == 3 else {True, False})
+        found.append(w)
+    assert (None in found) == (p != 3)
+    assert any(w is not None for w in found)
+    return found
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
+def test_witnesses_match_literal_loops(p, r):
+    _witnesses_against_oracles(p, r)
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
+def test_alltop_witness_matches_literal_loop(p, r):
+    _alltop_witnesses_against_oracle(p, r)
+
+
+def _one_row_then_four(monkeypatch, q):
+    """Scan chunks of 1, 2, 4, 4, ... rows; returns a list that collects,
+    for each scan, its chunks' row counts."""
+    monkeypatch.setattr(classify, "_FIRST_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 4 * q)
+    scans = []
+    chunks = classify._row_chunks
+
+    def recorded(start, stop, q):
+        scans.append([])
+        for rows in chunks(start, stop, q):
+            scans[-1].append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(classify, "_row_chunks", recorded)
+    return scans
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
+def test_witnesses_match_literal_loops_across_chunks(monkeypatch, p, r):
+    scans = _one_row_then_four(monkeypatch, p**r)
+    found = _witnesses_against_oracles(p, r)
+    assert max(map(max, scans)) <= 4 and max(map(len, scans)) >= 3
+    # the first chunk is row x = 0 for additivity and shift a = 1 for planarity
+    assert any(w is not None and w[0] >= 1 for w in found["additive"])
+    assert any(w is not None and w[0] >= 2 for w in found["planar"])
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
+def test_alltop_witness_matches_literal_loop_across_chunks(monkeypatch, p, r):
+    scans = _one_row_then_four(monkeypatch, p**r)
+    _alltop_witnesses_against_oracle(p, r)
+    # only an Alltop function scans every row; over GF(9) there is none
+    assert max(map(max, scans)) <= 4 and (max(map(len, scans)) >= 3) == (p != 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 49, 127, 128, 129, 2401, 3**9])
+def test_row_chunks_cover_rows_in_order(q):
+    chunks = list(classify._row_chunks(1, q, q))
+    rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
+    assert np.array_equal(rows, np.arange(1, q))
+    assert all(c.dtype == np.int32 for c in chunks)
+    if q <= 128:
+        assert len(chunks) <= 1
+    sizes = [len(c) for c in chunks]
+    cap = max(1, classify._CHUNK_ENTRIES // q)
+    assert all(b == min(2 * a, cap) for a, b in zip(sizes, sizes[1:-1]))
+    assert sizes[0] == min(q - 1, max(1, classify._FIRST_CHUNK_ENTRIES // q))
+
+
+# ---------------------------------------------------------------------------
+# additivity certificate: linearized polynomials need no value table
+# ---------------------------------------------------------------------------
+
+def _p_powers(field):
+    return [field.p**i for i in range(field.r)]
+
+
+def _linearized(field):
+    """Every polynomial sum c_i x^(p^i) over the field, the zero one first."""
+    exps = _p_powers(field)
+    for cs in itertools.product(range(field.q), repeat=len(exps)):
+        yield Poly(field, dict(zip(exps, cs)))
+
+
+def _no_value_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"value table built for {self}")
+
+    monkeypatch.setattr(Poly, "value_table", refuse)
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3)])
+def test_linearized_polynomials_are_certified_without_a_table(monkeypatch, p, r):
+    field = make_field(p, r)
+    polys = list(_linearized(field))
+    assert len(polys) == field.q**r
+    # oracle values first: they must not come from value_table
+    expected = [_additive_oracle(field, _literal_values(f)) for f in polys]
+    assert set(expected) == {None}
+    _no_value_table(monkeypatch)
+    assert [additive_witness(f) for f in polys] == expected
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3)])
+def test_linearized_plus_constant_matches_oracle(p, r):
+    field = make_field(p, r)
+    rng = np.random.default_rng(field.q + 1)
+    for f in _linearized(field):
+        g = f + Poly.constant(field, int(rng.integers(1, field.q)))
+        assert additive_witness(g) == _additive_oracle(field, _literal_values(g)) == (0, 0)
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3)])
+def test_formal_exponents_reducing_onto_p_powers(monkeypatch, p, r):
+    field = make_field(p, r)
+    q = field.q
+    formal = [Poly.monomial(field, q), Poly.monomial(field, q * p)]
+    for i, e in enumerate(_p_powers(field)):
+        formal.append(Poly(field, {e + (q - 1): 2, e + 2 * (q - 1): 1 + i}))
+        formal.append(Poly(field, {e + (q - 1): 1, e: field.neg(1)}))  # cancels to 0
+    formal.append(Poly(field, {q: 1, 1: 1, p + (q - 1): 2}))
+    expected = [_additive_oracle(field, _literal_values(f)) for f in formal]
+    assert set(expected) == {None}
+    assert Poly.zero(field) in [f.reduce() for f in formal]
+    with monkeypatch.context() as m:
+        _no_value_table(m)
+        assert [additive_witness(f) for f in formal] == expected
+    # one more formal term that does not reduce onto a p-power breaks it
+    for f in formal:
+        g = f + Poly.monomial(field, 2 + (q - 1))
+        assert additive_witness(g) == _additive_oracle(field, _literal_values(g)) is not None
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2)])
+def test_non_linearized_polynomials_take_the_scan(p, r):
+    field = make_field(p, r)
+    p_powers = set(_p_powers(field))
+    rng = np.random.default_rng(7 * field.q)
+    seen = 0
+    while seen < 40:
+        exps = rng.integers(0, 3 * field.q, size=int(rng.integers(1, 4))).tolist()
+        f = Poly(field, {e: int(rng.integers(1, field.q)) for e in exps})
+        if f.reduce().terms.keys() <= p_powers:
+            continue
+        seen += 1
+        w = additive_witness(f)
+        assert w is not None
+        assert w == _additive_oracle(field, _literal_values(f)), str(f)

@@ -395,6 +395,21 @@ def test_cmd_mubs_csv_to_json_keeps_pi(runner, tmp_path):
     assert converted.stdout_bytes == built.stdout_bytes
 
 
+@pytest.mark.parametrize("action", ["export", "verify"])
+def test_cmd_mubs_json_with_other_pi_exits_2(runner, tmp_path, action):
+    g5 = tmp_path / "g5.json"
+    invoke(runner, "mubs", "--p", "5", "--construction", "planar", "--action", "build",
+           "--out", str(g5))
+    base = ["mubs", "--p", "5", "--construction", "planar", "--action", action,
+            "--in", str(g5)]
+    result = runner.invoke(main, [*base[:5], "--pi", "2*x^2", *base[5:]])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and "2*x^2" in result.output
+    same = runner.invoke(main, [*base[:5], "--pi", "x^2", *base[5:]])
+    assert same.exit_code == 0, same.output
+    assert same.stdout_bytes == invoke(runner, *base).stdout_bytes
+
+
 @pytest.mark.parametrize("p, r", [(7, 4), (5, 4)])
 def test_cmd_mubs_above_size_bound_exits_3(runner, p, r):
     for construction in ("planar", "alltop"):

@@ -575,6 +575,17 @@ def test_json_import_matches_given_field_and_construction():
     assert export_mubs(back, "json") == data
 
 
+def test_json_import_matches_given_poly():
+    m = planar_set(5)
+    data = export_mubs(m, "json")
+    with pytest.raises(ValueError, match="generated by x\\^2"):
+        import_mubs(data, "json", poly_text="2*x^2")
+    with pytest.raises(ValueError):
+        import_mubs(data, "json", construction="planar", poly_text="x^2 + x")
+    assert export_mubs(import_mubs(data, "json", poly_text=" x^2 "), "json") == data
+    assert export_mubs(import_mubs(data, "json"), "json") == data
+
+
 def _standard_last(m):
     obj = json.loads(export_mubs(m, "json"))
     obj["bases"].append(obj["bases"].pop(0))

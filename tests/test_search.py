@@ -3,11 +3,11 @@ import logging
 import numpy as np
 import pytest
 
-from planarlab import classify
+from planarlab import classify, polyfun, search
 from planarlab.classify import is_alltop
 from planarlab.errors import BudgetExceeded, CharacteristicTooSmall
 from planarlab.field import make_field
-from planarlab.polyfun import Poly
+from planarlab.polyfun import Poly, delta
 from planarlab.search import (
     FamilySpec,
     run_search,
@@ -258,6 +258,29 @@ def test_monomial_delta_degree_verification():
     assert ok and rep.pairs_checked == 6 * 6 and not rep.mismatches
     ok, rep = verify_monomial_delta_degrees(make_field(5, 2))
     assert ok and rep.pairs_checked == 24 * 24
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (5, 2), (3, 3)])
+def test_batched_delta_degrees_match_delta(p, r):
+    field = make_field(p, r)
+    shifts = field.encodings[1:]
+    for n in range(1, field.q):
+        got = search._monomial_delta_degrees(field, n, shifts).tolist()
+        assert got == [delta(Poly.monomial(field, n), a).degree() for a in range(1, field.q)]
+
+
+def test_delta_degree_mismatch_rows(monkeypatch):
+    """A wrong prediction for one n reports one row per shift, a ascending."""
+    field = make_field(5, 2)
+    predicted = polyfun.predicted_delta_degree
+    monkeypatch.setattr(polyfun, "predicted_delta_degree",
+                        lambda n, p: predicted(n, p) + (n == 7))
+    ok, rep = verify_monomial_delta_degrees(field)
+    want = predicted(7, 5) + 1
+    assert not ok and rep.pairs_checked == 24 * 24
+    assert rep.mismatches == [(7, a, delta(Poly.monomial(field, 7), a).degree(), want)
+                              for a in range(1, 25)]
+    assert all(type(v) is int for row in rep.mismatches for v in row)
 
 
 def test_cubic_scope_shifted_cubics_gf7():
