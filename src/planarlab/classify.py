@@ -10,7 +10,12 @@ about 2^14 entries and double up to 2^20 (`_row_chunks`), so a negative
 costs roughly the rows up to its witness and a field with q <= 128 is one
 chunk.  An additive positive costs O(terms): a function is additive exactly
 when its reduced polynomial is linearized, sum c_i x^(p^i), so that case
-needs no table at all.
+needs no table at all, and neither does a reduced polynomial with a nonzero
+constant, whose witness is (0, 0).
+
+One table, `_p_power_exponents` = {p^i: i}, gives the exponent classes: its
+keys are the linearized exponents, and x^e is the quadratic monomial
+x^(p^k + 1) exactly when e - 1 maps to k.
 """
 
 from __future__ import annotations
@@ -79,9 +84,14 @@ def additive_witness(f: Poly) -> tuple[int, int] | None:
     The reduced polynomial of a function is unique, and it is additive
     exactly when that polynomial is linearized (only exponents p^i), so
     that case returns at once and every other polynomial has a witness.
+    A nonzero constant c makes (0, 0) that witness, the first pair in scan
+    order: f(0 + 0) = c differs from f(0) + f(0) = 2c in odd characteristic.
     """
     fld = f.field
-    if f.reduce().terms.keys() <= _p_power_exponents(fld):
+    terms = f.reduce().terms
+    if 0 in terms:
+        return (0, 0)
+    if terms.keys() <= _p_power_exponents(fld).keys():
         return None
     q = fld.q
     t = f.value_table()
@@ -175,13 +185,9 @@ class DODecomposition:
         return mono + self.additive_part + Poly.constant(fld, self.constant)
 
 
-def _p_power_exponents(fld: FieldSpec) -> set[int]:
-    exps = set()
-    e = 1
-    while e < fld.q:
-        exps.add(e)
-        e *= fld.p
-    return exps
+def _p_power_exponents(fld: FieldSpec) -> dict[int, int]:
+    """{p**i: i} for i < r: the reduced exponents of the linearized terms."""
+    return {fld.p**i: i for i in range(fld.r)}
 
 
 def do_decompose(g: Poly) -> DODecomposition | None:
@@ -197,25 +203,14 @@ def do_decompose(g: Poly) -> DODecomposition | None:
     if deg is not None and deg >= fld.q:
         raise ValueError("do_decompose expects a reduced polynomial")
     p_powers = _p_power_exponents(fld)
-    additive: dict[int, int] = {}
-    rest: dict[int, int] = {}
-    const = 0
-    for e, c in g.terms.items():
-        if e == 0:
-            const = c
-        elif e in p_powers:
-            additive[e] = c
-        else:
-            rest[e] = c
-    if len(rest) != 1:
+    terms = g.terms
+    const = terms.pop(0, 0)
+    additive = {e: terms.pop(e) for e in p_powers if e in terms}
+    if len(terms) != 1:
         return None
-    (e, alpha_enc), = rest.items()
-    m = e - 1
-    k = 0
-    while m > 1 and m % fld.p == 0:
-        m //= fld.p
-        k += 1
-    if m != 1:
+    (e, alpha_enc), = terms.items()
+    k = p_powers.get(e - 1)
+    if k is None:
         return None
     return DODecomposition(
         k=k,

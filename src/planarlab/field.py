@@ -143,18 +143,21 @@ def make_field(p: int, r: int = 1, *, max_order: int = DEFAULT_MAX_ORDER) -> "Fi
     """The process's GF(p^r) with the canonical modulus, whatever max_order.
 
     Raises CharTwoUnsupported for p = 2, NotPrime for composite p, and
-    FieldTooLarge when p**r exceeds max_order.
+    FieldTooLarge when p**r exceeds max_order.  No work grows with p or r
+    before the bound is checked: a p above max_order is not tested for
+    primality, and any r above max_order.bit_length() gives p**r > 2**r >
+    max_order without computing p**r.
     """
     if not isinstance(p, int) or not isinstance(r, int):
         raise TypeError("p and r must be integers")
     if p == 2:
         raise CharTwoUnsupported("characteristic 2 is not supported")
-    if not _is_prime(p):
+    if p <= max_order and not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if r < 1:
         raise ValueError("extension degree r must be >= 1")
-    if p**r > max_order:
-        raise FieldTooLarge(f"p**r = {p**r} exceeds the bound {max_order}")
+    if p > max_order or r > max_order.bit_length() or p**r > max_order:
+        raise FieldTooLarge(f"p**r = {p}**{r} exceeds the bound {max_order}")
     return _canonical_field(p, r)
 
 
@@ -163,6 +166,25 @@ def _canonical_field(p: int, r: int) -> "FieldSpec":
     if (p, r) not in _FIELDS:  # of two racing threads' fields, setdefault keeps one
         _FIELDS.setdefault((p, r), FieldSpec(p, r, _canonical_modulus(p, r)))
     return _FIELDS[p, r]
+
+
+def _cached(key: str):
+    """Make a FieldSpec table builder a property that builds the table once,
+    marks it read-only and keeps it in the instance's _cache[key]."""
+
+    def wrap(build):
+        @functools.wraps(build)
+        def get(self):
+            tab = self._cache.get(key)
+            if tab is None:
+                tab = build(self)
+                tab.setflags(write=False)
+                self._cache[key] = tab
+            return tab
+
+        return property(get)
+
+    return wrap
 
 
 class FieldSpec:
@@ -221,15 +243,10 @@ class FieldSpec:
 
     # -- cached tables ---------------------------------------------------
 
-    @property
+    @_cached("enc")
     def encodings(self) -> np.ndarray:
-        """arange(q) as int32; treat as read-only."""
-        tab = self._cache.get("enc")
-        if tab is None:
-            tab = np.arange(self.q, dtype=np.int32)
-            tab.setflags(write=False)
-            self._cache["enc"] = tab
-        return tab
+        """arange(q) as int32."""
+        return np.arange(self.q, dtype=np.int32)
 
     @property
     def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
@@ -273,31 +290,21 @@ class FieldSpec:
                 self._cache[name] = tab
         return log, self._cache["exp"]
 
-    @property
+    @_cached("frob1")
     def _frob1(self) -> np.ndarray:
-        tab = self._cache.get("frob1")
-        if tab is None:
-            tab = self.pow_vec(self.encodings, self.p)
-            tab.setflags(write=False)
-            self._cache["frob1"] = tab
-        return tab
+        return self.pow_vec(self.encodings, self.p)
 
-    @property
+    @_cached("trace")
     def trace_table(self) -> np.ndarray:
         """trace_table[e] = tr(element e) as a residue in [0, p)."""
-        tab = self._cache.get("trace")
-        if tab is None:
-            acc = self.encodings.copy()
-            conj = self.encodings
-            for _ in range(self.r - 1):
-                conj = self._frob1[conj]
-                acc = self.add_vec(acc, conj)
-            if not (acc < self.p).all():  # pragma: no cover - sanity
-                raise AssertionError("trace left the prime subfield")
-            tab = acc.astype(np.int32)
-            tab.setflags(write=False)
-            self._cache["trace"] = tab
-        return tab
+        acc = self.encodings.copy()
+        conj = self.encodings
+        for _ in range(self.r - 1):
+            conj = self._frob1[conj]
+            acc = self.add_vec(acc, conj)
+        if not (acc < self.p).all():  # pragma: no cover - sanity
+            raise AssertionError("trace left the prime subfield")
+        return acc.astype(np.int32)
 
     def _check_square_table(self, name: str) -> None:
         if self.q**2 > MAX_TABLE_ENTRIES:
@@ -306,7 +313,7 @@ class FieldSpec:
                 f"more than the bound {MAX_TABLE_ENTRIES}"
             )
 
-    @property
+    @_cached("pow")
     def power_table(self) -> np.ndarray:
         """Matrix POW[a, e] = a**e for e in [0, q); built on demand, O(q^2) memory
         (BudgetExceeded when q^2 > MAX_TABLE_ENTRIES).
@@ -316,29 +323,20 @@ class FieldSpec:
         for any exponent without this matrix; the difference expansions use
         pow_elemwise.
         """
-        tab = self._cache.get("pow")
-        if tab is None:
-            self._check_square_table("power_table")
-            enc = self.encodings
-            tab = np.empty((self.q, self.q), dtype=np.int32)
-            for e in range(self.q):
-                tab[:, e] = self.pow_vec(enc, e)
-            tab.setflags(write=False)
-            self._cache["pow"] = tab
+        self._check_square_table("power_table")
+        enc = self.encodings
+        tab = np.empty((self.q, self.q), dtype=np.int32)
+        for e in range(self.q):
+            tab[:, e] = self.pow_vec(enc, e)
         return tab
 
-    @property
+    @_cached("tb")
     def trace_bilinear(self) -> np.ndarray:
         """Matrix TB[b, x] = tr(b * x); built on demand, O(q^2) memory
         (BudgetExceeded when q^2 > MAX_TABLE_ENTRIES)."""
-        tab = self._cache.get("tb")
-        if tab is None:
-            self._check_square_table("trace_bilinear")
-            enc = self.encodings
-            tab = self.trace_table[self.mul_vec(enc[:, None], enc[None, :])]
-            tab.setflags(write=False)
-            self._cache["tb"] = tab
-        return tab
+        self._check_square_table("trace_bilinear")
+        enc = self.encodings
+        return self.trace_table[self.mul_vec(enc[:, None], enc[None, :])]
 
     # -- vector kernel ---------------------------------------------------
 

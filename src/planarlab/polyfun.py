@@ -10,7 +10,9 @@ A value table is a read-only int32 array of length q, entry e = f(element
 with encoding e).  `_table_delta` is the one table difference
 T[x + a] - T[x], for one shift or a column of shifts; `delta_table` and the
 planar and Alltop scans in `classify` call it.  `delta` and `shift_scale`
-expand each monomial binomially and sum the pieces with `_accumulate`.
+expand each monomial binomially.  Like terms are summed in one place,
+`_combine`, which `+`, `reduce`, `parse_poly`, `delta` and `shift_scale`
+share; it adds coefficients only where an exponent repeats.
 
 Text grammar (whitespace ignored, output uses decreasing exponents):
 
@@ -110,25 +112,13 @@ class Poly:
 
     # -- ring-ish operations ----------------------------------------------
 
-    def _check_same_field(self, other: "Poly") -> None:
+    def __add__(self, other: "Poly") -> "Poly":
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_same_field(other)
-        merged = dict(self._terms)
-        f = self.field
-        for e, c in other._terms.items():
-            merged[e] = f.add(merged.get(e, 0), c)
-        return Poly(self.field, merged)
+        return _combine(self.field, [*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_same_field(other)
-        merged = dict(self._terms)
-        f = self.field
-        for e, c in other._terms.items():
-            merged[e] = f.sub(merged.get(e, 0), c)
-        return Poly(self.field, merged)
+        return self + -other
 
     def __mul__(self, scalar) -> "Poly":
         """Scalar multiple; polynomial-by-polynomial products are out of scope."""
@@ -146,12 +136,8 @@ class Poly:
 
     def reduce(self) -> "Poly":
         """Rewrite exponents modulo x^q - x; the induced function is unchanged."""
-        f = self.field
-        merged: dict[int, int] = {}
-        for e, c in self._terms.items():
-            re_ = _reduced_exponent(e, f.q)
-            merged[re_] = f.add(merged.get(re_, 0), c)
-        return Poly(self.field, merged)
+        q = self.field.q
+        return _combine(self.field, [(_reduced_exponent(e, q), c) for e, c in self._terms.items()])
 
     def __call__(self, x) -> FieldElement:
         """Evaluate by sparse Horner over the terms in decreasing exponent order."""
@@ -193,7 +179,7 @@ def parse_poly(text: str, field: FieldSpec) -> Poly:
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
         raise PolySyntaxError("empty polynomial text")
-    acc: dict[int, int] = {}
+    pairs = []
     for part in stripped.split("+"):
         m = _TERM_RE.match(part)
         if m is None:
@@ -207,8 +193,8 @@ def parse_poly(text: str, field: FieldSpec) -> Poly:
             raise CoefficientOutOfRange(
                 f"coefficient {coeff} outside [0, {field.q})"
             )
-        acc[exp] = field.add(acc.get(exp, 0), coeff)
-    return Poly(field, acc)
+        pairs.append((exp, coeff))
+    return _combine(field, pairs)
 
 
 def format_poly(f: Poly) -> str:
@@ -226,14 +212,15 @@ def format_poly(f: Poly) -> str:
     return " + ".join(parts)
 
 
-def _accumulate(fld: FieldSpec, pieces) -> Poly:
-    """Sum the terms given as (exponent array, coefficient array) pieces."""
+def _combine(fld: FieldSpec, pairs) -> Poly:
+    """Sum (exponent, coefficient encoding) pairs into a Poly: zero
+    coefficients are skipped, a field addition is made only where an
+    exponent repeats, and sums that cancel drop out."""
     acc: dict[int, int] = {}
-    for exps, coeffs in pieces:
-        for e, c in zip(exps.tolist(), coeffs.tolist()):
-            if c:
-                prev = acc.get(e)
-                acc[e] = c if prev is None else fld.add(prev, c)
+    for e, c in pairs:
+        if c:
+            prev = acc.get(e)
+            acc[e] = c if prev is None else fld.add(prev, c)
     return Poly(fld, acc)
 
 
@@ -254,16 +241,16 @@ def delta(f: Poly, a) -> Poly:
         )
         return Poly.zero(fld)
 
-    def pieces():
-        for n, c in f._terms.items():
-            if n == 0:
-                continue
-            ks, bs = binom.expansion(n, fld.p)
-            ks, bs = ks[1:], bs[1:]  # k = 0 reproduces f(x), which cancels
-            apow = fld.pow_elemwise(a_enc, ks)
-            yield n - ks, fld.mul_vec(fld.mul_vec(bs.astype(np.int32), apow), np.int32(c))
-
-    return _accumulate(fld, pieces())
+    pairs = []
+    for n, c in f._terms.items():
+        if n == 0:
+            continue
+        ks, bs = binom.expansion(n, fld.p)
+        ks, bs = ks[1:], bs[1:]  # k = 0 reproduces f(x), which cancels
+        apow = fld.pow_elemwise(a_enc, ks)
+        coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), apow), np.int32(c))
+        pairs += zip((n - ks).tolist(), coeffs.tolist())
+    return _combine(fld, pairs)
 
 
 def _table_delta(fld: FieldSpec, t: np.ndarray, a) -> np.ndarray:
@@ -293,13 +280,13 @@ def shift_scale(f: Poly, s, t) -> Poly:
     if s_enc == 0:
         raise ZeroScale("scale factor s must be nonzero")
 
-    def pieces():
-        for n, c in f._terms.items():
-            ks, bs = binom.expansion(n, fld.p)
-            st = fld.mul_vec(fld.pow_elemwise(s_enc, ks), fld.pow_elemwise(t_enc, n - ks))
-            yield ks, fld.mul_vec(fld.mul_vec(bs.astype(np.int32), st), np.int32(c))
-
-    return _accumulate(fld, pieces())
+    pairs = []
+    for n, c in f._terms.items():
+        ks, bs = binom.expansion(n, fld.p)
+        st = fld.mul_vec(fld.pow_elemwise(s_enc, ks), fld.pow_elemwise(t_enc, n - ks))
+        coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), st), np.int32(c))
+        pairs += zip(ks.tolist(), coeffs.tolist())
+    return _combine(fld, pairs)
 
 
 def predicted_delta_degree(n: int, p: int) -> int:

@@ -3,7 +3,9 @@
 Families are finite and enumerated in a fixed deterministic order (coefficient
 vectors lexicographically by encoding, monomials by ascending degree), so a
 report's hit list is reproducible and identical whether the range is scanned
-serially or split across worker processes.
+serially or split across worker processes.  A worker runs `_scan` on its
+range with the pickled field and family; a FieldSpec unpickles to the
+worker's own instance of that field.
 
 A scan classifies one candidate per core: the reduced terms left after the
 affine terms (and, for Alltop, the Dembowski-Ostrom terms) are dropped,
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import binom, classify, polyfun
 from .errors import BudgetExceeded, CharacteristicTooSmall
-from .field import FieldSpec, make_field
+from .field import FieldSpec
 from .polyfun import Poly
 
 FAMILY_KINDS = ("monomials", "all-reduced", "shifted-cubics", "do-monomials")
@@ -118,7 +120,7 @@ def _free_exponents(field: FieldSpec, mode: str) -> frozenset[int]:
     alltop mode the Dembowski-Ostrom exponents p^i + p^j, whose first
     differences are affine, are free as well.
     """
-    powers = classify._p_power_exponents(field)
+    powers = classify._p_power_exponents(field).keys()
     free = {0, *powers}
     if mode == "alltop":
         free.update(a + b for a in powers for b in powers)
@@ -162,12 +164,6 @@ def _scan(field, family, mode, start, stop):
     return hits, len(verdicts)
 
 
-def _search_range(p, r, max_order, kind, max_degree, mode, start, stop):
-    """Classify candidates in [start, stop); module-level for worker processes."""
-    fld = make_field(p, r, max_order=max_order)
-    return _scan(fld, FamilySpec(kind, max_degree), mode, start, stop)
-
-
 def run_search(
     field: FieldSpec,
     family: FamilySpec,
@@ -192,8 +188,13 @@ def run_search(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    n = family.size(field)
     cand_budget = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
+    if family.kind == "all-reduced" and family.max_degree >= cand_budget.bit_length():
+        # q**(D + 1) > 2**(D + 1) > cand_budget, a number not worth building
+        raise BudgetExceeded(
+            f"{field.q}**{family.max_degree + 1} candidates exceed the budget {cand_budget}"
+        )
+    n = family.size(field)
     if n > cand_budget:
         raise BudgetExceeded(f"{n} candidates exceed the budget {cand_budget}")
     per_candidate = field.q ** (2 if mode == "planar" else 3)
@@ -208,12 +209,11 @@ def run_search(
     if workers <= 1 or n < 4 * workers:
         hits, classified = _scan(field, family, mode, 0, n)
     else:
-        args = (field.p, field.r, field.q, family.kind, family.max_degree, mode)
         bounds = [n * w // workers for w in range(workers + 1)]
         hits, classified = [], 0
         with futures.ProcessPoolExecutor(max_workers=workers) as ex:
             jobs = [
-                ex.submit(_search_range, *args, bounds[w], bounds[w + 1])
+                ex.submit(_scan, field, family, mode, bounds[w], bounds[w + 1])
                 for w in range(workers)
                 if bounds[w] < bounds[w + 1]
             ]

@@ -217,6 +217,23 @@ def test_do_decompose_roundtrip():
         assert d.reconstruct() == g
 
 
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3), (7, 2)])
+def test_do_decompose_reads_k_of_every_exponent(p, r):
+    field = make_field(p, r)
+    rng = np.random.default_rng(field.q)
+    k_of = {p**k + 1: k for k in range(r)}
+    for e in range(field.q):
+        c = int(rng.integers(1, field.q))
+        M = random_additive(field, rng)
+        d = int(rng.integers(0, field.q))
+        g = Poly.monomial(field, e, c) + M + Poly.constant(field, d)
+        dec = do_decompose(g)
+        if e in k_of:  # e - 1 = p^k
+            assert dec == DODecomposition(k_of[e], field.element(c), M, field.element(d))
+        else:  # x^e is a constant, a p-power merged into M, or not quadratic
+            assert dec is None, (e, str(g))
+
+
 def test_do_decompose_requires_reduced():
     f5 = make_field(5)
     with pytest.raises(ValueError):
@@ -540,12 +557,18 @@ def test_linearized_polynomials_are_certified_without_a_table(monkeypatch, p, r)
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3)])
-def test_linearized_plus_constant_matches_oracle(p, r):
+def test_linearized_plus_constant_matches_oracle(monkeypatch, p, r):
     field = make_field(p, r)
     rng = np.random.default_rng(field.q + 1)
-    for f in _linearized(field):
-        g = f + Poly.constant(field, int(rng.integers(1, field.q)))
-        assert additive_witness(g) == _additive_oracle(field, _literal_values(g)) == (0, 0)
+    polys = [f + Poly.constant(field, int(rng.integers(1, field.q)))
+             for f in _linearized(field)]
+    # a constant is the witness (0, 0) whatever the other terms are
+    polys += [g + Poly.monomial(field, 2, 1 + i % (field.q - 1))
+              for i, g in enumerate(polys[:40])]
+    expected = [_additive_oracle(field, _literal_values(g)) for g in polys]
+    assert set(expected) == {(0, 0)}
+    _no_value_table(monkeypatch)
+    assert [additive_witness(g) for g in polys] == expected
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3)])

@@ -46,6 +46,16 @@ def test_field_info_not_prime_exits_2(runner):
     assert "prime" in result.output
 
 
+@pytest.mark.parametrize("args", [["--p", "3", "--r", "1000000000"],
+                                  ["--p", "1000000000000000003"]])
+def test_field_info_huge_field_exits_2_at_once(runner, args):
+    t0 = time.perf_counter()
+    result = runner.invoke(main, ["field-info", *args])
+    assert result.exit_code == 2
+    assert "exceeds the bound" in result.output
+    assert time.perf_counter() - t0 < 1
+
+
 def test_field_info_q5(runner):
     result = invoke(runner, "field-info", "--p", "5", "--r", "1")
     assert result.exit_code == 0
@@ -148,6 +158,13 @@ def test_cmd_search_budget_exceeded_exits_3(runner):
     result = runner.invoke(main, ["search", "--p", "5", "--r", "1", "--family",
                                   "monomials", "--mode", "planar", "--budget", "1"])
     assert result.exit_code == 3
+
+
+def test_cmd_search_huge_max_degree_exits_3(runner):
+    result = runner.invoke(main, ["search", "--p", "3", "--family", "all-reduced",
+                                  "--max-deg", "1000000000", "--mode", "planar"])
+    assert result.exit_code == 3
+    assert "exceed the budget" in result.output
 
 
 def test_cmd_search_budget_env(runner, monkeypatch):
@@ -307,10 +324,11 @@ STRUCTURAL_IDS = ["short-basis", "ragged-row", "no-standard", "two-standards",
         lambda obj: _replaced(obj, ("bases", 1, "a"), None),
         lambda obj: _replaced(obj, ("bases",), 5),
         lambda obj: _replaced(obj, ("poly",), 2),
+        lambda obj: _replaced(obj, ("field", "r"), 100_000_000),
         *STRUCTURAL_EDITS,
     ],
     ids=["list-document", "string-p", "basis-not-object", "float-exponent",
-         "bool-exponent", "null-a", "bases-not-list", "poly-not-string",
+         "bool-exponent", "null-a", "bases-not-list", "poly-not-string", "huge-r",
          *STRUCTURAL_IDS],
 )
 def test_cmd_mubs_malformed_import_exits_2(runner, tmp_path, edit):

@@ -19,7 +19,7 @@ from planarlab.errors import (
     FieldTooLarge,
     NotPrime,
 )
-from planarlab.field import MAX_TABLE_ENTRIES, FieldElement, make_field
+from planarlab.field import MAX_TABLE_ENTRIES, FieldElement, FieldSpec, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,32 @@ def test_order_bound():
         make_field(3, 9)  # 19683 > 10^4
     f = make_field(3, 9, max_order=20000)
     assert f.q == 19683
+
+
+def test_huge_parameters_fail_before_any_work():
+    t0 = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match=r"3\*\*1000000000 exceeds"):
+        make_field(3, 10**9)  # p**r is never built
+    with pytest.raises(FieldTooLarge):
+        make_field(10**18 + 3)  # prime; no trial division up to 10**9
+    with pytest.raises(FieldTooLarge):
+        make_field(10**18 + 4)  # composite above the bound reports the bound too
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(NotPrime):
+        make_field(9, max_order=9)
+    with pytest.raises(FieldTooLarge):
+        make_field(9, max_order=8)
+    assert make_field(7, max_order=7).q == 7
+
+
+def test_order_bound_is_exact():
+    for max_order in [3**k + d for k in range(1, 8) for d in (-1, 0, 1)]:
+        for r in range(1, max_order.bit_length() + 3):
+            if 3**r <= max_order:
+                assert make_field(3, r, max_order=max_order).q == 3**r
+            else:
+                with pytest.raises(FieldTooLarge):
+                    make_field(3, r, max_order=max_order)
 
 
 def test_same_parameters_same_field():
@@ -294,6 +320,22 @@ def test_square_tables_are_size_guarded():
     assert f.trace_bilinear.shape == f.power_table.shape == (2401, 2401)
     assert f.trace_bilinear[5, 9] == f.trace(f.mul(5, 9))
     assert f.power_table[5, 9] == f.pow(5, 9)
+
+
+@pytest.mark.parametrize("name,key", [("encodings", "enc"), ("_frob1", "frob1"),
+                                      ("trace_table", "trace"), ("power_table", "pow"),
+                                      ("trace_bilinear", "tb")])
+def test_cached_tables_are_read_only_and_built_once(name, key):
+    prop = FieldSpec.__dict__[name]
+    assert isinstance(prop, property) and prop.fget is not None
+    f = FieldSpec(5, 2, make_field(5, 2).modulus)  # not the canonical field: empty cache
+    assert key not in f._cache
+    tab = getattr(f, name)
+    assert f._cache[key] is tab and getattr(f, name) is tab
+    assert not tab.flags.writeable
+    with pytest.raises(ValueError):
+        tab[0] = 1
+    assert np.array_equal(tab, getattr(make_field(5, 2), name))
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,8 @@ def test_poly_ops_validate_field():
     b = parse_poly("x", make_field(7))
     with pytest.raises(FieldMismatch):
         _ = a + b
+    with pytest.raises(FieldMismatch):
+        _ = a - b
 
 
 def test_scalar_multiple_and_negation():
@@ -343,3 +345,46 @@ def test_scalar_multiple_and_negation():
     assert (f * 2).terms == {2: 2, 0: 1}
     assert (-f).terms == {2: 4, 0: 2}
     assert (f * 0).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# like terms against a per-term oracle
+# ---------------------------------------------------------------------------
+
+def _per_term(pairs, op, start=()):
+    """Fold (exponent, coefficient) pairs into the terms `start` one at a
+    time with the scalar op (field.add or field.sub); zero sums dropped."""
+    acc = dict(start)
+    for e, c in pairs:
+        acc[e] = op(acc.get(e, 0), c)
+    return {e: c for e, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3)])
+def test_like_terms_match_per_term_oracle(p, r):
+    field = make_field(p, r)
+    q = field.q
+    # few exponents, so they repeat, some >= q, so they collide after reduction
+    pool = [0, 1, 2, p, q - 2, q - 1, q, q + 1, 2 * q - 1, 3 * q]
+    rng = np.random.default_rng(q)
+
+    def pairs(n):
+        exps = rng.choice(pool, size=n).tolist()
+        return list(zip(exps, rng.integers(0, q, size=n).tolist()))
+
+    for _ in range(80):
+        f = Poly(field, _per_term(pairs(6), field.add))
+        g = Poly(field, _per_term(pairs(6), field.add))
+        for h in (g, f, -f, f * 2):  # h = f and h = -f cancel every term
+            assert (f + h).terms == _per_term(h.terms.items(), field.add, f.terms)
+            assert (f - h).terms == _per_term(h.terms.items(), field.sub, f.terms)
+        reduced = [(e if e == 0 else (e - 1) % (q - 1) + 1, c) for e, c in f.terms.items()]
+        assert f.reduce().terms == _per_term(reduced, field.add)
+        # a term and its reduced twin with the negated coefficient cancel
+        e = int(rng.choice(pool[1:]))
+        c = int(rng.integers(1, q))
+        twin = Poly(field, {e: c, e + (q - 1): field.neg(c)})
+        assert twin.reduce().is_zero() and not twin.is_zero()
+        terms = pairs(8) + [(e, c), (e, field.neg(c))]
+        text = " + ".join(f"{c}*x^{e}" for e, c in terms)
+        assert parse_poly(text, field).terms == _per_term(terms, field.add)

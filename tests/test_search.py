@@ -1,4 +1,5 @@
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -231,6 +232,23 @@ def test_budget_guards():
     with pytest.raises(BudgetExceeded):
         # 341 candidates * 343^3 table ops > 10^10 under the default budget
         run_search(f343, FamilySpec("monomials"), "alltop")
+
+
+def test_huge_max_degree_exceeds_budget_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"3\*\*1000000001 candidates"):
+        run_search(make_field(3), FamilySpec("all-reduced", 10**9), "planar")
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("p,r,max_deg", [(3, 1, 0), (3, 1, 2), (5, 1, 1), (3, 2, 1)])
+def test_all_reduced_budget_boundary_is_exact(p, r, max_deg):
+    field = make_field(p, r)
+    family = FamilySpec("all-reduced", max_deg)
+    n = field.q ** (max_deg + 1)
+    assert run_search(field, family, "planar", budget=n).tested == n
+    with pytest.raises(BudgetExceeded, match=f"^{n} candidates"):
+        run_search(field, family, "planar", budget=n - 1)
 
 
 def test_invalid_mode():
