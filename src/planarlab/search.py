@@ -3,18 +3,22 @@
 Families are finite and enumerated in a fixed deterministic order (coefficient
 vectors lexicographically by encoding, monomials by ascending degree), so a
 report's hit list is reproducible and identical whether the range is scanned
-serially or split across worker processes.  A worker runs `_scan` on its
-range with the pickled field and family; a FieldSpec unpickles to the
-worker's own instance of that field.
+serially or split across worker processes.  A worker scans its range with the
+pickled field and family and returns hit indices and texts; a FieldSpec
+unpickles to the worker's own instance of that field, and the report builds
+hit polynomials over the caller's field only when they are read.
 
 A scan classifies one candidate per core: the reduced terms left after the
 affine terms (and, for Alltop, the Dembowski-Ostrom terms) are dropped,
-which cannot change the verdict.  Candidate and table-operation budgets
-still count every candidate.
+which cannot change the verdict.  The all-reduced family is scanned as
+arrays of base-q digits (`_scan_digits`); the O(q) families one candidate at
+a time (`_scan`).  Candidate and table-operation budgets still count every
+candidate.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import time
@@ -35,6 +39,7 @@ _log = logging.getLogger("planarlab")
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 TABLE_OPS_PER_CANDIDATE = 1000  # ops ceiling = candidate budget * this
+_CHUNK_CANDIDATES = 1 << 16  # indices per digit array in _scan_digits
 
 
 @dataclass(frozen=True)
@@ -64,18 +69,23 @@ class FamilySpec:
 
     def candidate(self, field: FieldSpec, idx: int) -> Poly:
         """The idx-th candidate in enumeration order."""
+        if self.kind == "all-reduced":
+            # coefficient vector (c_0, ..., c_D) ascending lexicographically,
+            # so c_0 is the most significant digit of idx in base q; digits
+            # are read from c_D up until idx runs out
+            terms, rest, e = {}, idx, self.max_degree
+            while rest > 0 and e >= 0:
+                rest, c = divmod(rest, field.q)
+                if c:
+                    terms[e] = c
+                e -= 1
+            if idx < 0 or rest:
+                raise IndexError(f"candidate index {idx} out of range")
+            return Poly(field, terms)
         if not 0 <= idx < self.size(field):
             raise IndexError(f"candidate index {idx} out of range")
         if self.kind == "monomials":
             return Poly.monomial(field, 2 + idx)
-        if self.kind == "all-reduced":
-            # coefficient vector (c_0, ..., c_D) ascending lexicographically,
-            # so c_0 is the most significant digit of idx in base q
-            D = self.max_degree
-            coeffs = []
-            for j in range(D, -1, -1):
-                coeffs.append((idx // field.q**j) % field.q)
-            return Poly(field, {e: c for e, c in enumerate(coeffs)})
         if self.kind == "shifted-cubics":
             return polyfun.shift_scale(Poly.monomial(field, 3), 1, idx)
         return Poly.monomial(field, field.p**idx + 1)
@@ -97,8 +107,12 @@ class SearchReport:
     tested: int
     hit_indices: list[int]
     hit_texts: list[str]
-    hit_polys: list[Poly]
     elapsed_ms: int
+
+    @functools.cached_property
+    def hit_polys(self) -> list[Poly]:
+        """The hits as polynomials over `field`, built when first read."""
+        return [self.family.candidate(self.field, i) for i in self.hit_indices]
 
     def to_json_dict(self, canonical: bool = False) -> dict:
         out = {
@@ -144,7 +158,8 @@ def _core(f: Poly, free: frozenset[int]) -> frozenset[tuple[int, int]]:
 
 
 def _scan(field, family, mode, start, stop):
-    """Hits (idx, poly) in [start, stop) and the number of classifier calls.
+    """Hit indices and texts in [start, stop) and the number of classifier
+    calls.
 
     Candidates with equal cores differ by free terms, so only the first
     candidate of each core is classified and the rest reuse its verdict.
@@ -152,7 +167,7 @@ def _scan(field, family, mode, start, stop):
     predicate = classify.is_planar if mode == "planar" else classify.is_alltop
     free = _free_exponents(field, mode)
     verdicts: dict[frozenset, bool] = {}
-    hits = []
+    hit_indices, hit_texts = [], []
     for idx in range(start, stop):
         f = family.candidate(field, idx)
         key = _core(f, free)
@@ -160,8 +175,53 @@ def _scan(field, family, mode, start, stop):
         if verdict is None:
             verdict = verdicts[key] = predicate(f)
         if verdict:
-            hits.append((idx, f))
-    return hits, len(verdicts)
+            hit_indices.append(idx)
+            hit_texts.append(str(f))
+    return hit_indices, hit_texts, len(verdicts)
+
+
+def _scan_digits(field, family, mode, start, stop):
+    """`_scan` for the all-reduced family, on arrays of base-q digits.
+
+    Each chunk of indices becomes a (D + 1, n) digit array whose row j holds
+    c_(D-j).  Rows whose reduced exponents collide outside the free set are
+    summed with `add_vec`, and the merged rows, read as base-q digits, give
+    each candidate one int64 key that is equal exactly when the cores are.
+    One member of each key not seen in an earlier chunk is classified; hit
+    texts are joined from per-row tables of formatted terms.
+    """
+    predicate = classify.is_planar if mode == "planar" else classify.is_alltop
+    q, D = field.q, family.max_degree
+    free = _free_exponents(field, mode)
+    core_rows: dict[int, list[int]] = {}
+    for e in range(D + 1):
+        red = polyfun._reduced_exponent(e, q)
+        if red not in free:
+            core_rows.setdefault(red, []).append(D - e)
+    tokens = [[str(Poly.monomial(field, D - j, c)) for c in range(q)] for j in range(D + 1)]
+    verdicts: dict[int, bool] = {}
+    hit_indices, hit_texts = [], []
+    for lo in range(start, stop, _CHUNK_CANDIDATES):
+        rest = np.arange(lo, min(lo + _CHUNK_CANDIDATES, stop), dtype=np.int64)
+        digits = np.empty((D + 1, len(rest)), dtype=np.int32)
+        for j in range(D + 1):  # c_D is the least significant digit
+            rest, digits[j] = np.divmod(rest, q)
+        key = np.zeros(digits.shape[1], dtype=np.int64)
+        for rows in core_rows.values():
+            merged = digits[rows[0]]
+            for j in rows[1:]:
+                merged = field.add_vec(merged, digits[j])
+            key = key * q + merged
+        keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        keys = keys.tolist()
+        for k, i in zip(keys, first.tolist()):
+            if k not in verdicts:
+                verdicts[k] = predicate(family.candidate(field, lo + i))
+        hit = np.fromiter((verdicts[k] for k in keys), bool, len(keys))[inverse]
+        for i, row in zip(np.flatnonzero(hit).tolist(), digits[:, hit].T.tolist()):
+            hit_indices.append(lo + i)
+            hit_texts.append(" + ".join(t[c] for t, c in zip(tokens, row) if c) or "0")
+    return hit_indices, hit_texts, len(verdicts)
 
 
 def run_search(
@@ -205,21 +265,23 @@ def run_search(
         )
 
     t0 = time.perf_counter()
+    scan = _scan_digits if family.kind == "all-reduced" else _scan
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or n < 4 * workers:
-        hits, classified = _scan(field, family, mode, 0, n)
+        indices, texts, classified = scan(field, family, mode, 0, n)
     else:
         bounds = [n * w // workers for w in range(workers + 1)]
-        hits, classified = [], 0
+        indices, texts, classified = [], [], 0
         with futures.ProcessPoolExecutor(max_workers=workers) as ex:
             jobs = [
-                ex.submit(_scan, field, family, mode, bounds[w], bounds[w + 1])
+                ex.submit(scan, field, family, mode, bounds[w], bounds[w + 1])
                 for w in range(workers)
                 if bounds[w] < bounds[w + 1]
             ]
             for job in jobs:  # submission order == range order
-                part, count = job.result()
-                hits.extend(part)
+                part_indices, part_texts, count = job.result()
+                indices.extend(part_indices)
+                texts.extend(part_texts)
                 classified += count
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     label = family.kind
@@ -227,18 +289,15 @@ def run_search(
         label += f" (max degree {family.max_degree})"
     _log.info(
         "search %r %s, %s: %d candidates, cores classified: %d, hits: %d",
-        field, label, mode, n, classified, len(hits),
+        field, label, mode, n, classified, len(indices),
     )
-
-    polys = [f for _, f in hits]
     return SearchReport(
         field=field,
         family=family,
         mode=mode,
         tested=n,
-        hit_indices=[i for i, _ in hits],
-        hit_texts=[str(f) for f in polys],
-        hit_polys=polys,
+        hit_indices=indices,
+        hit_texts=texts,
         elapsed_ms=elapsed_ms,
     )
 

@@ -3,6 +3,7 @@ and holding its stated runtime budget.  Run with `pytest tests/test_acceptance.p
 """
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -139,6 +140,27 @@ def test_criterion_12_gf7_exhaustive_census():
         hit = rep.hit_polys[-1]
         assert str(hit) == "6*x^3 + 6*x^2 + 6*x + 6" and is_alltop(hit)
         assert not is_alltop(hit + Poly.monomial(field, 4))
+
+
+def test_criterion_13_gf11_exhaustive_census(caplog):
+    with criterion(13, "GF(11) deg<=5 Alltop census hits exactly the cubics", 10.0):
+        field = make_field(11)
+        with caplog.at_level(logging.INFO, logger="planarlab"):
+            rep = run_search(field, FamilySpec("all-reduced", 5), "alltop")
+        assert rep.tested == 11**6
+        # x^2 is a Dembowski-Ostrom term and x, 1 are affine: the classes are
+        # the 11^3 choices of (c_3, c_4, c_5)
+        assert "cores classified: 1331, hits: 13310" in caplog.records[-1].getMessage()
+
+        # c_3 != 0 and c_4 = c_5 = 0: c_5 is the last base-11 digit of the
+        # index, c_4 the one before and c_3 the one before that
+        idx = np.arange(11**6)
+        expected = np.flatnonzero((idx % 121 == 0) & (idx // 121 % 11 != 0))
+        assert rep.hit_indices == expected.tolist()
+        assert len(expected) == 13_310
+        assert rep.hit_texts[0] == "x^3"
+        assert rep.hit_texts[-1] == "10*x^3 + 10*x^2 + 10*x + 10"
+        assert all(is_alltop(rep.hit_polys[i]) for i in (0, 5000, -1))
 
 
 def test_criterion_06_mub_sets_verify_exactly():

@@ -1,5 +1,6 @@
 import logging
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,21 @@ def test_candidate_enumeration_order():
         fam.candidate(f27, 3)
 
 
+def test_all_reduced_candidate_reads_only_the_digits_it_needs():
+    field = make_field(3)
+    fam = FamilySpec("all-reduced", 2 * 10**4)
+    t0 = time.perf_counter()
+    assert str(fam.candidate(field, 5)) == "2*x^20000 + x^19999"
+    assert time.perf_counter() - t0 < 0.1
+    small = FamilySpec("all-reduced", 2)
+    assert str(small.candidate(field, 26)) == "2*x^2 + 2*x + 2"
+    for idx in (-1, 27):
+        with pytest.raises(IndexError):
+            small.candidate(field, idx)
+    with pytest.raises(IndexError):
+        fam.candidate(field, -1)
+
+
 # ---------------------------------------------------------------------------
 # searches
 # ---------------------------------------------------------------------------
@@ -166,6 +182,70 @@ def test_hits_equal_predicate_on_every_candidate(p, r, kind, max_deg, mode):
     assert rep.hit_indices == expected
     assert rep.hit_polys == [candidates[idx] for idx in expected]
     assert rep.hit_texts == [str(candidates[idx]) for idx in expected]
+
+
+DIGIT_SCAN_CASES = [
+    *((p, r, max_deg, 0, None) for p, r, kind, max_deg in DIFFERENTIAL_CAMPAIGNS
+      if kind == "all-reduced"),
+    (5, 1, 6, 0, None),  # x^5 = x is free, x^6 = x^2 merges outside the free set
+    (3, 1, 6, 0, None),  # x^2, x^4 and x^6 merge; x^3 and x^5 merge into x
+    (3, 2, 9, 123_456_789, 20_000),  # x^9 = x, a free exponent
+    (3, 2, 10, 123_456_789, 20_000),  # x^10 = x^2, merged by the Zech add_vec
+]
+
+
+@pytest.mark.parametrize("mode", ["planar", "alltop"])
+@pytest.mark.parametrize("p, r, max_deg, start, length", DIGIT_SCAN_CASES)
+def test_digit_scan_matches_per_candidate_scan(p, r, max_deg, start, length, mode):
+    field = make_field(p, r)
+    fam = FamilySpec("all-reduced", max_deg)
+    stop = fam.size(field) if length is None else start + length
+    assert search._scan_digits(field, fam, mode, start, stop) == search._scan(
+        field, fam, mode, start, stop
+    )
+
+
+@pytest.mark.parametrize("mode", ["planar", "alltop"])
+def test_digit_scan_carries_verdicts_across_chunks(monkeypatch, mode):
+    field = make_field(5)
+    fam = FamilySpec("all-reduced", 5)
+    want = search._scan(field, fam, mode, 1000, 9000)
+    name = "is_planar" if mode == "planar" else "is_alltop"
+    original = getattr(classify, name)
+    calls = []
+    monkeypatch.setattr(classify, name, lambda f: calls.append(f) or original(f))
+    monkeypatch.setattr(search, "_CHUNK_CANDIDATES", 997)
+    assert search._scan_digits(field, fam, mode, 1000, 9000) == want
+    assert len(calls) == want[2]  # no class is classified in two chunks
+
+
+@pytest.mark.parametrize("p, r, max_deg", [(3, 2, 2), (5, 1, 3), (3, 1, 4)])
+def test_digit_scan_texts_are_format_poly(monkeypatch, p, r, max_deg):
+    # with every candidate a hit, each text (the zero polynomial's too) is
+    # checked against str() of the candidate
+    monkeypatch.setattr(classify, "is_planar", lambda f: True)
+    field = make_field(p, r)
+    fam = FamilySpec("all-reduced", max_deg)
+    n = fam.size(field)
+    indices, texts, _ = search._scan_digits(field, fam, "planar", 0, n)
+    assert indices == list(range(n))
+    assert texts == [str(fam.candidate(field, i)) for i in range(n)]
+    assert texts[0] == "0"
+
+
+def test_digit_scan_memory_is_bounded_by_the_chunk():
+    # the GF(11) deg <= 5 Alltop census of acceptance criterion 13: the
+    # digits of its 1 771 561 candidates take 43 MB as one int32 array
+    field = make_field(11)
+    fam = FamilySpec("all-reduced", 5)
+    tracemalloc.start()
+    try:
+        _, _, classified = search._scan_digits(field, fam, "alltop", 0, fam.size(field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classified == 11**3
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("mode, cores", [("planar", 125), ("alltop", 25)])
