@@ -19,14 +19,19 @@ import functools
 
 import numpy as np
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, NotPrime
+from .field import _is_prime
 
 DEFAULT_SUPPORT_BOUND = 10**6
 
 
 @functools.lru_cache(maxsize=None)
 def small_binom_table(p: int) -> np.ndarray:
-    """(p, p) table of binom(a, b) mod p for digits a, b < p; 0 where b > a."""
+    """(p, p) table of binom(a, b) mod p for digits a, b < p; 0 where b > a.
+    NotPrime unless p is prime, which Lucas's theorem needs; every residue
+    function here reads this table first."""
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     tab = np.zeros((p, p), dtype=np.int64)
     tab[:, 0] = 1
     for a in range(1, p):
@@ -40,6 +45,8 @@ def base_p_digits(value: int, p: int) -> list[int]:
     """Base-p expansion, low-to-high; [0] for value 0."""
     if value < 0:
         raise ValueError("value must be non-negative")
+    if p < 2:
+        raise ValueError(f"base {p} must be at least 2")
     digits = []
     while True:
         value, rem = divmod(value, p)
@@ -50,9 +57,9 @@ def base_p_digits(value: int, p: int) -> list[int]:
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """binom(n, k) mod p; 0 when k > n or k < 0."""
+    tab = small_binom_table(p)
     if k < 0 or k > n:
         return 0
-    tab = small_binom_table(p)
     result = 1
     while n or k:
         n, a = divmod(n, p)

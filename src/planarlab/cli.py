@@ -7,7 +7,10 @@ byte-identical.  Text output is human-oriented and unstable.  Diagnostics go
 to stderr; the global -v adds the INFO lines of the "planarlab" logger there.
 
 Exit codes: 0 success/pass, 2 usage or input error, 3 budget exceeded,
-4 verification failure.
+4 verification failure.  One handler, _Main.invoke, maps errors to codes for
+every command: BudgetExceeded exits 3; a PlanarLabError, ValueError, KeyError
+or OSError (r < 1, a malformed import, a file it cannot read or write) exits 2
+with an ``error:`` line, never a traceback.
 """
 
 from __future__ import annotations
@@ -32,25 +35,25 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _field(p: int, r: int):
-    try:
-        return make_field(p, r)
-    except PlanarLabError as exc:
-        _fail(str(exc))
-
-
-def _poly(field, text: str) -> Poly:
-    try:
-        return parse_poly(text, field)
-    except PlanarLabError as exc:
-        _fail(str(exc))
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BudgetExceeded as exc:
+            _fail(str(exc), code=3)
+        except BrokenPipeError:  # the reader closed stdout; click's main exits 1
+            raise
+        except KeyError as exc:
+            _fail(f"missing key {exc}")
+        except (PlanarLabError, ValueError, OSError) as exc:
+            _fail(str(exc))
 
 
 def _emit_json(payload) -> None:
     click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("-v", "--verbose", is_flag=True, help="log progress (INFO) to stderr")
 @click.pass_context
 def main(ctx, verbose):
@@ -78,7 +81,7 @@ def main(ctx, verbose):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def field_info(p, r, mul_table, fmt):
     """Describe GF(p^r) and its canonical modulus."""
-    fld = _field(p, r)
+    fld = make_field(p, r)
     payload = fld.to_json_dict()
     payload["q"] = fld.q
     payload["modulus_text"] = format_poly(Poly.from_coeffs(make_field(p), fld.modulus))
@@ -122,8 +125,8 @@ _WITNESS_FNS = {
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def cmd_test(p, r, poly_text, mode, fmt):
     """Classify a polynomial function; the witness is the first violation found."""
-    fld = _field(p, r)
-    f = _poly(fld, poly_text)
+    fld = make_field(p, r)
+    f = parse_poly(poly_text, fld)
     witness = _WITNESS_FNS[mode](f)
     verdict = witness is None
     payload = {
@@ -150,16 +153,13 @@ def cmd_test(p, r, poly_text, mode, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def cmd_delta(p, r, poly_text, a_enc, b_enc, fmt):
     """Print f(x+a) - f(x), or the double difference when --b is given."""
-    fld = _field(p, r)
-    f = _poly(fld, poly_text)
-    try:
-        result = (
-            polyfun.delta(f, a_enc)
-            if b_enc is None
-            else polyfun.double_delta(f, a_enc, b_enc)
-        )
-    except (PlanarLabError, ValueError) as exc:
-        _fail(str(exc))
+    fld = make_field(p, r)
+    f = parse_poly(poly_text, fld)
+    result = (
+        polyfun.delta(f, a_enc)
+        if b_enc is None
+        else polyfun.double_delta(f, a_enc, b_enc)
+    )
     if fmt == "json":
         _emit_json({"poly": str(result)})
     else:
@@ -179,20 +179,14 @@ def cmd_delta(p, r, poly_text, a_enc, b_enc, fmt):
 @click.option("--canonical", is_flag=True, help="omit elapsed_ms for byte-stable output")
 def cmd_search(p, r, family, max_deg, mode, budget, workers, canonical):
     """Run an enumeration campaign and print the report as JSON."""
-    fld = _field(p, r)
-    try:
-        fam = search.FamilySpec(family, max_deg)
-    except ValueError as exc:
-        _fail(str(exc))
+    fld = make_field(p, r)
+    fam = search.FamilySpec(family, max_deg)
     if budget is None and os.environ.get(BUDGET_ENV):
         try:
             budget = int(os.environ[BUDGET_ENV])
         except ValueError:
             _fail(f"{BUDGET_ENV} must be an integer")
-    try:
-        report = search.run_search(fld, fam, mode, budget=budget, workers=workers)
-    except BudgetExceeded as exc:
-        _fail(str(exc), code=3)
+    report = search.run_search(fld, fam, mode, budget=budget, workers=workers)
     _emit_json(report.to_json_dict(canonical=canonical))
 
 
@@ -213,42 +207,28 @@ def cmd_search(p, r, family, max_deg, mode, budget, workers, canonical):
 @click.option("--canonical", is_flag=True, help="accepted for symmetry; reports carry no timings")
 def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, workers, canonical):
     """Build, verify, or convert a complete MUB set."""
-    fld = _field(p, r)
+    fld = make_field(p, r)
     if construction == "alltop" and pi_text is not None:
         _fail("--pi applies to the planar construction only")
 
     def build():
-        try:
-            if construction == "planar":
-                pi = _poly(fld, pi_text or "x^2")
-                return mub.build_planar_mubs(fld, pi)
-            return mub.build_alltop_mubs(fld)
-        except BudgetExceeded as exc:
-            _fail(str(exc), code=3)
-        except PlanarLabError as exc:
-            _fail(str(exc))
+        if construction == "planar":
+            return mub.build_planar_mubs(fld, parse_poly(pi_text or "x^2", fld))
+        return mub.build_alltop_mubs(fld)
 
     def load(path):
         with open(path, "rb") as fh:
             data = fh.read()
         in_fmt = "csv" if path.endswith(".csv") else "json"
-        try:
-            return mub.import_mubs(data, in_fmt, field=fld, construction=construction,
-                                   poly_text=pi_text)
-        except BudgetExceeded as exc:
-            _fail(str(exc), code=3)
-        except (PlanarLabError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            _fail(f"cannot read MUB export: {exc}")
+        return mub.import_mubs(data, in_fmt, field=fld, construction=construction,
+                               poly_text=pi_text)
 
     def write(data: bytes):
         if out_path is None:
             sys.stdout.write(data.decode())
         else:
-            try:
-                with open(out_path, "wb") as fh:
-                    fh.write(data)
-            except OSError as exc:
-                _fail(str(exc))
+            with open(out_path, "wb") as fh:
+                fh.write(data)
 
     if action == "build":
         write(mub.export_mubs(build(), fmt))
@@ -272,8 +252,8 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, worker
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def cmd_charsum(p, r, poly_text, fmt):
     """Exact squared magnitude of the trace character sum of a polynomial."""
-    fld = _field(p, r)
-    f = _poly(fld, poly_text)
+    fld = make_field(p, r)
+    f = parse_poly(poly_text, fld)
     vec = cyclo.char_sum(fld, f)
     result = cyclo.mag_sq(vec)
     payload = {
@@ -304,8 +284,6 @@ def cmd_binom(n, k, p, fmt):
     """binom(n, k) mod p with the base-p digit-domination explanation."""
     if n < 0 or k < 0:
         _fail("n and k must be non-negative")
-    if p < 2:
-        _fail("p must be a prime")
     residue = binom.binom_mod_p(n, k, p)
     nd = binom.base_p_digits(n, p)
     kd = binom.base_p_digits(k, p)

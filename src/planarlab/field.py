@@ -290,18 +290,13 @@ class FieldSpec:
                 self._cache[name] = tab
         return log, self._cache["exp"]
 
-    @_cached("frob1")
-    def _frob1(self) -> np.ndarray:
-        return self.pow_vec(self.encodings, self.p)
-
     @_cached("trace")
     def trace_table(self) -> np.ndarray:
-        """trace_table[e] = tr(element e) as a residue in [0, p)."""
-        acc = self.encodings.copy()
-        conj = self.encodings
-        for _ in range(self.r - 1):
-            conj = self._frob1[conj]
-            acc = self.add_vec(acc, conj)
+        """trace_table[e] = e + e**p + ... + e**(p**(r-1)) as a residue in [0, p)."""
+        enc = self.encodings
+        acc = enc.copy()
+        for i in range(1, self.r):
+            acc = self.add_vec(acc, self.pow_vec(enc, self.p**i))
         if not (acc < self.p).all():  # pragma: no cover - sanity
             raise AssertionError("trace left the prime subfield")
         return acc.astype(np.int32)
@@ -426,10 +421,7 @@ class FieldSpec:
         """a**(p**k); k reduced mod r since the automorphism has order r."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        e = a
-        for _ in range(k % self.r):
-            e = int(self._frob1[e])
-        return e
+        return self.pow(a, self.p ** (k % self.r))
 
     def trace(self, a: int) -> int:
         """Sum of the r conjugates, returned as a residue in [0, p)."""

@@ -175,7 +175,7 @@ class MubVerification:
             "violations": [
                 {"kind": kind, "basis_i": bi, "vector_i": u, "basis_j": bj, "vector_j": v,
                  "expected": want, "is_rational_integer": ok, "value": value,
-                 "autocorrelation": list(d)}
+                 "autocorrelation": d}
                 for kind, bi, u, bj, v, want, ok, value, d in self.violations
             ],
             "standard_basis": STANDARD_NOTE,

@@ -140,21 +140,13 @@ class Poly:
         return _combine(self.field, [(_reduced_exponent(e, q), c) for e, c in self._terms.items()])
 
     def __call__(self, x) -> FieldElement:
-        """Evaluate by sparse Horner over the terms in decreasing exponent order."""
+        """f(x) as the field sum of c * x**e over the terms, with 0**0 = 1;
+        formal exponents need no reduction, since pow reduces them."""
         f = self.field
         xe = f.enc_of(x)
-        items = sorted(self._terms.items(), reverse=True)
-        if not items:
-            return f.zero
         acc = 0
-        prev: int | None = None
-        for e, c in items:
-            if prev is None:
-                acc = c
-            else:
-                acc = f.add(f.mul(acc, f.pow(xe, prev - e)), c)
-            prev = e
-        acc = f.mul(acc, f.pow(xe, items[-1][0]))
+        for e, c in self._terms.items():
+            acc = f.add(acc, f.mul(c, f.pow(xe, e)))
         return f.element(acc)
 
     def value_table(self) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -8,8 +9,9 @@ from planarlab.binom import (
     binom_mod_p_row,
     expansion,
     nonzero_support,
+    small_binom_table,
 )
-from planarlab.errors import BoundExceeded
+from planarlab.errors import BoundExceeded, NotPrime
 
 PRIMES = (3, 5, 7, 11)
 
@@ -118,6 +120,27 @@ def test_base_p_digits_roundtrip():
             assert all(0 <= d < p for d in digits)
             assert sum(d * p**i for i, d in enumerate(digits)) == n
     assert base_p_digits(0, 5) == [0]
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_modulus_not_prime_raises_at_once(p):
+    # p = 1 used to loop forever in divmod(n, 1), and p = 4 gave C(5, 2) = 0 mod 4
+    calls = [
+        (NotPrime, lambda: small_binom_table(p)),
+        (NotPrime, lambda: binom_mod_p(5, 2, p)),
+        (NotPrime, lambda: binom_mod_p(7, 3, p)),
+        (NotPrime, lambda: binom_mod_p(1, 5, p)),
+        (NotPrime, lambda: binom_mod_p_row(7, p)),
+        (NotPrime, lambda: nonzero_support(7, p)),
+        (NotPrime, lambda: expansion(7, p)),
+    ]
+    if p < 2:
+        calls.append((ValueError, lambda: base_p_digits(5, p)))
+    for exc, call in calls:
+        t0 = time.perf_counter()
+        with pytest.raises(exc):
+            call()
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_expansion_matches_pointwise():

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from planarlab import binom
 from planarlab.cli import main
 
 
@@ -54,6 +56,33 @@ def test_field_info_huge_field_exits_2_at_once(runner, args):
     assert result.exit_code == 2
     assert "exceeds the bound" in result.output
     assert time.perf_counter() - t0 < 1
+
+
+FIELD_COMMANDS = [
+    ["field-info"],
+    ["test", "--poly", "x^2", "--mode", "planar"],
+    ["delta", "--poly", "x^3", "--a", "1"],
+    ["search", "--family", "monomials", "--mode", "planar"],
+    ["mubs", "--construction", "planar", "--action", "build"],
+    ["charsum", "--poly", "x^2"],
+]
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+@pytest.mark.parametrize("cmd", FIELD_COMMANDS, ids=[c[0] for c in FIELD_COMMANDS])
+def test_field_commands_reject_r_below_1(runner, cmd, r):
+    result = runner.invoke(main, [cmd[0], "--p", "3", "--r", r, *cmd[1:]])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and "Traceback" not in result.output
+
+
+def test_closed_stdout_is_left_to_click(runner, monkeypatch):
+    def reader_gone(*args):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(binom, "binom_mod_p", reader_gone)
+    result = runner.invoke(main, ["binom", "--n", "5", "--k", "2", "--p", "5"])
+    assert result.exit_code == 1 and "error:" not in result.output
 
 
 def test_field_info_q5(runner):
@@ -232,6 +261,13 @@ def test_cmd_mubs_build_verify_export_files(runner, tmp_path):
     assert csv_out.read_text().splitlines()[0].startswith("basis,b,x0")
 
 
+def test_cmd_mubs_out_into_missing_directory_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["mubs", "--p", "5", "--construction", "planar",
+                                  "--action", "build", "--out", str(tmp_path / "no" / "m.json")])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+
+
 def test_cmd_mubs_verify_corrupted_exits_4(runner, tmp_path):
     out = tmp_path / "mubs.json"
     invoke(runner, "mubs", "--p", "5", "--r", "1", "--construction", "planar",
@@ -335,6 +371,16 @@ def test_cmd_mubs_malformed_import_exits_2(runner, tmp_path, edit):
     result = _mubs_on_edited_export(runner, tmp_path, edit, "verify")
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+def test_cmd_mubs_import_without_vectors_names_the_key(runner, tmp_path):
+    def drop_vectors(obj):
+        del obj["bases"][1]["vectors"]
+        return obj
+
+    result = _mubs_on_edited_export(runner, tmp_path, drop_vectors, "verify")
+    assert result.exit_code == 2, result.output
+    assert "error: missing key 'vectors'" in result.output
 
 
 @pytest.mark.parametrize("edit", STRUCTURAL_EDITS, ids=STRUCTURAL_IDS)
@@ -524,6 +570,13 @@ def test_cmd_binom_text_explains_domination(runner):
     result = invoke(runner, "binom", "--n", "6", "--k", "2", "--p", "5")
     assert "C(6,2) mod 5 = 0" in result.output
     assert "exceeds" in result.output
+
+
+@pytest.mark.parametrize("p", ["4", "1", "-3"])
+def test_cmd_binom_modulus_not_prime_exits_2(runner, p):
+    result = runner.invoke(main, ["binom", "--n", "5", "--k", "2", "--p", p])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
 
 
 # ---------------------------------------------------------------------------

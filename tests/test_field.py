@@ -1,3 +1,4 @@
+import functools
 import pickle
 import sys
 import threading
@@ -278,6 +279,14 @@ def test_trace_properties(p, r):
     assert fibers == [q // p] * p  # surjective with equal fibers
 
 
+@pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (3, 4), (5, 3), (7, 4)])
+def test_trace_table_is_sum_of_conjugates(p, r):
+    f = make_field(p, r)
+    for a in range(f.q):
+        conjugates = [f.pow(a, p**i) for i in range(r)]
+        assert f.trace_table[a] == functools.reduce(f.add, conjugates)
+
+
 @pytest.mark.parametrize("p,r,k", [(3, 2, 1), (5, 2, 1), (3, 3, 2)])
 def test_frobenius_is_automorphism(p, r, k):
     f = make_field(p, r)
@@ -322,8 +331,7 @@ def test_square_tables_are_size_guarded():
     assert f.power_table[5, 9] == f.pow(5, 9)
 
 
-@pytest.mark.parametrize("name,key", [("encodings", "enc"), ("_frob1", "frob1"),
-                                      ("trace_table", "trace"), ("power_table", "pow"),
+@pytest.mark.parametrize("name,key", [("encodings", "enc"), ("trace_table", "trace"), ("power_table", "pow"),
                                       ("trace_bilinear", "tb")])
 def test_cached_tables_are_read_only_and_built_once(name, key):
     prop = FieldSpec.__dict__[name]
