@@ -113,6 +113,23 @@ def test_eval_examples():
     assert parse_poly("x^3 + x", f7)(2).enc == 3
 
 
+def test_eval_matches_naive_power_sum():
+    # x**e by e repeated multiplications, not field.pow, so the oracle is
+    # independent of the power sum in __call__
+    field = make_field(3, 2)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        f = random_poly(field, rng)
+        for x in range(field.q):
+            naive = 0
+            for e, c in f.terms.items():
+                xe = 1
+                for _ in range(e):
+                    xe = field.mul(xe, x)
+                naive = field.add(naive, field.mul(c, xe))
+            assert f(x).enc == naive
+
+
 def test_value_table_matches_eval():
     # value_table reduces exponents and runs on pow_vec, so it is an oracle
     # for the scalar power sum of __call__, which does neither
