@@ -28,10 +28,8 @@ DEFAULT_SUPPORT_BOUND = 10**6
 @functools.lru_cache(maxsize=None)
 def small_binom_table(p: int) -> np.ndarray:
     """(p, p) table of binom(a, b) mod p for digits a, b < p; 0 where b > a.
-    NotPrime unless p is prime, which Lucas's theorem needs; every residue
-    function here reads this table first."""
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    NotPrime unless p is prime, which Lucas's theorem needs."""
+    _require_prime(p)
     tab = np.zeros((p, p), dtype=np.int64)
     tab[:, 0] = 1
     for a in range(1, p):
@@ -39,6 +37,11 @@ def small_binom_table(p: int) -> np.ndarray:
             tab[a, b] = (tab[a - 1, b - 1] + tab[a - 1, b]) % p
     tab.setflags(write=False)
     return tab
+
+
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
 
 
 def base_p_digits(value: int, p: int) -> list[int]:
@@ -56,10 +59,12 @@ def base_p_digits(value: int, p: int) -> list[int]:
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
-    """binom(n, k) mod p; 0 when k > n or k < 0."""
-    tab = small_binom_table(p)
+    """binom(n, k) mod p; 0 when k > n or k < 0.  NotPrime unless p is prime,
+    checked before the early return, which builds no table."""
+    _require_prime(p)
     if k < 0 or k > n:
         return 0
+    tab = small_binom_table(p)
     result = 1
     while n or k:
         n, a = divmod(n, p)

@@ -46,17 +46,22 @@ MAX_TABLE_ENTRIES = 1 << 24  # q^2 bound of the O(q^2) tables: q <= 4096
 _FIELDS: dict[tuple[int, int], "FieldSpec"] = {}  # (p, r) -> the process's field
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Strong probable-prime test to the first 13 prime bases: exact for
+    n < 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017), and O(log n)
+    modular powers for any n, so a huge modulus costs no trial division."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(s))
+               for b in _MR_BASES)
 
 
 def _digits(value: int, p: int, width: int) -> list[int]:

@@ -579,6 +579,15 @@ def test_cmd_binom_modulus_not_prime_exits_2(runner, p):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("p", ["1000003", "1000000000000000003"])
+def test_cmd_binom_k_above_n_builds_no_table(runner, p):
+    # C(1, 5) = 0 needs only the primality of p, not the (p, p) table
+    t0 = time.perf_counter()
+    obj = invoke_json(runner, "binom", "--n", "1", "--k", "5", "--p", p,
+                      "--format", "json")
+    assert time.perf_counter() - t0 < 1.0
+    assert obj["residue"] == 0 and obj["positions"][0]["binom"] == 0
+
 # ---------------------------------------------------------------------------
 # output hygiene
 # ---------------------------------------------------------------------------

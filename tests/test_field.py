@@ -85,6 +85,21 @@ def test_composite_characteristic_rejected():
         make_field(9, 1)
 
 
+
+def test_is_prime_matches_sympy():
+    # Miller-Rabin to 13 bases: every n in a dense range, Carmichael numbers
+    # whose factors all exceed the bases, strong pseudoprimes to the first 1
+    # to 12 prime bases, and primes far beyond trial division
+    assert [n for n in range(-3, 20_000) if field_module._is_prime(n)] == list(
+        sympy.primerange(0, 20_000))
+    for n in [1152271, 56052361, 118901521, 2047, 1373653, 3215031751, 341550071728321,
+              3825123056546413051, 318665857834031151167461]:
+        assert not field_module._is_prime(n) and not sympy.isprime(n)
+    t0 = time.perf_counter()
+    for n in [10**18 + 3, 2**61 - 1, 2**89 - 1, 10**18 + 4, (2**61 - 1) ** 2]:
+        assert field_module._is_prime(n) == sympy.isprime(n)
+    assert time.perf_counter() - t0 < 0.1
+
 def test_order_bound():
     with pytest.raises(FieldTooLarge):
         make_field(3, 9)  # 19683 > 10^4
