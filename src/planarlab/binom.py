@@ -2,8 +2,10 @@
 
 binom(n, k) is nonzero mod p exactly when every base-p digit of k is at most
 the corresponding digit of n, in which case it is the product of the per-digit
-binomials.  The per-digit table is a (p, p) Pascal triangle computed once per
-prime.
+binomials.  Each digit binomial comes from the digits alone (`_digit_binoms`):
+C(d, j) = C(d, j - 1) * (d - j + 1) / j mod p, O(m) steps for C(d, 0..m) and
+no per-prime table, so the cost follows the digits, not p.  A digit that
+would need more than DEFAULT_SUPPORT_BOUND steps raises BoundExceeded.
 
 `_digit_walk` is the one walk over the digits of n: it enumerates the
 dominated k in ascending order together with their residues.  `expansion`
@@ -16,63 +18,39 @@ is the reference the tests compare the walk against.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .errors import BoundExceeded, NotPrime
-from .field import _is_prime
+from .errors import BoundExceeded
+from .field import _require_prime, base_p_digits
 
 DEFAULT_SUPPORT_BOUND = 10**6
 
 
-@functools.lru_cache(maxsize=None)
-def small_binom_table(p: int) -> np.ndarray:
-    """(p, p) table of binom(a, b) mod p for digits a, b < p; 0 where b > a.
-    NotPrime unless p is prime, which Lucas's theorem needs."""
-    _require_prime(p)
-    tab = np.zeros((p, p), dtype=np.int64)
-    tab[:, 0] = 1
-    for a in range(1, p):
-        for b in range(1, a + 1):
-            tab[a, b] = (tab[a - 1, b - 1] + tab[a - 1, b]) % p
-    tab.setflags(write=False)
-    return tab
-
-
-def _require_prime(p: int) -> None:
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-
-
-def base_p_digits(value: int, p: int) -> list[int]:
-    """Base-p expansion, low-to-high; [0] for value 0."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if p < 2:
-        raise ValueError(f"base {p} must be at least 2")
-    digits = []
-    while True:
-        value, rem = divmod(value, p)
-        digits.append(rem)
-        if value == 0:
-            return digits
+def _digit_binoms(d: int, m: int, p: int) -> list[int]:
+    """[C(d, 0), ..., C(d, m)] mod p for a digit d < p of a prime p, each
+    from the one before; BoundExceeded when m exceeds DEFAULT_SUPPORT_BOUND."""
+    if m > DEFAULT_SUPPORT_BOUND:
+        raise BoundExceeded(f"{m} digit steps exceed the bound {DEFAULT_SUPPORT_BOUND}")
+    out = [1]
+    for j in range(1, m + 1):
+        out.append(out[-1] * (d - j + 1) * pow(j, -1, p) % p)
+    return out
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """binom(n, k) mod p; 0 when k > n or k < 0.  NotPrime unless p is prime,
-    checked before the early return, which builds no table."""
+    checked before the early return.  Each digit pair (a, b) costs
+    min(b, a - b) steps; BoundExceeded past DEFAULT_SUPPORT_BOUND."""
     _require_prime(p)
     if k < 0 or k > n:
         return 0
-    tab = small_binom_table(p)
-    result = 1
-    while n or k:
-        n, a = divmod(n, p)
-        k, b = divmod(k, p)
-        if b > a:
-            return 0
-        result = result * int(tab[a, b]) % p
-    return result
+    nd = base_p_digits(n, p)
+    pairs = list(zip(nd, base_p_digits(k, p, len(nd))))
+    if any(b > a for a, b in pairs):
+        return 0
+    return math.prod(_digit_binoms(a, min(b, a - b), p)[-1] for a, b in pairs) % p
 
 
 def binom_mod_p_row(n: int, p: int) -> np.ndarray:
@@ -104,18 +82,18 @@ def expansion(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _digit_walk(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digit walk behind `expansion`: uncached and unbounded.
+    """The digit walk behind `expansion`: uncached, bounded only per digit.
 
     Each digit of k runs over 0..(that digit of n), the higher digit
     outermost, so the k come out ascending.
     """
-    tab = small_binom_table(p)
+    _require_prime(p)
     ks = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=np.int64)
     weight = 1
     for d in base_p_digits(n, p):
         ks = (np.arange(d + 1)[:, None] * weight + ks[None, :]).ravel()
-        vals = (tab[d, : d + 1, None] * vals[None, :] % p).ravel()
+        vals = (np.array(_digit_binoms(d, d, p))[:, None] * vals[None, :] % p).ravel()
         weight *= p
     ks.setflags(write=False)
     vals.setflags(write=False)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import polyfun
 from .errors import NonAdditiveM, NotAlltop, ZeroScale
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _require_prime
 from .polyfun import Poly
 
 _FIRST_CHUNK_ENTRIES = 1 << 14
@@ -162,7 +162,8 @@ def is_do_monomial_planar(p: int, r: int, k: int) -> bool:
 
     k = 0 uses gcd(r, 0) = r, so the square is always planar.
     """
-    if p < 3 or p % 2 == 0:
+    _require_prime(p)
+    if p == 2:
         raise ValueError("p must be an odd prime")
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")

@@ -285,11 +285,8 @@ def cmd_binom(n, k, p, fmt):
     if n < 0 or k < 0:
         _fail("n and k must be non-negative")
     residue = binom.binom_mod_p(n, k, p)
-    nd = binom.base_p_digits(n, p)
-    kd = binom.base_p_digits(k, p)
-    width = max(len(nd), len(kd))
-    nd += [0] * (width - len(nd))
-    kd += [0] * (width - len(kd))
+    nd = binom.base_p_digits(n, p, len(binom.base_p_digits(k, p)))
+    kd = binom.base_p_digits(k, p, len(nd))
     positions = [
         {
             "n_digit": a,

@@ -64,13 +64,23 @@ def _is_prime(n: int) -> bool:
                for b in _MR_BASES)
 
 
-def _digits(value: int, p: int, width: int) -> list[int]:
-    """Base-p digits of value, low-to-high, padded to width."""
-    out = []
-    for _ in range(width):
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
+def base_p_digits(value: int, p: int, width: int = 1) -> list[int]:
+    """Base-p expansion of value, low-to-high, padded with zeros to width
+    digits and never truncated; [0] for value 0.  Any base p >= 2."""
+    if value < 0:
+        raise ValueError("value must be non-negative")
+    if p < 2:
+        raise ValueError(f"base {p} must be at least 2")
+    digits = []
+    while value or len(digits) < width:
         value, rem = divmod(value, p)
-        out.append(rem)
-    return out
+        digits.append(rem)
+    return digits
 
 
 def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
@@ -96,7 +106,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
         return False  # divisible by x
     for d in range(1, r // 2 + 1):
         for enc in range(p**d):
-            divisor = _digits(enc, p, d) + [1]
+            divisor = base_p_digits(enc, p, d) + [1]
             if not any(_poly_rem(poly, divisor, p)):
                 return False
     return True
@@ -106,7 +116,7 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
     if r == 1:
         return (0, 1)
     for enc in range(p**r):
-        cand = _digits(enc, p, r) + [1]
+        cand = base_p_digits(enc, p, r) + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError(f"no irreducible of degree {r} over Z_{p}")  # pragma: no cover
@@ -124,8 +134,8 @@ def _generator_powers(p: int, r: int, modulus: tuple[int, ...]) -> list[int]:
     for g in range(2, q):
         if g in seen:
             continue
-        gd = _digits(g, p, r)
-        cur = _digits(1, p, r)
+        gd = base_p_digits(g, p, r)
+        cur = base_p_digits(1, p, r)
         powers = [1]
         for _ in range(q - 2):
             prod = [0] * (2 * r - 1)
@@ -147,8 +157,9 @@ def _generator_powers(p: int, r: int, modulus: tuple[int, ...]) -> list[int]:
 def make_field(p: int, r: int = 1, *, max_order: int = DEFAULT_MAX_ORDER) -> "FieldSpec":
     """The process's GF(p^r) with the canonical modulus, whatever max_order.
 
-    Raises CharTwoUnsupported for p = 2, NotPrime for composite p, and
-    FieldTooLarge when p**r exceeds max_order.  No work grows with p or r
+    Raises CharTwoUnsupported for p = 2, NotPrime (from _require_prime, the
+    package's one primality gate) for a p up to max_order that is not prime,
+    and FieldTooLarge when p**r exceeds max_order.  No work grows with p or r
     before the bound is checked: a p above max_order is not tested for
     primality, and any r above max_order.bit_length() gives p**r > 2**r >
     max_order without computing p**r.
@@ -157,8 +168,8 @@ def make_field(p: int, r: int = 1, *, max_order: int = DEFAULT_MAX_ORDER) -> "Fi
         raise TypeError("p and r must be integers")
     if p == 2:
         raise CharTwoUnsupported("characteristic 2 is not supported")
-    if p <= max_order and not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    if p <= max_order:
+        _require_prime(p)
     if r < 1:
         raise ValueError("extension degree r must be >= 1")
     if p > max_order or r > max_order.bit_length() or p**r > max_order:
@@ -449,7 +460,7 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Polynomial-basis coefficients, low-to-high."""
-        return tuple(_digits(self.enc, self.field.p, self.field.r))
+        return tuple(base_p_digits(self.enc, self.field.p, self.field.r))
 
     def __repr__(self) -> str:
         return f"F{self.field.q}({self.enc})"

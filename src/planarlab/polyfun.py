@@ -32,7 +32,7 @@ import numpy as np
 
 from . import binom
 from .errors import CoefficientOutOfRange, FieldMismatch, PolySyntaxError, ZeroScale
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _require_prime
 
 
 class ZeroShiftWarning(UserWarning):
@@ -284,6 +284,7 @@ def shift_scale(f: Poly, s, t) -> Poly:
 def predicted_delta_degree(n: int, p: int) -> int:
     """Degree of the difference of x^n: write n = p^s * m with gcd(m, p) = 1
     and return p^s * (m - 1); zero exactly when n is a power of p."""
+    _require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     s = 0
@@ -301,6 +302,7 @@ def preimage_degrees(s: int, l: int, p: int) -> set[int]:
     t = s the inner factor l + 1 may be divisible by p, in which case that n
     has a different p-adic shape and its difference degree is not p^s * l.
     """
+    _require_prime(p)
     if s < 0:
         raise ValueError("s must be non-negative")
     if l < 1 or l % p == 0:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import binom, classify, polyfun
 from .errors import BudgetExceeded, CharacteristicTooSmall
-from .field import FieldSpec
+from .field import FieldSpec, base_p_digits
 from .polyfun import Poly
 
 FAMILY_KINDS = ("monomials", "all-reduced", "shifted-cubics", "do-monomials")
@@ -71,17 +71,11 @@ class FamilySpec:
         """The idx-th candidate in enumeration order."""
         if self.kind == "all-reduced":
             # coefficient vector (c_0, ..., c_D) ascending lexicographically,
-            # so c_0 is the most significant digit of idx in base q; digits
-            # are read from c_D up until idx runs out
-            terms, rest, e = {}, idx, self.max_degree
-            while rest > 0 and e >= 0:
-                rest, c = divmod(rest, field.q)
-                if c:
-                    terms[e] = c
-                e -= 1
-            if idx < 0 or rest:
+            # so c_0 is the most significant digit of idx in base q; only the
+            # digits idx has are read, so q**(D+1) is never built
+            if idx < 0 or len(digits := base_p_digits(idx, field.q)) > self.max_degree + 1:
                 raise IndexError(f"candidate index {idx} out of range")
-            return Poly(field, terms)
+            return Poly(field, {self.max_degree - j: c for j, c in enumerate(digits) if c})
         if not 0 <= idx < self.size(field):
             raise IndexError(f"candidate index {idx} out of range")
         if self.kind == "monomials":

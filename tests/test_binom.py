@@ -1,17 +1,21 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from planarlab.binom import (
+    _digit_walk,
     base_p_digits,
     binom_mod_p,
     binom_mod_p_row,
     expansion,
     nonzero_support,
-    small_binom_table,
 )
+from planarlab.classify import is_do_monomial_planar
 from planarlab.errors import BoundExceeded, NotPrime
+from planarlab.field import make_field
+from planarlab.polyfun import Poly, delta, predicted_delta_degree, preimage_degrees
 
 PRIMES = (3, 5, 7, 11)
 
@@ -72,7 +76,7 @@ def test_row_matches_scalar_exhaustively():
 
 
 def test_row_matches_scalar_spot_checks_large():
-    rng = __import__("numpy").random.default_rng(79)
+    rng = np.random.default_rng(79)
     for p in PRIMES:
         for n in rng.integers(300, 2001, size=8).tolist():
             row = binom_mod_p_row(n, p)
@@ -120,19 +124,29 @@ def test_base_p_digits_roundtrip():
             assert all(0 <= d < p for d in digits)
             assert sum(d * p**i for i, d in enumerate(digits)) == n
     assert base_p_digits(0, 5) == [0]
+    assert base_p_digits(0, 5, 3) == [0, 0, 0]
+    assert base_p_digits(7, 5, 4) == [2, 1, 0, 0]  # padded to width
+    assert base_p_digits(7**5 - 1, 7, 2) == [6] * 5  # a short width truncates nothing
+    for q in (25, 27, 49):  # any base, not only a prime
+        for n in (0, q - 1, q, q**3 + 5, 10**9):
+            digits = base_p_digits(n, q, 2)
+            assert len(digits) >= 2 and all(0 <= d < q for d in digits)
+            assert sum(d * q**i for i, d in enumerate(digits)) == n
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 9])
 def test_modulus_not_prime_raises_at_once(p):
     # p = 1 used to loop forever in divmod(n, 1), and p = 4 gave C(5, 2) = 0 mod 4
     calls = [
-        (NotPrime, lambda: small_binom_table(p)),
         (NotPrime, lambda: binom_mod_p(5, 2, p)),
         (NotPrime, lambda: binom_mod_p(7, 3, p)),
         (NotPrime, lambda: binom_mod_p(1, 5, p)),
         (NotPrime, lambda: binom_mod_p_row(7, p)),
         (NotPrime, lambda: nonzero_support(7, p)),
         (NotPrime, lambda: expansion(7, p)),
+        (NotPrime, lambda: predicted_delta_degree(5, p)),
+        (NotPrime, lambda: preimage_degrees(1, 1, p)),
+        (NotPrime, lambda: is_do_monomial_planar(p, 1, 0)),
     ]
     if p < 2:
         calls.append((ValueError, lambda: base_p_digits(5, p)))
@@ -151,3 +165,62 @@ def test_expansion_matches_pointwise():
             assert ks.tolist() == [k for k in range(n + 1) if binom_mod_p(n, k, p)]
             for k, v in zip(ks.tolist(), vals.tolist()):
                 assert v == binom_mod_p(n, k, p) != 0
+
+
+def _comb_mod_p_prefix(n, kmax, p):
+    """[math.comb(n, k) % p for k <= kmax <= n] by C(n, k + 1) = C(n, k) *
+    (n - k) / (k + 1), with the power of p kept apart from the unit part."""
+    out, unit, val = [1], 1, 0
+    for k in range(kmax):
+        for f, e in ((n - k, 1), (k + 1, -1)):
+            while f % p == 0:
+                f //= p
+                val += e
+            unit = unit * pow(f, e, p) % p
+        out.append(unit if val == 0 else 0)
+    return out
+
+
+@pytest.mark.parametrize("p", [2003, 9973])
+def test_row_matches_math_comb_at_large_p(p):
+    rng = np.random.default_rng(p)
+    ns = [p - 1, p, p * (p - 1) + 5] + rng.integers(p + 1, 50 * p, size=5).tolist()
+    for n in ns:
+        kmax = min(n, 3 * p)
+        want = _comb_mod_p_prefix(n, kmax, p)
+        spots = [k for k in (0, 1, 2, 5, p - 1, p, p + 1, p + 5) if k <= kmax]
+        spots += rng.integers(0, kmax + 1, size=4).tolist()
+        assert [want[k] for k in spots] == [math.comb(n, k) % p for k in spots]
+        if n < 10**7:
+            row = binom_mod_p_row(n, p)
+            assert np.array_equal(row, row[::-1])  # the top end by symmetry
+            got = row[: kmax + 1].tolist()
+        else:  # p = 9973: a row of 10^8 entries would hold 800 MB; read the walk it scatters
+            ks, vals = _digit_walk(n, p)
+            got = [0] * (kmax + 1)
+            for k, v in zip(ks.tolist(), vals.tolist()):
+                if k <= kmax:
+                    got[k] = v
+        assert got == want, (n, p)
+
+
+@pytest.mark.parametrize("n,k,p", [(5, 2, 10007), (5, 2, 1000003), (10**12, 3, 10**18 + 3)])
+def test_single_coefficient_at_a_large_prime_needs_no_table(n, k, p):
+    t0 = time.process_time()
+    assert binom_mod_p(n, k, p) == math.comb(n, k) % p
+    assert time.process_time() - t0 < 0.1
+
+
+def test_digit_steps_past_the_bound_raise_at_once():
+    t0 = time.process_time()
+    with pytest.raises(BoundExceeded):
+        binom_mod_p(10**8, 5 * 10**7, 10**9 + 7)
+    assert time.process_time() - t0 < 0.1
+
+
+def test_difference_over_a_large_prime_field():
+    f = Poly.monomial(make_field(9973), 5)
+    t0 = time.process_time()
+    d = delta(f, 1)
+    assert time.process_time() - t0 < 2.0
+    assert d.degree() == 4 and d(0) == 1  # (x + 1)^5 - x^5 at x = 0

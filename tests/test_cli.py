@@ -581,12 +581,26 @@ def test_cmd_binom_modulus_not_prime_exits_2(runner, p):
 
 @pytest.mark.parametrize("p", ["1000003", "1000000000000000003"])
 def test_cmd_binom_k_above_n_builds_no_table(runner, p):
-    # C(1, 5) = 0 needs only the primality of p, not the (p, p) table
+    # C(1, 5) = 0 needs only the primality of p
     t0 = time.perf_counter()
     obj = invoke_json(runner, "binom", "--n", "1", "--k", "5", "--p", p,
                       "--format", "json")
     assert time.perf_counter() - t0 < 1.0
     assert obj["residue"] == 0 and obj["positions"][0]["binom"] == 0
+
+
+def test_cmd_binom_large_prime_answers_from_the_digits(runner):
+    t0 = time.process_time()
+    result = invoke(runner, "binom", "--n", "5", "--k", "2", "--p", "1000003")
+    assert time.process_time() - t0 < 1.0
+    assert "C(5,2) mod 1000003 = 10" in result.output
+
+
+def test_cmd_binom_digit_steps_past_the_bound_exit_2(runner):
+    result = runner.invoke(main, ["binom", "--n", str(10**8), "--k", str(5 * 10**7),
+                                  "--p", str(10**9 + 7)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and "Traceback" not in result.output
 
 # ---------------------------------------------------------------------------
 # output hygiene

@@ -473,6 +473,10 @@ def test_element_misc():
     f = make_field(3, 2)
     a = f.element(4)
     assert a.coeffs == (1, 1)
+    for g in (make_field(3, 3), make_field(5, 2)):  # coeffs are the r base-p digits
+        for e in g:
+            assert len(e.coeffs) == g.r and all(0 <= c < g.p for c in e.coeffs)
+            assert sum(c * g.p**i for i, c in enumerate(e.coeffs)) == e.enc
     assert int(a) == 4
     assert a == 4 and a != 5
     assert (a / a).enc == 1
