@@ -8,11 +8,13 @@ no per-prime table, so the cost follows the digits, not p.  A digit that
 would need more than DEFAULT_SUPPORT_BOUND steps raises BoundExceeded.
 
 `_digit_walk` is the one walk over the digits of n: it enumerates the
-dominated k in ascending order together with their residues.  `expansion`
-is its cached, size-bounded form for the difference expansions;
-`nonzero_support` (with its own bound) and `binom_mod_p_row` read the walk
-uncached.  `binom_mod_p` computes a single coefficient digit by digit and
-is the reference the tests compare the walk against.
+dominated k in ascending order together with their residues, multiplied in
+int64, so it refuses a modulus above MAX_WALK_PRIME.  `expansion` is its
+cached, size-bounded form for the difference expansions; `nonzero_support`
+(with its own bound) and `binom_mod_p_row` read the walk uncached, and every
+one of them refuses an n above its bound before anything is allocated.
+`binom_mod_p` computes a single coefficient digit by digit in Python ints,
+for any prime, and is the reference the tests compare the walk against.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import BoundExceeded
 from .field import _require_prime, base_p_digits
 
 DEFAULT_SUPPORT_BOUND = 10**6
+MAX_WALK_PRIME = 3_037_000_499  # the largest p with p^2 < 2^63: int64 products stay exact
 
 
 def _digit_binoms(d: int, m: int, p: int) -> list[int]:
@@ -54,7 +57,10 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
 
 
 def binom_mod_p_row(n: int, p: int) -> np.ndarray:
-    """The whole residue row [binom(n, 0) mod p, ..., binom(n, n) mod p]."""
+    """The whole residue row [binom(n, 0) mod p, ..., binom(n, n) mod p];
+    BoundExceeded when n exceeds DEFAULT_SUPPORT_BOUND."""
+    if n > DEFAULT_SUPPORT_BOUND:
+        raise BoundExceeded(f"n = {n} exceeds the bound {DEFAULT_SUPPORT_BOUND}")
     ks, vals = _digit_walk(n, p)
     row = np.zeros(n + 1, dtype=np.int64)
     row[ks] = vals
@@ -85,9 +91,13 @@ def _digit_walk(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The digit walk behind `expansion`: uncached, bounded only per digit.
 
     Each digit of k runs over 0..(that digit of n), the higher digit
-    outermost, so the k come out ascending.
+    outermost, so the k come out ascending.  Residues are multiplied in
+    int64, exact only while p^2 < 2^63, so a p above MAX_WALK_PRIME raises
+    BoundExceeded (binom_mod_p still answers for it).
     """
     _require_prime(p)
+    if p > MAX_WALK_PRIME:
+        raise BoundExceeded(f"p = {p} exceeds the bound {MAX_WALK_PRIME} of int64 residues")
     ks = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=np.int64)
     weight = 1

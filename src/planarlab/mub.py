@@ -24,10 +24,20 @@ v - u, so a basis pair costs O(q^2) and the set O(q^4).  A pair involving an
 uncertified basis, such as a corrupted import, takes the generic kernel:
 one histogram per vector pair, O(q^3) per basis pair.  Both kernels judge
 histograms by cyclo's exact rule and emit the report's rows directly.
+
+An import takes the canonical route first: the body of an exact export is
+cut into its q phase bases, and each basis's runs of ASCII digits are read
+with numpy, its label and q^2 exponents at once.  The set is kept only if
+export_mubs renders it back to the input byte for byte, so an accepted
+import is exact by construction.  Any other input goes to the checked
+parser, which reads every value and raises every import error.  At q = 125
+the canonical route takes about 0.07 s (json) and 0.08 s (csv) against
+0.33 and 0.45 s through the checked parser.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -409,6 +419,110 @@ def _exponent_array(rows: list[list[int]], p: int, q: int) -> np.ndarray:
     return exps.reshape(q, q)
 
 
+def _digit_runs(chars: np.ndarray) -> np.ndarray | None:
+    """The values of the runs of ASCII digits in the uint8 array chars, in
+    order, or None when a run is longer than three digits.  The first digit
+    of every run is read at once, the second and third where runs have them."""
+    digit = chars - np.uint8(48)  # wraps: every other byte becomes 10 or more
+    edges = np.flatnonzero(np.diff(digit < 10, prepend=False, append=False))
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    if lengths.size and lengths.max() > 3:
+        return None
+    values = digit[starts].astype(np.int32)
+    for j in (1, 2):
+        more = lengths > j
+        values[more] = values[more] * 10 + digit[starts[more] + j]
+    return values
+
+
+def _read_bases(chars: np.ndarray, bounds: list[int], field: FieldSpec, lead: int, heads: int):
+    """(labels, exponents) of the q phase bases chars[bounds[k]:bounds[k + 1]],
+    or None when they do not hold exponents in [0, p) in the expected shape.
+
+    A basis is `lead` digit runs, then q rows of `heads` runs and q exponents;
+    its first run is its label.  Only one basis is tokenised at a time.
+    """
+    p, q = field.p, field.q
+    labels = []
+    exps = np.empty((q, q, q), dtype=np.uint16)
+    for k in range(q):
+        runs = _digit_runs(chars[bounds[k] : bounds[k + 1]])
+        if runs is None or len(runs) != lead + q * (q + heads):
+            return None
+        rows = runs[lead:].reshape(q, q + heads)[:, heads:]
+        if rows.max() >= p:
+            return None
+        labels.append(int(runs[0]))
+        exps[k] = rows
+    return tuple(labels), exps
+
+
+def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None):
+    """A csv set's construction and polynomial: the planar square unless given."""
+    construction = construction or "planar"
+    poly = parse_poly(poly_text or ("x^3" if construction == "alltop" else "x^2"), field)
+    return construction, poly
+
+
+def _canonical_json(data: bytes, field, construction, poly_text) -> MubSet | None:
+    """The set of a json document exactly as export_mubs writes it, else None.
+
+    The header after `],"construction":` is read with json; the body of each
+    phase basis, from its `{"a":` to the next, is read as digit runs: its label,
+    then its q^2 exponents.  Only a set that exports to `data` itself is kept.
+    """
+    at = data.rfind(b'],"construction":')
+    if at < 0:
+        return None
+    header = json.loads(b"{" + data[at + 2 :])
+    fd = header["field"]
+    fld = make_field(_json_value(fd["p"], int, "field p"), _json_value(fd["r"], int, "field r"))
+    kind = _json_value(header["construction"], str, "construction")
+    poly = parse_poly(header["poly"], fld)
+    if (field is not None and field != fld or construction not in (None, kind)
+            or poly_text is not None and parse_poly(poly_text, fld) != poly):
+        return None
+    _check_size(fld)
+    q = fld.q
+    starts = []
+    at_a = data.find(b'{"a":', 0, at)
+    while at_a >= 0 and len(starts) <= q:
+        starts.append(at_a)
+        at_a = data.find(b'{"a":', at_a + 1, at)
+    standard = data.find(b'{"standard":true}', 0, at)
+    if len(starts) != q or standard < 0:
+        return None
+    bases = _read_bases(np.frombuffer(data, np.uint8), starts + [at], fld, 1, 0)
+    if bases is None:
+        return None
+    m = MubSet(fld, kind, poly, *bases, bisect.bisect(starts, standard))
+    return m if export_mubs(m, "json") == data else None
+
+
+def _canonical_csv(data: bytes, field, construction, poly_text) -> MubSet | None:
+    """The set of a csv document exactly as export_mubs writes it, else None.
+
+    After the header line each phase basis is q lines, read as digit runs:
+    label, position b and q exponents per line.  Only a set that exports to
+    `data` itself is kept.
+    """
+    if field is None:
+        return None
+    _check_size(field)
+    q = field.q
+    kind, poly = _csv_kind(field, construction, poly_text)
+    chars = np.frombuffer(data, np.uint8)
+    line_ends = np.flatnonzero(chars == ord("\n"))
+    if len(line_ends) != q * q + 1:
+        return None
+    # the header line, then q lines a basis
+    bases = _read_bases(chars, (line_ends[::q] + 1).tolist(), field, 0, 2)
+    if bases is None:
+        return None
+    m = MubSet(field, kind, poly, *bases)
+    return m if export_mubs(m, "csv") == data else None
+
+
 def import_mubs(
     data: bytes | str,
     fmt: str = "json",
@@ -426,7 +540,31 @@ def import_mubs(
     count or shape, basis labels that are not q distinct elements of [0, q)
     and csv rows whose b is not their position in the basis raise ValueError;
     a set above the size bound, BudgetExceeded.
+
+    Bytes exactly as export_mubs writes them take the canonical route, which
+    keeps a set only when it re-exports to the input; everything else, and
+    every error, comes from the checked parser.  Logs the route taken as one
+    INFO line on the "planarlab" logger.
     """
+    m = None
+    canonical = {"json": _canonical_json, "csv": _canonical_csv}.get(fmt)
+    if canonical is not None:
+        try:
+            raw = data.encode() if isinstance(data, str) else data
+            m = canonical(raw, field, construction, poly_text)
+        except Exception:  # not a canonical export: the checked parser says why
+            m = None
+    route = "canonical"
+    if m is None:
+        m = _import_checked(data, fmt, field, construction, poly_text)
+        route = "checked"
+    _log.info("import %s GF(%d): %s route", fmt, m.field.q, route)
+    return m
+
+
+def _import_checked(data, fmt, field, construction, poly_text) -> MubSet:
+    """The checked parser behind import_mubs: it reads every value of any
+    input and raises every import error."""
     text = data.decode() if isinstance(data, bytes) else data
     if fmt == "json":
         obj = _json_value(json.loads(text), dict, "the export")
@@ -473,7 +611,6 @@ def import_mubs(
             raise ValueError("csv import needs the field")
         _check_size(field)
         q, p = field.q, field.p
-        exponent_of = {str(e): e for e in range(p)}.__getitem__
         groups: dict[int, list[list[int]]] = {}
         lines = [ln for ln in text.splitlines() if ln.strip()]
         for a, b, *cells in (ln.split(",") for ln in lines[1:]):
@@ -481,20 +618,16 @@ def import_mubs(
             if int(b) != len(vecs):
                 raise ValueError(f"row b = {b} of basis {a} is at position {len(vecs)}")
             _counted(cells, q, "entries in a phase vector")
-            try:
-                vecs.append(list(map(exponent_of, cells)))
-            except KeyError:  # not canonical text, such as "03" or " 3"
-                vecs.append(list(map(int, cells)))
+            vecs.append(list(map(int, cells)))
         _counted(list(groups), q, "phase bases")
         exps = np.empty((q, q, q), dtype=np.uint16)
         for k, vecs in enumerate(groups.values()):
             exps[k] = _exponent_array(_counted(vecs, q, "vectors"), p, q)
-        construction = construction or "planar"
-        poly_text = poly_text or ("x^3" if construction == "alltop" else "x^2")
+        construction, poly = _csv_kind(field, construction, poly_text)
         return MubSet(
             field=field,
             construction=construction,
-            poly=parse_poly(poly_text, field),
+            poly=poly,
             a=tuple(groups),
             exponents=exps,
         )

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from planarlab.binom import (
+    DEFAULT_SUPPORT_BOUND,
+    MAX_WALK_PRIME,
     _digit_walk,
     base_p_digits,
     binom_mod_p,
@@ -110,6 +112,34 @@ def test_expansion_bound():
     assert expansion(10**6, 5)[0].tolist() == sorted(nonzero_support(10**6, 5))
 
 
+def test_row_bound():
+    t0 = time.process_time()
+    with pytest.raises(BoundExceeded):
+        binom_mod_p_row(2 * 10**6, 3)
+    with pytest.raises(BoundExceeded):
+        binom_mod_p_row(5 * 3**14 - 1, 3)
+    assert time.process_time() - t0 < 0.1
+    assert len(binom_mod_p_row(DEFAULT_SUPPORT_BOUND, 3)) == DEFAULT_SUPPORT_BOUND + 1
+
+
+def test_walk_refuses_a_modulus_beyond_int64_products():
+    assert MAX_WALK_PRIME**2 < 2**63 <= (MAX_WALK_PRIME + 1) ** 2
+    huge = 18446744073709551629  # prime, above 2^64
+    for p in (huge, 3037000507):  # the first prime above the bound
+        with pytest.raises(BoundExceeded):
+            binom_mod_p_row(30, p)
+        with pytest.raises(BoundExceeded):
+            nonzero_support(30, p)
+        with pytest.raises(BoundExceeded):
+            expansion(30, p)
+    assert binom_mod_p(30, 3, huge) == 4060
+    p = 3037000493  # the last prime below the bound: products near p^2 stay exact
+    n = 60 + 60 * p  # digits (60, 60): C(60, j) runs past p, so residues fill [0, p)
+    ks, vals = _digit_walk(n, p)
+    assert int(vals.max()) ** 2 > 2**62
+    assert vals.tolist() == [binom_mod_p(n, k, p) for k in ks.tolist()]
+
+
 def test_uncached_readers_leave_expansion_cache_alone():
     expansion.cache_clear()
     nonzero_support(10**6 + 1, 5, bound=2 * 10**6)
@@ -191,11 +221,13 @@ def test_row_matches_math_comb_at_large_p(p):
         spots = [k for k in (0, 1, 2, 5, p - 1, p, p + 1, p + 5) if k <= kmax]
         spots += rng.integers(0, kmax + 1, size=4).tolist()
         assert [want[k] for k in spots] == [math.comb(n, k) % p for k in spots]
-        if n < 10**7:
+        if n <= DEFAULT_SUPPORT_BOUND:
             row = binom_mod_p_row(n, p)
             assert np.array_equal(row, row[::-1])  # the top end by symmetry
             got = row[: kmax + 1].tolist()
-        else:  # p = 9973: a row of 10^8 entries would hold 800 MB; read the walk it scatters
+        else:  # the row is refused (10^8 entries would hold 800 MB); read the walk it scatters
+            with pytest.raises(BoundExceeded):
+                binom_mod_p_row(n, p)
             ks, vals = _digit_walk(n, p)
             got = [0] * (kmax + 1)
             for k, v in zip(ks.tolist(), vals.tolist()):

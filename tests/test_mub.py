@@ -15,6 +15,9 @@ from planarlab.field import make_field
 from planarlab.mub import (
     MAX_PHASE_ENTRIES,
     MubSet,
+    _canonical_csv,
+    _canonical_json,
+    _import_checked,
     _pair_violations,
     _translation_certified,
     build_alltop_mubs,
@@ -593,6 +596,91 @@ def test_json_import_matches_given_poly():
         import_mubs(data, "json", construction="planar", poly_text="x^2 + x")
     assert export_mubs(import_mubs(data, "json", poly_text=" x^2 "), "json") == data
     assert export_mubs(import_mubs(data, "json"), "json") == data
+
+
+# every field with q <= 125; p = 11, 13 and q = 121 have two-digit exponents,
+# p >= 101 three-digit ones, and q >= 101 three-digit labels
+FIELDS_TO_125 = [(p, r) for p in range(3, 126, 2) if all(p % d for d in range(3, p, 2))
+                 for r in range(1, 5) if p**r <= 125]
+
+
+def _same_set(x, y):
+    assert np.array_equal(x.exponents, y.exponents)
+    assert (x.field, x.a, x.standard, x.poly, x.construction) == (
+        y.field, y.a, y.standard, y.poly, y.construction)
+
+
+@pytest.mark.parametrize("n, p, r", [(n, *f) for n, f in enumerate(FIELDS_TO_125)],
+                         ids=[f"GF({p}^{r})" for p, r in FIELDS_TO_125])
+def test_canonical_and_checked_imports_agree(n, p, r):
+    # one combination per field keeps the sweep near 3 s; n cycles the
+    # construction (alltop needs p >= 5), the format and the standard position
+    m = planar_set(p, r)
+    if n // 2 % 2 and p >= 5:
+        m = build_alltop_mubs(m.field)
+    if n % 3 == 2:  # standard basis last, labels reversed
+        m = dataclasses.replace(m, a=m.a[::-1], standard=m.field.q)
+    if n % 2 == 0:
+        data = export_mubs(m, "json")
+        fast = _canonical_json(data, None, None, None)
+        slow = _import_checked(data, "json", None, None, None)
+    else:
+        data = export_mubs(m, "csv")
+        fast = _canonical_csv(data, m.field, m.construction, None)
+        slow = _import_checked(data, "csv", m.field, m.construction, None)
+        m = dataclasses.replace(m, standard=0)  # csv does not record it
+    assert fast is not None
+    _same_set(fast, slow)
+    _same_set(fast, m)
+
+
+def test_import_logs_the_route(caplog):
+    caplog.set_level(logging.INFO, logger="planarlab")
+    m = planar_set(5, 2)
+    data = export_mubs(m, "json")
+    obj = json.loads(data)
+    csv = export_mubs(m, "csv")
+    for doc in (data, json.dumps(obj), json.dumps(obj, indent=1)):
+        _same_set(import_mubs(doc, "json"), m)
+    for doc in (csv, csv.decode(), csv.replace(b"\n", b"\r\n")):
+        _same_set(import_mubs(doc, "csv", field=m.field), m)
+    assert [r.getMessage() for r in caplog.records] == [
+        "import json GF(25): canonical route",
+        "import json GF(25): checked route",
+        "import json GF(25): checked route",
+        "import csv GF(25): canonical route",
+        "import csv GF(25): canonical route",
+        "import csv GF(25): checked route",
+    ]
+
+
+def _import_outcome(import_, *args, **kwargs):
+    try:
+        return import_(*args, **kwargs)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_one_byte_mutations_import_as_the_checked_parser_does(fmt):
+    m = build_alltop_mubs(make_field(5, 2))
+    data = export_mubs(dataclasses.replace(m, standard=7), fmt)
+    rng = np.random.default_rng(2024)
+    accepted = rejected = 0
+    for _ in range(40):
+        pos = int(rng.integers(len(data)))
+        byte = rng.choice(list(b'0123456789,[]{}" \n-:at'))
+        mutated = data[:pos] + bytes([byte]) + data[pos + 1 :]
+        kwargs = {"field": m.field} if fmt == "csv" else {}
+        got = _import_outcome(import_mubs, mutated, fmt, **kwargs)
+        want = _import_outcome(_import_checked, mutated, fmt, kwargs.get("field"), None, None)
+        if isinstance(want, type):
+            assert got is want, (pos, byte)
+            rejected += 1
+        else:
+            _same_set(got, want)
+            accepted += 1
+    assert accepted and rejected
 
 
 def _standard_last(m):
