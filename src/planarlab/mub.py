@@ -37,7 +37,6 @@ the canonical route takes about 0.07 s (json) and 0.08 s (csv) against
 
 from __future__ import annotations
 
-import bisect
 import json
 import logging
 import math
@@ -495,7 +494,7 @@ def _canonical_json(data: bytes, field, construction, poly_text) -> MubSet | Non
     bases = _read_bases(np.frombuffer(data, np.uint8), starts + [at], fld, 1, 0)
     if bases is None:
         return None
-    m = MubSet(fld, kind, poly, *bases, bisect.bisect(starts, standard))
+    m = MubSet(fld, kind, poly, *bases, sum(s < standard for s in starts))
     return m if export_mubs(m, "json") == data else None
 
 
