@@ -336,3 +336,12 @@ def test_criterion_11_cli_determinism():
             ]
             assert outputs[0] == outputs[1] == outputs[2], cmd
             json.loads(outputs[0])
+
+
+def test_criterion_14_gf343_mub_sets_verify_exactly():
+    with criterion(14, "GF(343) Alltop and planar x^2 MUB sets verify exactly", 30.0):
+        field = make_field(7, 3)
+        for m in (build_alltop_mubs(field), build_planar_mubs(field, Poly.monomial(field, 2))):
+            rep = verify_mub_set(m)
+            assert rep.num_bases == 344
+            assert rep.passed and not rep.violations, m.construction

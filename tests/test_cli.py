@@ -373,6 +373,14 @@ def test_cmd_mubs_malformed_import_exits_2(runner, tmp_path, edit):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("action", ["verify", "export"])
+def test_cmd_mubs_unknown_construction_exits_2(runner, tmp_path, action):
+    result = _mubs_on_edited_export(
+        runner, tmp_path, lambda obj: _replaced(obj, ("construction",), "bogus"), action)
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+
+
 def test_cmd_mubs_import_without_vectors_names_the_key(runner, tmp_path):
     def drop_vectors(obj):
         del obj["bases"][1]["vectors"]

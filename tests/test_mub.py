@@ -20,6 +20,7 @@ from planarlab.mub import (
     _import_checked,
     _pair_violations,
     _translation_certified,
+    _verify_pairs,
     build_alltop_mubs,
     build_planar_mubs,
     export_mubs,
@@ -188,15 +189,19 @@ def test_verify_caps_workers_at_the_machine(inline_pool):
     assert inline_pool == [2]
 
 
-def generic_violations(m):
-    """The report's violations from the generic kernel over every basis pair,
-    diagonal pairs first, as tuples in report order."""
+def all_pairs(q):
+    """Every basis pair k <= l in report order: the diagonal pairs first."""
+    return [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
+
+
+def generic_violations(m, pairs=None):
+    """The report's violations from the generic kernel over every basis pair
+    (or over `pairs`), as tuples in report order."""
     p, q = m.field.p, m.field.q
     idx = m.phase_bases()
     mats = [m.exponent_matrix(k) for k in range(q)]
-    pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
     out = []
-    for k, l in pairs:
+    for k, l in pairs or all_pairs(q):
         out += _pair_violations(p, q, mats[k], mats[l], idx[k], idx[l])
     return out
 
@@ -235,6 +240,51 @@ def test_certified_kernel_matches_generic_on_non_planar_sets(p, r, pi_text, dige
     assert report_violations(m) == want
     text = json.dumps(verify_mub_set(m).to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pair_class_key_tells_cross_pairs_from_diagonal_ones():
+    # basis 1 is basis 0 + tr(7 x) + 3: pair (0, 1) has the residual 0 of every
+    # diagonal pair, but must be judged across bases, where all 625 fail
+    m = planar_set(5, 2)
+    exps = m.exponents.astype(np.int64)
+    exps[1] = (exps[0] + m.field.trace_bilinear[7] + 3) % 5
+    m = dataclasses.replace(m, exponents=exps.astype(np.uint16))
+    assert uncertified(m) == []
+    want = report_violations(m)
+    assert len(want) == 625 and {(v.basis_i, v.basis_j) for v in want} == {(1, 2)}
+    assert want == generic_violations(m) == literal_violations(m, [(0, 1)])
+
+
+def shuffled(m, seed=1):
+    """m with its phase bases in a seeded random order."""
+    order = np.random.default_rng(seed).permutation(m.field.q)
+    return dataclasses.replace(m, a=tuple(np.array(m.a)[order].tolist()),
+                               exponents=m.exponents[order])
+
+
+@pytest.mark.parametrize("p, r, pi_text", [(5, 2, "x^3"), (3, 3, "x^4")])
+def test_pair_classes_match_generic_on_shuffled_sets(p, r, pi_text):
+    # x^4 is planar over GF(27), so its report is empty
+    m = shuffled(unchecked_planar_set(p, r, pi_text))
+    want = generic_violations(m)
+    assert bool(want) != is_planar(m.poly)
+    assert report_violations(m) == want
+
+
+def test_pair_classes_match_generic_on_shuffled_gf49_x5():
+    # 2.8 M violations in the whole report: take the pairs of bases 0 and 1,
+    # and pairs of later bases in the classes of pairs (0, l)
+    m = shuffled(unchecked_planar_set(7, 2, "x^5"))
+    fld, q = m.field, m.field.q
+    pos = {a: k for k, a in enumerate(m.a)}
+    pairs = [(k, l) for k in (0, 1) for l in range(k, q, 6)]
+    for l in range(1, q, 6):  # a_l' - a_k = a_l - a_0 for bases k > 1
+        for k in (5, 20):
+            l2 = pos[fld.add(fld.sub(m.a[l], m.a[0]), m.a[k])]
+            pairs.append((min(k, l2), max(k, l2)))
+    want = generic_violations(m, pairs)
+    assert want
+    assert _verify_pairs(m, [(k, l, True) for k, l in pairs]) == want
 
 
 def test_report_rows_hold_no_tracked_containers():
@@ -284,15 +334,14 @@ def test_kernels_agree_across_workers(inline_pool):
     assert inline_pool == [2]
 
 
-def literal_violations(m):
+def literal_violations(m, pairs=None):
     """The report's violations from the definition: one phase-difference
-    histogram and one cyclo.mag_sq per vector pair, basis pairs in report
-    order, v >= u within a basis."""
+    histogram and one cyclo.mag_sq per vector pair, basis pairs (every one,
+    or `pairs`) in report order, v >= u within a basis."""
     p, q = m.field.p, m.field.q
     idx = m.phase_bases()
-    pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
     out = []
-    for k, l in pairs:
+    for k, l in pairs or all_pairs(q):
         kind = "orthonormality" if k == l else "unbiasedness"
         for u in range(q):
             for v in range(u if k == l else 0, q):
@@ -585,6 +634,17 @@ def test_json_import_matches_given_field_and_construction():
         import_mubs(data, "json", construction="alltop")
     back = import_mubs(data, "json", field=make_field(5), construction="planar")
     assert export_mubs(back, "json") == data
+
+
+def test_import_rejects_unknown_constructions():
+    m = planar_set(5)
+    data = export_mubs(m, "json").replace(b'"construction":"planar"', b'"construction":"bogus"')
+    with pytest.raises(ValueError, match="unknown construction 'bogus'"):
+        import_mubs(data, "json")
+    with pytest.raises(ValueError, match="unknown construction 'nonsense'"):
+        import_mubs(export_mubs(m, "csv"), "csv", field=m.field, construction="nonsense")
+    with pytest.raises(ValueError, match="unknown construction"):
+        dataclasses.replace(m, construction="cubic")
 
 
 def test_json_import_matches_given_poly():
