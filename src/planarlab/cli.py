@@ -203,7 +203,8 @@ def cmd_search(p, r, family, max_deg, mode, budget, workers, canonical):
               help="output file (default stdout)")
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="existing export to verify or convert")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="accepted and ignored; verification runs in one process")
 @click.option("--canonical", is_flag=True, help="accepted for symmetry; reports carry no timings")
 def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, workers, canonical):
     """Build, verify, or convert a complete MUB set."""

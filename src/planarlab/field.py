@@ -128,9 +128,23 @@ def _generator_powers(p: int, r: int, modulus: tuple[int, ...]) -> list[int]:
     the first candidate that needs q - 1 steps is a generator.  Candidates in
     the cycle of an earlier candidate lie in a proper subgroup and are skipped."""
     q = p**r
+    if r == 1:  # residues: the walk multiplies integers
+        seen: set[int] = set()
+        for g in range(2, p):
+            if g in seen:
+                continue
+            powers = [1]
+            cur = g
+            while cur != 1:
+                powers.append(cur)
+                cur = cur * g % p
+            if len(powers) == p - 1:
+                return powers
+            seen.update(powers)
+        raise AssertionError(f"GF({p})* has no generator")  # pragma: no cover
     weights = [p**i for i in range(r)]
     mod = list(modulus)
-    seen: set[int] = set()
+    seen = set()
     for g in range(2, q):
         if g in seen:
             continue

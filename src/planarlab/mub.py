@@ -42,8 +42,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
-from concurrent import futures
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, groupby
 from typing import NamedTuple
@@ -300,8 +298,8 @@ def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
     cross-basis magnitude q for every pair; failures become report content.
 
     Certified basis pairs are read from their pair classes' tables, all
-    others take the generic kernel.  At most one worker process per CPU is
-    started; logs one INFO line on the "planarlab" logger.
+    others take the generic kernel, in this process: `workers` is accepted
+    and ignored.  Logs one INFO line on the "planarlab" logger.
     """
     p, q = m.field.p, m.field.q
     tb = m.field.trace_bilinear
@@ -314,18 +312,7 @@ def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
         "%d basis pairs by the certified kernel, %d by the generic kernel",
         q, len(certified), q, n_fast, len(pairs) - n_fast,
     )
-
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(pairs) < 2 * workers:
-        return MubVerification(q, _verify_pairs(m, pairs))
-    bounds = [len(pairs) * w // workers for w in range(workers + 1)]
-    chunks = [pairs[bounds[w] : bounds[w + 1]] for w in range(workers)]
-    violations = []
-    with futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        jobs = [ex.submit(_verify_pairs, m, ch) for ch in chunks if ch]
-        for job in jobs:
-            violations.extend(job.result())
-    return MubVerification(q, violations)
+    return MubVerification(q, _verify_pairs(m, pairs))
 
 
 # -- export / import --------------------------------------------------------

@@ -22,7 +22,7 @@ from planarlab.classify import (
     is_planar,
 )
 from planarlab.cyclo import char_sum, mag_sq
-from planarlab.field import make_field
+from planarlab.field import _is_prime, make_field
 from planarlab.mub import build_alltop_mubs, build_planar_mubs, verify_mub_set
 from planarlab.polyfun import Poly, delta, predicted_delta_degree, shift_scale
 from planarlab.search import (
@@ -345,3 +345,49 @@ def test_criterion_14_gf343_mub_sets_verify_exactly():
             rep = verify_mub_set(m)
             assert rep.num_bases == 344
             assert rep.passed and not rep.violations, m.construction
+
+
+# Alltop verdicts of x^(Q+2) and x^(2Q+1) over GF(Q^2), Q = p^k, by field
+# (p, r): pinned from the table scan `_table_alltop_witness`, not from the rule.
+FROBENIUS_CUBIC_ALLTOP = {
+    (5, 2): False, (7, 2): True, (11, 2): False,
+    (13, 2): True, (19, 2): True, (5, 4): True,
+}
+
+
+def test_criterion_15_low_degree_certificates_at_scale():
+    """The odd-quotient rule on every odd field up to 10^4, x^3 Alltop up to
+    GF(2401), and the x^(Q+2) family.
+
+    Let Q = p^k with p >= 5 and work over GF(Q^2).  For f = x^(Q+2) = x^Q * x^2
+    and ab != 0, Delta_a Delta_b f is x -> D(a, b, x) plus a constant, where
+    D(a, b, x) = 2[(a^Q b + a b^Q) x + ab x^Q] polarizes the one Frobenius
+    slot and the two plain ones.  A nonzero root x means
+    x^(Q-1) = -(a^(Q-1) + b^(Q-1)).  The maps y -> y^(Q-1) take GF(Q^2)* onto
+    the elements of norm y^(Q+1) = 1, so f fails to be Alltop exactly when
+    u + v + w = 0 for some u, v, w of norm 1, that is u + v = -1 after
+    dividing by -w.  Then v^Q = 1/v and u^Q = 1/u give
+    (1 + u)(1 + 1/u) = 1, so u^2 + u + 1 = 0: u is a primitive cube root of
+    unity of norm 1, which exists iff 3 | Q + 1.  Conversely such a u gives
+    v = u^2, also of norm 1.  Hence x^(Q+2) is Alltop iff Q = 1 (mod 3), and
+    so is its Frobenius twin (x^(Q+2))^Q = x^(2Q+1), since y -> y^Q is an
+    additive bijection.
+    """
+    with criterion(15, "odd-quotient rule to q <= 10^4, x^3 to GF(2401), x^(Q+2) family",
+                   10.0):
+        fields = [(p, r) for p in range(3, 10**4, 2) if _is_prime(p)
+                  for r in range(1, 9) if p**r <= 10**4]
+        assert len(fields) == 1267
+        for p, r in fields:
+            field = make_field(p, r)
+            for k in range(r):
+                mono = Poly.monomial(field, p**k + 1)
+                assert is_planar(mono) == is_do_monomial_planar(p, r, k), (p, r, k)
+        for p, r in [(7, 3), (5, 4), (7, 4)]:
+            assert is_alltop(Poly.monomial(make_field(p, r), 3)), (p, r)
+        for (p, r), alltop in FROBENIUS_CUBIC_ALLTOP.items():
+            field = make_field(p, r)
+            Q = p ** (r // 2)
+            assert alltop == (Q % 3 == 1), (p, r)
+            for e in (Q + 2, 2 * Q + 1):
+                assert is_alltop(Poly.monomial(field, e)) == alltop, (p, r, e)

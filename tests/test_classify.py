@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from planarlab import classify
 from planarlab.classify import (
@@ -22,7 +24,7 @@ from planarlab.classify import (
     planar_witness,
 )
 from planarlab.errors import NonAdditiveM, NotAlltop, ZeroScale
-from planarlab.field import make_field
+from planarlab.field import _is_prime, base_p_digits, make_field
 from planarlab.polyfun import Poly, delta, parse_poly, shift_scale
 
 
@@ -473,8 +475,10 @@ def test_alltop_witness_matches_literal_loop(p, r):
 
 
 def _one_row_then_four(monkeypatch, q):
-    """Scan chunks of 1, 2, 4, 4, ... rows; returns a list that collects,
-    for each scan, its chunks' row counts."""
+    """Scan chunks of 1, 2, 4, 4, ... rows, every polynomial taking the scan
+    route rather than a certificate; returns a list that collects, for each
+    scan, its chunks' row counts."""
+    monkeypatch.setattr(classify, "_digit_degree", lambda f: math.inf)
     monkeypatch.setattr(classify, "_FIRST_CHUNK_ENTRIES", 1)
     monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 4 * q)
     scans = []
@@ -607,3 +611,206 @@ def test_non_linearized_polynomials_take_the_scan(p, r):
         w = additive_witness(f)
         assert w is not None
         assert w == _additive_oracle(field, _literal_values(f)), str(f)
+
+
+# ---------------------------------------------------------------------------
+# digit-degree certificates against the table scans
+# ---------------------------------------------------------------------------
+
+def _exponents(field, degree):
+    """Every reduced exponent of base-p digit sum 1 to `degree`, ascending."""
+    powers = [field.p**i for i in range(field.r)]
+    out = set(powers)
+    for _ in range(degree - 1):
+        out |= {e + f for e in out for f in powers if e + f < field.q}
+    return sorted(out)
+
+
+@st.composite
+def _low_degree_polys(draw, field, degree):
+    """Sums of up to four terms of digit degree at most `degree`, a constant
+    included or not, and now and then a shifted and scaled copy."""
+    exps = draw(st.lists(st.sampled_from(_exponents(field, degree)), min_size=1, max_size=4))
+    coeffs = st.integers(1, field.q - 1)
+    f = Poly(field, {e: draw(coeffs) for e in exps})
+    f = f + Poly.constant(field, draw(st.integers(0, field.q - 1)))
+    if draw(st.booleans()):
+        f = shift_scale(f, draw(coeffs), draw(st.integers(0, field.q - 1)))
+    return f
+
+
+def _routes(monkeypatch, name):
+    """Record the `first` of every call of classify.<name>, the scan."""
+    calls = []
+    scan = getattr(classify, name)
+
+    def recorded(fld, t, first=1):
+        calls.append(first)
+        return scan(fld, t, first)
+
+    monkeypatch.setattr(classify, name, recorded)
+    return scan, calls
+
+
+# every field of odd characteristic with q <= 625, and those with q <= 125
+PLANAR_FIELDS = [(p, r) for p in range(3, 626) if _is_prime(p)
+                 for r in range(1, 7) if p**r <= 625]
+ALLTOP_FIELDS = [(p, r) for p, r in PLANAR_FIELDS if p**r <= 125]
+
+
+@pytest.mark.parametrize("p,r", PLANAR_FIELDS)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_planar_certificate_matches_the_scan(p, r, data):
+    field = make_field(p, r)
+    f = data.draw(_low_degree_polys(field, 2))
+    assert classify._digit_degree(f) <= 2
+    with pytest.MonkeyPatch.context() as m:
+        scan, calls = _routes(m, "_table_planar_witness")
+        w = planar_witness(f)
+    assert w == scan(field, f.value_table()), str(f)
+    # the certificate decides: no scan for a planar f, one from its a otherwise
+    assert calls == ([] if w is None else [w[0]])
+
+
+@pytest.mark.parametrize("p,r", ALLTOP_FIELDS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_alltop_certificate_matches_the_scan(p, r, data):
+    field = make_field(p, r)
+    f = data.draw(_low_degree_polys(field, 3))
+    assert classify._digit_degree(f) <= 3
+    with pytest.MonkeyPatch.context() as m:
+        scan, calls = _routes(m, "_table_alltop_witness")
+        w = alltop_witness(f)
+    assert w == scan(field, f.value_table()), str(f)
+    assert calls == ([] if w is None else [w[0]])
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in PLANAR_FIELDS if r > 1])
+def test_do_monomials_and_sums_match_the_scan(p, r):
+    """x^(p^k + 1) for every k, planar or not by the odd-quotient rule, with
+    additive and constant terms added."""
+    field = make_field(p, r)
+    scan = classify._table_planar_witness
+    for k in range(r):
+        f = Poly.monomial(field, p**k + 1, 1 + k) + random_additive(
+            field, np.random.default_rng(k)) + Poly.constant(field, k)
+        w = planar_witness(f)
+        assert (w is None) == is_do_monomial_planar(p, r, k)
+        assert w == scan(field, f.value_table()), str(f)
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r in ALLTOP_FIELDS if r > 1 or p <= 13])
+def test_cubic_monomials_and_shifted_cubics_match_the_scan(p, r):
+    """Every monomial of digit sum 3, and (2x + 1)^3 plus a DO term."""
+    field = make_field(p, r)
+    scan = classify._table_alltop_witness
+    cubic = shift_scale(Poly.monomial(field, 3), 2, 1) + Poly.monomial(field, p + 1)
+    polys = [cubic] + [Poly.monomial(field, e) for e in _exponents(field, 3)
+                       if sum(base_p_digits(e, p)) == 3]
+    for f in polys:
+        assert alltop_witness(f) == scan(field, f.value_table()), str(f)
+
+
+@pytest.mark.parametrize("text,p,r,witness", [
+    ("x^4 + x^2", 3, 2, (3, 0, 3)),
+    ("6*x^4 + x^2", 3, 2, (4, 2, 3)),
+    ("2*x^6 + x^2", 5, 2, (7, 2, 5)),
+    ("5*x^4 + x^2", 3, 3, (3, 0, 9)),
+])
+def test_planar_first_failing_shift_above_one(text, p, r, witness):
+    field = make_field(p, r)
+    f = parse_poly(text, field)
+    assert planar_witness(f) == classify._table_planar_witness(field, f.value_table()) == witness
+
+
+@pytest.mark.parametrize("text,p,r,witness", [
+    ("5*x^11 + x^3", 5, 2, (6, 7, 3, 5)),
+    ("6*x^11 + x^3", 5, 2, (6, 6, 1, 5)),
+    ("7*x^7 + x^3", 5, 2, (5, 8, 1, 5)),
+])
+def test_alltop_first_failing_shift_above_one(text, p, r, witness):
+    field = make_field(p, r)
+    f = parse_poly(text, field)
+    assert alltop_witness(f) == classify._table_alltop_witness(field, f.value_table()) == witness
+
+
+def test_alltop_certificate_early_exit_across_chunks(monkeypatch):
+    """Points a in chunks of one row: the certificate stops at the first
+    chunk with a singular pair and still names the scan's first a."""
+    monkeypatch.setattr(classify, "_FIRST_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 1)
+    for text, p, r in [("5*x^11 + x^3", 5, 2), ("x^3", 5, 2), ("x^9 + x^3", 7, 2),
+                       ("x^4 + x^2", 3, 2), ("x^3", 5, 3)]:
+        field = make_field(p, r)
+        f = parse_poly(text, field)
+        assert alltop_witness(f) == classify._table_alltop_witness(field, f.value_table())
+
+
+def test_alltop_certificate_gf343_cubic():
+    field = make_field(7, 3)
+    f = Poly.monomial(field, 3)
+    assert alltop_witness(f) is None
+    assert classify._table_alltop_witness(field, f.value_table()) is None
+
+
+@pytest.mark.parametrize("text,p,r", [
+    ("x^4", 5, 1), ("x^3 + x^2", 7, 1), ("x^5 + 3*x", 3, 2), ("x^8", 3, 2),
+    ("x^12 + x^2", 5, 2), ("2*x^24 + x^6", 5, 2),
+])
+def test_out_of_scope_takes_the_planar_scan(monkeypatch, text, p, r):
+    field = make_field(p, r)
+    f = parse_poly(text, field)
+    assert classify._digit_degree(f) > 2
+
+    def refuse(fld, t):
+        raise AssertionError("certificate used out of its scope")
+
+    monkeypatch.setattr(classify, "_first_singular_shift", refuse)
+    scan, calls = _routes(monkeypatch, "_table_planar_witness")
+    assert planar_witness(f) == scan(field, f.value_table())
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("text,p,r", [
+    ("x^4", 5, 1), ("x^5 + x^3", 7, 1), ("x^8", 3, 2), ("x^16 + x^3", 5, 2),
+])
+def test_out_of_scope_takes_the_alltop_scan(monkeypatch, text, p, r):
+    field = make_field(p, r)
+    f = parse_poly(text, field)
+    assert classify._digit_degree(f) > 3
+
+    def refuse(fld, t):
+        raise AssertionError("certificate used out of its scope")
+
+    monkeypatch.setattr(classify, "_first_singular_pair_shift", refuse)
+    scan, calls = _routes(monkeypatch, "_table_alltop_witness")
+    assert alltop_witness(f) == scan(field, f.value_table())
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_singular_matches_the_determinant(p):
+    """Random matrices mod p, low-rank products among them and matrices with
+    zero leading entries, against sympy's integer determinant."""
+    rng = np.random.default_rng(p)
+    for r in range(1, 6):
+        mats = [rng.integers(0, p, size=(r, r)) for _ in range(30)]
+        for k in range(r):
+            mats.append(rng.integers(0, p, size=(r, k)) @ rng.integers(0, p, size=(k, r)) % p)
+        for m in mats[:10]:
+            m[: r // 2 + 1, 0] = 0
+            mats.append(np.roll(m, 1, axis=0))
+        mats = np.array(mats, dtype=np.int64)
+        want = [sympy.Matrix(m.tolist()).det() % p == 0 for m in mats]
+        assert classify._singular(mats, p).tolist() == want, (p, r)
+        assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("text,p,r,degree", [
+    ("0", 5, 1, 0), ("3", 5, 1, 0), ("x^5", 5, 1, 1), ("x^25 + x", 5, 1, 1),
+    ("x^2 + x^6", 5, 2, 2), ("x^7", 5, 2, 3), ("x^24", 5, 2, 8), ("x^13", 3, 3, 3),
+])
+def test_digit_degree_reads_reduced_exponents(text, p, r, degree):
+    assert classify._digit_degree(parse_poly(text, make_field(p, r))) == degree

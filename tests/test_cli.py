@@ -1,7 +1,11 @@
 import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -115,6 +119,24 @@ def test_cmd_test_examples(runner):
     obj = invoke_json(runner, "test", "--p", "7", "--r", "1", "--poly", "x^3",
                       "--mode", "alltop")
     assert obj["verdict"] is True
+
+
+def test_cmd_test_cubic_alltop_over_gf2401_is_fast():
+    """A fresh process decides x^3 over GF(7^4) Alltop, its field built
+    included, in under 2 s: the certificate reads the trilinear form of the
+    second differences instead of scanning q^3 table entries."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarlab", "test", "--p", "7", "--r", "4", "--poly", "x^3",
+         "--mode", "alltop"],
+        env=env, capture_output=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr.decode()
+    obj = json.loads(proc.stdout)
+    assert obj["verdict"] is True and obj["witness"] is None
+    assert elapsed < 2.0, elapsed
 
 
 def test_cmd_test_witness_planar(runner):

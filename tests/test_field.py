@@ -100,6 +100,15 @@ def test_is_prime_matches_sympy():
         assert field_module._is_prime(n) == sympy.isprime(n)
     assert time.perf_counter() - t0 < 0.1
 
+
+def test_prime_field_generator_is_the_smallest_primitive_root():
+    # the residue walk of prime fields against sympy's smallest primitive root
+    for p in sympy.primerange(3, 2000):
+        g = sympy.ntheory.primitive_root(p)
+        assert field_module._generator_powers(p, 1, (0, 1)) == [
+            pow(g, i, p) for i in range(p - 1)], p
+
+
 def test_order_bound():
     with pytest.raises(FieldTooLarge):
         make_field(3, 9)  # 19683 > 10^4
