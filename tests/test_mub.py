@@ -508,17 +508,51 @@ EXPORT_DIGESTS = {
         "e0909a1fe9c86431587730a966908a8b77007ee9b3836131231bf102fba07943",
         "40b76ac6d9cc2e74883f56b5f424808f9ee2b25b139549ae240cfc5f68771bbc",
     ),
+    # exponents of one and two digits: tokens of mixed width
+    ("planar", 11, 1): (
+        "0f23c057db0888638fb0d72492d8cf2edf30686786e768073ebc9e2915e205c0",
+        "adb4b1a759de55ffdf905930bc83e319ae69916255b00350cca8e252e3dbad01",
+        "3ad1d03dcf970d03adf4c37e0b5fcf530fc652a10db5c893966a7d0f594b80af",
+    ),
+    ("alltop", 13, 1): (
+        "e6b36dce4abcf808d97b93fff629d0effacc38a591f18d4de2efb8a01cb4c098",
+        "3e96d6cc98fb483c9974e547d2909518391bb0d0d423cbd535753e5efbf54144",
+        "e1a21bb0c9949c101f85e818ade0eed59a2e0afe65e0e68edf0d639a9e01ba32",
+    ),
+    ("planar", 11, 2): (
+        "0c235c402533d90ec42e8f98afe2e571d74f9a9811cf0ef501a65920149c08d2",
+        "90c05c1f47766ed25494f550d5589a6efaf945fb9b9427e9dc1ad8f9249eb543",
+        "dbb6b6a029150f3724e4d5f27acc7fdf00c7269b29cd3439274757d8d54c0bd4",
+    ),
 }
+
+
+def _pinned_set(construction, p, r):
+    if construction == "planar":
+        return planar_set(p, r)
+    return build_alltop_mubs(make_field(p, r))
 
 
 @pytest.mark.parametrize("construction, p, r", list(EXPORT_DIGESTS))
 def test_export_bytes_are_pinned(construction, p, r):
-    if construction == "planar":
-        m = planar_set(p, r)
-    else:
-        m = build_alltop_mubs(make_field(p, r))
+    m = _pinned_set(construction, p, r)
     for fmt, digest in zip(("json", "csv", "float-json"), EXPORT_DIGESTS[construction, p, r]):
         assert hashlib.sha256(export_mubs(m, fmt)).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("construction, p, r", [("planar", 11, 1), ("alltop", 13, 1),
+                                                ("planar", 11, 2)])
+def test_mixed_width_exports_round_trip_canonically(construction, p, r, caplog):
+    caplog.set_level(logging.INFO, logger="planarlab")
+    m = _pinned_set(construction, p, r)
+    js, cs = export_mubs(m, "json"), export_mubs(m, "csv")
+    assert export_mubs(import_mubs(js, "json"), "json") == js
+    back = import_mubs(cs, "csv", field=m.field, construction=construction, poly_text=str(m.poly))
+    assert export_mubs(back, "csv") == cs
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"import json GF({m.field.q}): canonical route",
+        f"import csv GF({m.field.q}): canonical route",
+    ]
 
 
 def test_export_bytes_with_standard_basis_last_are_pinned():
