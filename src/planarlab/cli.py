@@ -226,7 +226,8 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, worker
 
     def write(data: bytes):
         if out_path is None:
-            sys.stdout.write(data.decode())
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
         else:
             with open(out_path, "wb") as fh:
                 fh.write(data)

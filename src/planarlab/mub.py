@@ -322,19 +322,46 @@ def _rows_text(m: MubSet, texts: list[str], end: str, heads: list[list[str]]) ->
     """Each phase basis of m as text: row b of basis k is heads[k][b], then
     texts[e] of each entry e, followed by "," or, on the last one, by `end`.
 
-    The 2p tokens are rendered once; a basis is one gather of tokens into a
-    (q, q + 1) array of cells and one join.
+    The 2p tokens are rendered once; token e + p is e at a row's end.  When
+    they all have one width the bases are byte tables, else joins of cells.
     """
     p, q = m.field.p, m.field.q
-    tok = np.array([t + "," for t in texts] + [t + end for t in texts], dtype=object)
+    tokens = [t + "," for t in texts] + [t + end for t in texts]
     last = np.zeros(q, dtype=np.intp)
     last[-1] = p
-    cells = np.empty((q, q + 1), dtype=object)
+    cells = (m.exponents[k] + last for k in range(q))
+    render = _rows_table if len({len(t) for t in tokens}) == 1 else _rows_join
+    return render(tokens, heads, cells)
+
+
+def _rows_table(tokens: list[str], heads: list[list[str]], cells) -> list[bytes]:
+    """Bases from tokens of one width: each is a uint8 table whose row b holds
+    head b, NUL-padded to the widest head, and the tokens gathered by cells
+    row b.  The padding is dropped at the end; exports are ASCII and never
+    hold a NUL."""
+    tok = np.array(tokens, dtype=np.bytes_)
     out = []
-    for k in range(q):
-        cells[:, 0] = heads[k]
-        cells[:, 1:] = tok[m.exponents[k] + last]
-        out.append("".join(cells.ravel().tolist()).encode())
+    for rows, idx in zip(heads, cells):
+        head = np.array(rows, dtype=np.bytes_)
+        q, w = len(rows), head.itemsize
+        table = np.empty((q, w + q * tok.itemsize), dtype=np.uint8)
+        table[:, :w] = head.view(np.uint8).reshape(q, w)
+        table[:, w:] = tok[idx].view(np.uint8).reshape(q, -1)
+        out.append(table.tobytes().replace(b"\0", b""))
+    return out
+
+
+def _rows_join(tokens: list[str], heads: list[list[str]], cells) -> list[bytes]:
+    """Bases from tokens of mixed widths: each is a (q, q + 1) object array
+    of cells, head b then the tokens gathered by cells row b, and one join."""
+    tok = np.array(tokens, dtype=object)
+    q = len(heads)
+    table = np.empty((q, q + 1), dtype=object)
+    out = []
+    for rows, idx in zip(heads, cells):
+        table[:, 0] = rows
+        table[:, 1:] = tok[idx]
+        out.append("".join(table.ravel().tolist()).encode())
     return out
 
 

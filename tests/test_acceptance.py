@@ -23,7 +23,13 @@ from planarlab.classify import (
 )
 from planarlab.cyclo import char_sum, mag_sq
 from planarlab.field import _is_prime, make_field
-from planarlab.mub import build_alltop_mubs, build_planar_mubs, verify_mub_set
+from planarlab.mub import (
+    build_alltop_mubs,
+    build_planar_mubs,
+    export_mubs,
+    import_mubs,
+    verify_mub_set,
+)
 from planarlab.polyfun import Poly, delta, predicted_delta_degree, shift_scale
 from planarlab.search import (
     FamilySpec,
@@ -391,3 +397,22 @@ def test_criterion_15_low_degree_certificates_at_scale():
             assert alltop == (Q % 3 == 1), (p, r)
             for e in (Q + 2, 2 * Q + 1):
                 assert is_alltop(Poly.monomial(field, e)) == alltop, (p, r, e)
+
+
+def test_criterion_16_gf343_exports_round_trip_at_scale(caplog):
+    # GF(343) is the largest field within MAX_PHASE_ENTRIES whose exponents
+    # are single digits, so its exact exports render as byte tables
+    with criterion(16, "GF(343) planar set round-trips exactly through json and csv", 20.0):
+        field = make_field(7, 3)
+        m = build_planar_mubs(field, Poly.monomial(field, 2))
+        caplog.set_level(logging.INFO, logger="planarlab")
+        for fmt in ("json", "csv"):
+            data = export_mubs(m, fmt)
+            back = import_mubs(data, fmt, field=field)
+            assert np.array_equal(back.exponents, m.exponents), fmt
+            assert export_mubs(back, fmt) == data, fmt
+            del data, back
+        assert [r.getMessage() for r in caplog.records] == [
+            "import json GF(343): canonical route",
+            "import csv GF(343): canonical route",
+        ]

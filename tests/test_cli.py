@@ -12,6 +12,9 @@ from click.testing import CliRunner
 
 from planarlab import binom
 from planarlab.cli import main
+from planarlab.field import make_field
+from planarlab.mub import build_planar_mubs, export_mubs
+from planarlab.polyfun import parse_poly
 
 
 @pytest.fixture
@@ -281,6 +284,19 @@ def test_cmd_mubs_build_verify_export_files(runner, tmp_path):
                     "--out", str(csv_out))
     assert result.exit_code == 0
     assert csv_out.read_text().splitlines()[0].startswith("basis,b,x0")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "float-json"])
+def test_cmd_mubs_build_writes_the_export_bytes_to_stdout(fmt):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarlab", "mubs", "--p", "5", "--r", "2", "--construction",
+         "planar", "--action", "build", "--export-format", fmt],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    field = make_field(5, 2)
+    assert proc.stdout == export_mubs(build_planar_mubs(field, parse_poly("x^2", field)), fmt)
 
 
 def test_cmd_mubs_out_into_missing_directory_exits_2(runner, tmp_path):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from planarlab import mub
 from planarlab.classify import is_planar
 from planarlab.cyclo import mag_sq, phase_inner_counts
 from planarlab.errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
@@ -553,6 +554,57 @@ def test_mixed_width_exports_round_trip_canonically(construction, p, r, caplog):
         f"import json GF({m.field.q}): canonical route",
         f"import csv GF({m.field.q}): canonical route",
     ]
+
+
+# every field whose exponents are single digits, so json and csv tokens
+# have one width
+UNIFORM_WIDTH_FIELDS = [(p, r) for p in (3, 5, 7) for r in range(1, 5) if p**r <= 125]
+
+
+def _shuffled_labels(m, seed):
+    """m imported from a json export whose phase bases are permuted."""
+    obj = json.loads(export_mubs(m, "json"))
+    phase = obj["bases"][1:]
+    order = np.random.default_rng(seed).permutation(len(phase))
+    obj["bases"] = [obj["bases"][0]] + [phase[i] for i in order]
+    back = import_mubs(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", "json")
+    assert back.a == tuple(m.a[i] for i in order)
+    return back
+
+
+@pytest.mark.parametrize("p, r", UNIFORM_WIDTH_FIELDS,
+                         ids=[f"GF({p}^{r})" for p, r in UNIFORM_WIDTH_FIELDS])
+def test_byte_table_renders_as_the_join(p, r, monkeypatch):
+    sets = [planar_set(p, r)] + ([build_alltop_mubs(make_field(p, r))] if p >= 5 else [])
+    q = p**r
+    variants = [v for m in sets for v in (
+        m, dataclasses.replace(m, standard=q // 2), dataclasses.replace(m, standard=q),
+        _shuffled_labels(m, q))]
+    for fmt in ("json", "csv"):
+        fast = [export_mubs(m, fmt) for m in variants]
+        with monkeypatch.context() as patch:
+            patch.setattr(mub, "_rows_table", mub._rows_join)
+            assert [export_mubs(m, fmt) for m in variants] == fast, fmt
+
+
+def _refuse(*args):
+    raise AssertionError("the other renderer was chosen")
+
+
+def test_renderer_is_chosen_by_token_width(monkeypatch):
+    uniform = [planar_set(7, 2), build_alltop_mubs(make_field(5, 2)), planar_set(3, 3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(mub, "_rows_join", _refuse)
+        for m in uniform:
+            export_mubs(m, "json")
+            export_mubs(m, "csv")
+    with monkeypatch.context() as patch:
+        patch.setattr(mub, "_rows_table", _refuse)
+        for m in uniform:
+            export_mubs(m, "float-json")
+        for m in (planar_set(11), build_alltop_mubs(make_field(11, 1))):
+            for fmt in ("json", "csv", "float-json"):
+                export_mubs(m, fmt)
 
 
 def test_export_bytes_with_standard_basis_last_are_pinned():
