@@ -27,14 +27,24 @@ q classes of q histograms, so a set costs O(q^3): 0.08 s at q = 125 and
 such as a corrupted import, takes the generic kernel: one histogram per
 vector pair, O(q^3) per basis pair.  Both kernels judge by cyclo's exact rule.
 
+An export renders 2p tokens once, each exponent's text followed by "," or
+by the row end, and has two renderers.  When every token has the same byte
+width (exact json and csv with p <= 7) a phase basis is one uint8 table:
+the row heads NUL-padded to one width, then the tokens gathered by
+exponent, the padding dropped at the end.  Tokens of mixed widths
+(float-json, exact exports with p >= 11) are gathered into an object array
+of cells and joined, which measured faster for them.  At q = 125 json
+export takes about 0.015 s and csv 0.02 s, against 0.05 s each by the
+join (CPU time, 2-core x86).
+
 An import takes the canonical route first: the body of an exact export is
 cut into its q phase bases, and each basis's runs of ASCII digits are read
 with numpy, its label and q^2 exponents at once.  The set is kept only if
 export_mubs renders it back to the input byte for byte, so an accepted
 import is exact by construction.  Any other input goes to the checked
 parser, which reads every value and raises every import error.  At q = 125
-the canonical route takes about 0.07 s (json) and 0.08 s (csv) against
-0.33 and 0.45 s through the checked parser.
+the canonical route takes about 0.04 s (json) and 0.05 s (csv), its
+re-render included, against 0.33 and 0.45 s through the checked parser.
 """
 
 from __future__ import annotations
