@@ -16,16 +16,23 @@ statement mag_sq = q, orthonormality mag_sq = q^2 on the diagonal and 0 off
 it.  Pairs involving the standard basis are unbiased by construction (every
 entry has modulus 1/sqrt(q)) and are recorded as such, not recomputed.
 
-A phase basis passes the translation certificate when every row b differs
-from row 0 by tr(b * x) plus a constant mod p; both constructions pass it
-(the cubic one with the constant tr(a * b)).  Between two certified bases
-the autocorrelation of vectors u and v is row v - u + s of one table per
-pair class: the difference of the bases' rows 0 less its affine part
-tr(s * x) + c, and whether the two bases are one.  Both constructions have
-q classes of q histograms, so a set costs O(q^3): 0.08 s at q = 125 and
-1.5 s at q = 343 (CPU time, 2-core x86).  A pair with an uncertified basis,
-such as a corrupted import, takes the generic kernel: one histogram per
-vector pair, O(q^3) per basis pair.  Both kernels judge by cyclo's exact rule.
+Phase bases are certified row by row.  Row b of a basis less tr(b * x),
+taken up to a constant, is its normalised row; the largest group of rows
+with one normalised row, ties going to the group of the smallest b, are the
+basis's certified rows, and that row is its reference.  Both constructions
+certify every row (the cubic one with the constants tr(a * b)), and such a
+clean basis costs one O(q^2) check against row 0.  Between certified
+vectors u and v of two bases the autocorrelation is row v - u + s of one
+table per pair class: the difference of the bases' reference rows less its
+affine part tr(s * x) + c, and whether the two bases are one.  Both
+constructions have q classes of q histograms, so a clean set costs O(q^3):
+0.06 s at q = 125 and 1.0 s at q = 343 (CPU time, 2-core x86).  Each
+uncertified vector, such as one with a flipped exponent in a corrupted
+import, takes the generic kernel against every vector of every basis, one
+histogram per vector pair: O(q^3) more per bad vector.  One flipped
+exponent costs 0.09 s at q = 125 and 1.3 s at q = 343, against 1.2 s and
+46 s when its whole basis took the generic kernel.  Both kernels judge by
+cyclo's exact rule.
 
 An export renders 2p tokens once, each exponent's text followed by "," or
 by the row end, and has two renderers.  When every token has the same byte
@@ -203,76 +210,111 @@ class MubVerification:
         }
 
 
-def _judge(q, d, us, vs, same: bool):
+def _judge(q, d, us, vs, same):
     """(is_int, value, want, bad) for autocorrelations d of vectors u of basis
-    i and v of basis j, `same` saying i == j.  The squared magnitude
-    (cyclo.rational_mag_sq) must be q^2 on the within-basis diagonal, 0 off
-    it and q across bases; within a basis only v >= u is judged."""
+    i and v of basis j, `same` saying whether i == j (for all, or for each).
+    The squared magnitude (cyclo.rational_mag_sq) must be q^2 on the
+    within-basis diagonal, 0 off it and q across bases; within a basis only
+    v >= u is judged."""
     is_int, value = cyclo.rational_mag_sq(d)
-    want = np.where(us == vs, q * q, 0) if same else np.full_like(value, q)
-    bad = ~is_int | (value != want)
-    return is_int, value, want, (bad & (vs >= us) if same else bad)
+    want = np.where(same, np.where(us == vs, q * q, 0), q)
+    bad = (~is_int | (value != want)) & np.where(same, vs >= us, True)
+    return is_int, value, want, bad
 
 
-def _violations(q, d, u0, bi, bj):
-    """Report rows of the autocorrelations d[u - u0, v] of vectors u of the
-    basis at position bi and v of the one at bj, in (u, v) order."""
-    same = bi == bj
-    is_int, value, want, bad = _judge(q, d, np.arange(u0, u0 + len(d))[:, None],
-                                      np.arange(q)[None, :], same)
-    kind = "orthonormality" if same else "unbiasedness"
-    i, v = np.nonzero(bad)
-    rows = zip((i + u0).tolist(), v.tolist(), want[i, v].tolist(), is_int[i, v].tolist(),
-               value[i, v].tolist(), d[i, v].tolist())
-    return [MubViolation(kind, bi, u, bj, v, w, ok, val if ok else None, tuple(dd))
-            for u, v, w, ok, val, dd in rows]
+def _violations(q, d, bi, us, bj, vs):
+    """Report rows of the autocorrelations d of vectors us of the bases at
+    positions bi and vectors vs of those at bj, arrays that broadcast to d's
+    leading shape, in that shape's row-major order."""
+    is_int, value, want, bad = _judge(q, d, us, vs, bi == bj)
+    cols = [a[bad].tolist() for a in np.broadcast_arrays(bi, us, bj, vs, bad)[:4]]
+    cols += [a[bad].tolist() for a in (want, is_int, value, d)]
+    return [MubViolation("orthonormality" if i == j else "unbiasedness",
+                         i, u, j, v, w, ok, val if ok else None, tuple(dd))
+            for i, u, j, v, w, ok, val, dd in zip(*cols)]
 
 
-def _pair_violations(p, q, mat_i, mat_j, bi, bj):
-    """Report rows of one basis pair at positions bi <= bj, in (u, v) order.
+def _histograms(p, rows_i, rows_j):
+    """Autocorrelations, p values each, of the phase-difference histograms
+    of rows_j[n] - rows_i[n], for two (n, q) arrays of exponents."""
+    # a difference plus p lies in [1, 2p), so uint16 rows do not wrap: count
+    # 2p bins per pair, then fold
+    keys = (rows_j + p - rows_i) + 2 * p * np.arange(len(rows_i))[:, None]
+    counts = np.bincount(keys.ravel(), minlength=len(rows_i) * 2 * p)
+    return cyclo.autocorrelation(counts.reshape(-1, 2, p).sum(axis=1))
 
-    The generic kernel: one phase-difference histogram per (u, v), O(q^3).
+
+def _pair_violations(m, ks, us, ls, vs):
+    """Report rows of the vector pairs (vector us[n] of phase basis ks[n],
+    vector vs[n] of phase basis ls[n]), ks[n] <= ls[n], in that order.
+
+    The generic kernel: one phase-difference histogram per vector pair, O(q)
+    each, so O(q^3) for all vector pairs of a basis pair.
     """
+    p, q = m.field.p, m.field.q
+    idx = np.array(m.phase_bases())
+    chunk = max(1, _VERIFY_CHUNK // q)
     out = []
-    chunk = max(1, _VERIFY_CHUNK // (q * q))
-    for u0 in range(0, q, chunk):
-        # a difference plus p lies in [1, 2p): count 2p bins per (u, v), then fold
-        keys = mat_j[None, :, :] - mat_i[u0 : u0 + chunk, None, :] + p
-        keys += 2 * p * np.arange(len(keys) * q).reshape(-1, q, 1)
-        counts = np.bincount(keys.ravel(), minlength=len(keys) * q * 2 * p)
-        counts = counts.reshape(-1, q, 2, p).sum(axis=2)
-        out += _violations(q, cyclo.autocorrelation(counts), u0, bi, bj)
+    for n0 in range(0, len(us), chunk):
+        k, u, l, v = (a[n0 : n0 + chunk] for a in (ks, us, ls, vs))
+        d = _histograms(p, m.exponents[k, u], m.exponents[l, v])
+        out += _violations(q, d, idx[k], u, idx[l], v)
     return out
 
 
-def _translation_certified(p, tb, mat):
-    """Whether mat[b, x] - mat[0, x] - tr(b * x) mod p is constant along x
-    for every row b."""
-    rest = (mat - mat[0] - tb) % p
-    return bool((rest == rest[:, :1]).all())
+def _certified_rows(m):
+    """(ref, good): the reference row ref[k] of each phase basis k and the
+    mask good[k] of its certified rows.
+
+    Row b is normalised to row b - tr(b * x), taken up to a constant.  The
+    certified rows are the largest group of rows that agree after that, ties
+    going to the group of the smallest b, and ref[k] is their normalised row.
+    A basis is grouped only when some row disagrees with row 0, so a clean
+    basis costs one O(q^2) check.
+    """
+    p, q = m.field.p, m.field.q
+    tb = m.field.trace_bilinear
+    ref = np.empty((q, q), dtype=np.int64)
+    good = np.ones((q, q), dtype=bool)
+    for k in range(q):
+        mat = m.exponent_matrix(k)
+        rest = (mat - mat[0] - tb) % p  # row b normalised, less row 0
+        if (rest == rest[:, :1]).all():
+            ref[k] = mat[0]
+            continue
+        rest = (rest - rest[:, :1]) % p
+        _, first, group, size = np.unique(rest, axis=0, return_index=True,
+                                          return_inverse=True, return_counts=True)
+        best = np.lexsort((first, -size))[0]  # the largest group, then the smallest b
+        ref[k] = (mat[0] + rest[first[best]]) % p
+        good[k] = group.ravel() == best
+    return ref, good
 
 
-def _verify_pairs(m, pairs):
-    """Report rows of the pairs (k, l, certified) of phase bases k <= l of m.
+def _verify_pairs(m, pairs, ref, good):
+    """(report rows, vector pairs histogrammed) of the pairs (k, l) of phase
+    bases k <= l of m, whose reference rows and certified rows are ref and
+    good (_certified_rows).
 
-    With g the rows 0, a certified pair's D = g_l - g_k is R + tr(s x) + D(0),
-    R vanishing at 0 and at the polynomial basis e_i (encoding p^i).  Vector v
-    of basis l minus vector u of basis k is R + tr((v - u + s) x) plus a
+    A certified row b of basis k is ref[k] + tr(b x) plus a constant.  A
+    pair's D = ref[l] - ref[k] is R + tr(s x) + D(0), R vanishing at 0 and at
+    the polynomial basis e_i (encoding p^i).  Certified vector v of basis l
+    minus certified vector u of basis k is R + tr((v - u + s) x) plus a
     constant, so its autocorrelation is row v - u + s of the table of the
-    class (R, k == l).  A pair is expanded to (u, v) only when its class fails.
+    class (R, k == l).  A vector pair with an uncertified vector takes a
+    direct histogram; the others are expanded only when their class fails.
     """
     fld = m.field
     p, q = fld.p, fld.q
     tb = fld.trace_bilinear
     powers = p ** np.arange(fld.r)  # the encodings of e_i
     s_of = np.argsort(tb[:, powers] @ powers)  # s from (tr(s e_i))_i read in base p
-    g = m.exponents[:, 0, :].astype(np.int64)
     chunk = max(1, _VERIFY_CHUNK // (q * q))
-    fast = sorted((k, l, n) for n, (k, l, certified) in enumerate(pairs) if certified)
     classes, tables, of_pair = {}, [], {}  # key -> class; class -> table when failing
-    for k, group in groupby(fast, key=lambda pair: pair[0]):
+    for k, group in groupby(sorted((k, l, n) for n, (k, l) in enumerate(pairs)),
+                            key=lambda pair: pair[0]):
         group = list(group)
-        d = (g[[l for _, l, _ in group]] - g[k]) % p
+        d = (ref[[l for _, l, _ in group]] - ref[k]) % p
         s = s_of[((d[:, powers] - d[:, :1]) % p) @ powers]
         fresh = []  # (R, k == l) of classes first met here
         for (_, l, n), res, s_kl in zip(group, (d - d[:, :1] - tb[s]) % p, s.tolist()):
@@ -287,42 +329,75 @@ def _verify_pairs(m, pairs):
             keys = (np.stack([res for res, _ in batch])[:, None, :] + tb) % p
             keys += p * np.arange(len(batch) * q).reshape(-1, q, 1)
             counts = np.bincount(keys.ravel(), minlength=len(batch) * q * p)
-            for table, (_, same) in zip(cyclo.autocorrelation(counts.reshape(-1, q, p)), batch):
-                tables.append(table if _judge(q, table, 0, fld.encodings, same)[3].any() else None)
+            found = cyclo.autocorrelation(counts.reshape(-1, q, p))
+            within = np.array([within for _, within in batch])[:, None]
+            failing = _judge(q, found, 0, fld.encodings, within)[3].any(axis=1)
+            tables += [table if fails else None for table, fails in zip(found, failing)]
     delta = fld.sub_vec(fld.encodings[None, :], fld.encodings[:, None])  # v - u
     idx = m.phase_bases()
-    violations = []
-    for n, (k, l, certified) in enumerate(pairs):
-        if not certified:
-            violations += _pair_violations(p, q, m.exponent_matrix(k), m.exponent_matrix(l),
-                                           idx[k], idx[l])
-        elif (table := tables[of_pair[n][0]]) is not None:
-            for u0 in range(0, q, chunk):
-                rows = fld.add_vec(delta[u0 : u0 + chunk], of_pair[n][1])
-                violations += _violations(q, table[rows], u0, idx[k], idx[l])
-    return violations
+    bad = ~good
+    clean = good.all(axis=1).tolist()
+    violations, direct = [], 0
+    pending = []  # (k, l, us, vs): direct vector pairs of passing classes, judged at once
+
+    def flush():
+        if pending:
+            ks, ls, us, vs = zip(*pending)
+            sizes = [len(u) for u in us]
+            violations.extend(_pair_violations(m, np.repeat(ks, sizes), np.concatenate(us),
+                                               np.repeat(ls, sizes), np.concatenate(vs)))
+            pending.clear()
+
+    for n, (k, l) in enumerate(pairs):
+        c, s_kl = of_pair[n]
+        table = tables[c]
+        if clean[k] and clean[l]:
+            if table is None:
+                continue
+            us = ()
+        else:
+            hist = bad[k][:, None] | bad[l]  # the pairs with an uncertified vector
+            us, vs = np.nonzero(np.triu(hist) if k == l else hist)
+            direct += len(us)
+            if table is None:
+                pending.append((k, l, us, vs))
+                continue
+        flush()
+        for u0 in range(0, q, chunk):
+            d = table[fld.add_vec(delta[u0 : u0 + chunk], s_kl)]
+            if len(us):
+                here = (u0 <= us) & (us < u0 + chunk)
+                d[us[here] - u0, vs[here]] = _histograms(p, m.exponents[k, us[here]],
+                                                         m.exponents[l, vs[here]])
+            violations += _violations(q, d, idx[k], np.arange(u0, u0 + len(d))[:, None],
+                                      idx[l], np.arange(q))
+    flush()
+    return violations, direct
 
 
 def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
     """Exact verification: orthonormality within each phase basis and squared
     cross-basis magnitude q for every pair; failures become report content.
 
-    Certified basis pairs are read from their pair classes' tables, all
-    others take the generic kernel, in this process: `workers` is accepted
-    and ignored.  Logs one INFO line on the "planarlab" logger.
+    Each phase basis is certified row by row (_certified_rows).  Pairs of
+    certified vectors are read from their pair classes' tables, O(q^3) for
+    the set; each uncertified vector takes one direct histogram against
+    every vector of every basis, O(q^3) more.  All of it runs in this
+    process: `workers` is accepted and ignored.  Logs one INFO line on the
+    "planarlab" logger: the bases that pass the translation certificate, the
+    uncertified vectors and the vector pairs that took direct histograms.
     """
-    p, q = m.field.p, m.field.q
-    tb = m.field.trace_bilinear
-    certified = {k for k in range(q) if _translation_certified(p, tb, m.exponent_matrix(k))}
+    q = m.field.q
+    ref, good = _certified_rows(m)
     pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
-    pairs = [(k, l, k in certified and l in certified) for k, l in pairs]
-    n_fast = sum(fast for *_, fast in pairs)
+    violations, direct = _verify_pairs(m, pairs, ref, good)
+    report = MubVerification(q, violations)
     _log.info(
         "verify GF(%d): %d of %d phase bases pass the translation certificate; "
-        "%d basis pairs by the certified kernel, %d by the generic kernel",
-        q, len(certified), q, n_fast, len(pairs) - n_fast,
+        "%d of %d phase vectors uncertified, %d of %d vector pairs by direct histograms",
+        q, good.all(axis=1).sum(), q, q * q - good.sum(), q * q, direct, report.pairs_checked,
     )
-    return MubVerification(q, _verify_pairs(m, pairs))
+    return report
 
 
 # -- export / import --------------------------------------------------------

@@ -2,6 +2,7 @@
 and holding its stated runtime budget.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from planarlab.classify import (
 from planarlab.cyclo import char_sum, mag_sq
 from planarlab.field import _is_prime, make_field
 from planarlab.mub import (
+    _pair_violations,
     build_alltop_mubs,
     build_planar_mubs,
     export_mubs,
@@ -416,3 +418,42 @@ def test_criterion_16_gf343_exports_round_trip_at_scale(caplog):
             "import json GF(343): canonical route",
             "import csv GF(343): canonical route",
         ]
+
+
+def _flipped(m, cells):
+    exps = m.exponents.copy()
+    for k, b, x, step in cells:
+        exps[k, b, x] = (int(exps[k, b, x]) + step) % m.field.p
+    return dataclasses.replace(m, exponents=exps)
+
+
+def _generic_violations(m, pairs):
+    """The generic kernel's report rows over every vector pair of `pairs`."""
+    q = m.field.q
+    out = []
+    for k, l in pairs:
+        us, vs = np.nonzero(np.tri(q, dtype=bool).T if k == l else np.ones((q, q), bool))
+        out += _pair_violations(m, np.full_like(us, k), us, np.full_like(vs, l), vs)
+    return out
+
+
+def test_criterion_17_corrupted_sets_verify_by_rows():
+    # the budget times the verifications; the generic kernel checks their
+    # reports afterwards
+    planar = build_planar_mubs(make_field(5, 3), Poly.monomial(make_field(5, 3), 2))
+    bad_rows = ([(100, 17, 3, 1)], [(100, 0, 3, 1), (100, 40, 7, 2), (100, 77, 0, 4)])
+    with criterion(17, "corrupted GF(125) and GF(343) sets verify row by row", 10.0):
+        reports = [verify_mub_set(_flipped(planar, cells)) for cells in bad_rows]
+        alltop = verify_mub_set(_flipped(build_alltop_mubs(make_field(7, 3)), [(200, 17, 5, 3)]))
+    q = 125
+    pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
+    touching = [(k, l) for k, l in pairs if 100 in (k, l)]  # report order
+    for cells, rep in zip(bad_rows, reports):
+        assert rep.violations == _generic_violations(_flipped(planar, cells), touching), cells
+        # each bad vector fails against every vector but itself
+        n = len(cells)
+        assert len(rep.violations) == n * (q * q - 1) - n * (n - 1) // 2
+    q = 343
+    assert len(alltop.violations) == q * q - 1
+    assert all((201, 17) in ((v.basis_i, v.vector_i), (v.basis_j, v.vector_j))
+               for v in alltop.violations)

@@ -569,8 +569,8 @@ def test_verbose_logs_to_stderr_only(runner, args):
     if args[0] == "mubs":
         assert loud.stderr_bytes.decode() == (
             "INFO planarlab: verify GF(25): 25 of 25 phase bases pass the translation "
-            "certificate; 325 basis pairs by the certified kernel, 0 by the generic "
-            "kernel\n"
+            "certificate; 0 of 625 phase vectors uncertified, 0 of 195625 vector pairs "
+            "by direct histograms\n"
         )
     assert invoke(runner, *args).stderr_bytes == b""  # the handler left with -v
 

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarlab import mub
 from planarlab.classify import is_planar
@@ -19,8 +20,8 @@ from planarlab.mub import (
     _canonical_csv,
     _canonical_json,
     _import_checked,
+    _certified_rows,
     _pair_violations,
-    _translation_certified,
     _verify_pairs,
     build_alltop_mubs,
     build_planar_mubs,
@@ -197,14 +198,14 @@ def all_pairs(q):
 
 
 def generic_violations(m, pairs=None):
-    """The report's violations from the generic kernel over every basis pair
-    (or over `pairs`), as tuples in report order."""
-    p, q = m.field.p, m.field.q
-    idx = m.phase_bases()
-    mats = [m.exponent_matrix(k) for k in range(q)]
+    """The report's violations from the generic kernel over every vector pair
+    (v >= u within a basis) of every basis pair (or of `pairs`), as tuples
+    in report order."""
+    q = m.field.q
     out = []
     for k, l in pairs or all_pairs(q):
-        out += _pair_violations(p, q, mats[k], mats[l], idx[k], idx[l])
+        us, vs = np.nonzero(np.tri(q, dtype=bool).T if k == l else np.ones((q, q), bool))
+        out += _pair_violations(m, np.full_like(us, k), us, np.full_like(vs, l), vs)
     return out
 
 
@@ -213,9 +214,8 @@ def report_violations(m, workers=1):
 
 
 def uncertified(m):
-    tb = m.field.trace_bilinear
-    return [k for k in range(m.field.q)
-            if not _translation_certified(m.field.p, tb, m.exponent_matrix(k))]
+    """The phase bases with an uncertified row."""
+    return np.flatnonzero(~_certified_rows(m)[1].all(axis=1)).tolist()
 
 
 # sha256 of each compact canonical report, made by the report objects that
@@ -286,7 +286,7 @@ def test_pair_classes_match_generic_on_shuffled_gf49_x5():
             pairs.append((min(k, l2), max(k, l2)))
     want = generic_violations(m, pairs)
     assert want
-    assert _verify_pairs(m, [(k, l, True) for k, l in pairs]) == want
+    assert _verify_pairs(m, pairs, *_certified_rows(m)) == (want, 0)
 
 
 def test_report_rows_hold_no_tracked_containers():
@@ -389,10 +389,125 @@ def test_verify_logs_the_kernel_split(caplog):
     assert [r.levelno for r in caplog.records] == [logging.INFO] * 2
     assert [r.getMessage() for r in caplog.records] == [
         "verify GF(25): 25 of 25 phase bases pass the translation certificate; "
-        "325 basis pairs by the certified kernel, 0 by the generic kernel",
+        "0 of 625 phase vectors uncertified, 0 of 195625 vector pairs by direct histograms",
+        # vector 1 of basis 3 against each of the 625 vectors, itself once
         "verify GF(25): 24 of 25 phase bases pass the translation certificate; "
-        "300 basis pairs by the certified kernel, 25 by the generic kernel",
+        "1 of 625 phase vectors uncertified, 625 of 195625 vector pairs by direct histograms",
     ]
+
+
+# ---------------------------------------------------------------------------
+# row-level certificates
+# ---------------------------------------------------------------------------
+
+def flipped(m, *cells):
+    """Copy with `step` added to the phase exponent [k, b, x] for each
+    (k, b, x, step) of cells."""
+    exps = m.exponents.copy()
+    for k, b, x, step in cells:
+        exps[k, b, x] = (int(exps[k, b, x]) + step) % m.field.p
+    return dataclasses.replace(m, exponents=exps)
+
+
+def uncertified_rows(m):
+    """{phase basis: its uncertified rows} for the bases that have any."""
+    good = _certified_rows(m)[1]
+    return {k: np.flatnonzero(~rows).tolist() for k, rows in enumerate(good) if not rows.all()}
+
+
+def assert_kernels_agree(m):
+    want = generic_violations(m)
+    assert report_violations(m) == want
+    if m.field.q <= 9:
+        assert want == literal_violations(m)
+
+
+# x^4 + x is not planar over GF(9): its pair classes fail, so bad rows are
+# merged into the rows read from failing tables
+ROW_SETS = {
+    "planar-9": lambda: planar_set(3, 2),
+    "alltop-7": lambda: build_alltop_mubs(make_field(7)),
+    "x4+x-9": lambda: unchecked_planar_set(3, 2, "x^4+x"),
+}
+
+
+@pytest.mark.parametrize("build", ROW_SETS.values(), ids=ROW_SETS)
+def test_several_bad_rows_in_one_basis(build):
+    m = flipped(build(), (4, 1, 0, 1), (4, 5, 2, 2), (4, 6, 0, 1))
+    assert uncertified_rows(m) == {4: [1, 5, 6]}
+    assert_kernels_agree(m)
+
+
+@pytest.mark.parametrize("build", ROW_SETS.values(), ids=ROW_SETS)
+def test_bad_rows_in_two_bases(build):
+    # pair (2, 5) has the bad u = 3 and the bad v = 0 and 4
+    m = flipped(build(), (2, 3, 1, 1), (5, 0, 2, 1), (5, 4, 6, 2))
+    assert uncertified_rows(m) == {2: [3], 5: [0, 4]}
+    assert_kernels_agree(m)
+
+
+@pytest.mark.parametrize("build", ROW_SETS.values(), ids=ROW_SETS)
+def test_a_bad_row_0_leaves_the_other_rows_certified(build):
+    m = flipped(build(), (3, 0, 2, 1))
+    assert uncertified_rows(m) == {3: [0]}
+    assert_kernels_agree(m)
+
+
+@pytest.mark.parametrize("build", ROW_SETS.values(), ids=ROW_SETS)
+def test_a_garbage_basis_certifies_only_its_row_0(build):
+    m = build()
+    q, p = m.field.q, m.field.p
+    exps = m.exponents.copy()
+    exps[2] = np.random.default_rng(5).integers(0, p, (q, q))
+    m = dataclasses.replace(m, exponents=exps)
+    # no two rows agree, so every group has one row and row 0's wins the tie
+    assert uncertified_rows(m) == {2: list(range(1, q))}
+    assert_kernels_agree(m)
+
+
+@pytest.mark.parametrize("moved", [(2, 4, 6, 8), (1, 3, 5, 7)])
+def test_equal_row_groups_go_to_the_smallest_b(moved):
+    # basis 3 of the GF(9) planar set: row 0 moved alone, the rows `moved` by
+    # one common step at x = 1, so rows 1-8 form two groups of four; the group
+    # of row 1 is certified whichever of the two sorts first
+    m = flipped(planar_set(3, 2), (3, 0, 2, 1), *[(3, b, 1, 1) for b in moved])
+    assert uncertified_rows(m) == {3: [0, 2, 4, 6, 8]}
+    assert_kernels_agree(m)
+
+
+@pytest.mark.parametrize("build", [lambda: planar_set(3, 2),
+                                   lambda: build_alltop_mubs(make_field(5, 2))],
+                         ids=["planar-9", "alltop-25"])
+def test_bad_rows_with_standard_basis_last_and_shuffled_labels(build):
+    m = flipped(build(), (6, 2, 3, 1), (6, 0, 0, 2), (1, 8, 7, 1))
+    m = dataclasses.replace(shuffled(m, seed=3), standard=m.field.q)
+    assert m.phase_bases() == list(range(m.field.q))
+    assert sorted(uncertified_rows(m).values()) == [[0, 2], [8]]
+    assert_kernels_agree(m)
+
+
+ROW_FIELDS = [("planar", 7, 1), ("planar", 3, 2), ("planar", 5, 2), ("planar", 3, 3),
+              ("alltop", 7, 1), ("alltop", 5, 2)]
+
+
+@pytest.mark.parametrize("construction, p, r", ROW_FIELDS,
+                         ids=[f"{c}-{p**r}" for c, p, r in ROW_FIELDS])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_seeded_corruptions_match_the_generic_kernel(construction, p, r, data):
+    field = make_field(p, r)
+    m = build_alltop_mubs(field) if construction == "alltop" else planar_set(p, r)
+    q = field.q
+    cell = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1), st.integers(0, q - 1),
+                     st.integers(1, p - 1))
+    m = flipped(m, *data.draw(st.lists(cell, min_size=1, max_size=6)))
+    # the set was clean: only the pairs with an uncertified basis hold violations
+    bad = uncertified_rows(m)
+    pairs = [(k, l) for k, l in all_pairs(q) if k in bad or l in bad]
+    want = generic_violations(m, pairs) if pairs else []
+    assert report_violations(m) == want
+    if q <= 9:
+        assert want == literal_violations(m, pairs)
 
 
 # ---------------------------------------------------------------------------
