@@ -28,6 +28,8 @@ from .field import make_field
 from .polyfun import Poly, format_poly, parse_poly
 
 BUDGET_ENV = "PLANARLAB_BUDGET"
+_workers_option = click.option("--workers", type=int, expose_value=False,
+                               help="accepted and ignored; planarlab runs in one process")
 
 
 def _fail(message: str, code: int = 2):
@@ -175,9 +177,9 @@ def cmd_delta(p, r, poly_text, a_enc, b_enc, fmt):
 @click.option("--budget", type=int, default=None,
               help=f"candidate budget (default {search.DEFAULT_CANDIDATE_BUDGET}, "
                    f"or the {BUDGET_ENV} environment variable)")
-@click.option("--workers", type=int, default=1, show_default=True)
+@_workers_option
 @click.option("--canonical", is_flag=True, help="omit elapsed_ms for byte-stable output")
-def cmd_search(p, r, family, max_deg, mode, budget, workers, canonical):
+def cmd_search(p, r, family, max_deg, mode, budget, canonical):
     """Run an enumeration campaign and print the report as JSON."""
     fld = make_field(p, r)
     fam = search.FamilySpec(family, max_deg)
@@ -186,7 +188,7 @@ def cmd_search(p, r, family, max_deg, mode, budget, workers, canonical):
             budget = int(os.environ[BUDGET_ENV])
         except ValueError:
             _fail(f"{BUDGET_ENV} must be an integer")
-    report = search.run_search(fld, fam, mode, budget=budget, workers=workers)
+    report = search.run_search(fld, fam, mode, budget=budget)
     _emit_json(report.to_json_dict(canonical=canonical))
 
 
@@ -203,10 +205,10 @@ def cmd_search(p, r, family, max_deg, mode, budget, workers, canonical):
               help="output file (default stdout)")
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="existing export to verify or convert")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="accepted and ignored; verification runs in one process")
-@click.option("--canonical", is_flag=True, help="accepted for symmetry; reports carry no timings")
-def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, workers, canonical):
+@_workers_option
+@click.option("--canonical", is_flag=True, expose_value=False,
+              help="accepted for symmetry; reports carry no timings")
+def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path):
     """Build, verify, or convert a complete MUB set."""
     fld = make_field(p, r)
     if construction == "alltop" and pi_text is not None:
@@ -241,7 +243,7 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path, worker
         write(mub.export_mubs(load(in_path), fmt))
         return
     m = load(in_path) if in_path is not None else build()
-    report = mub.verify_mub_set(m, workers=workers)
+    report = mub.verify_mub_set(m)
     _emit_json(report.to_json_dict())
     if not report.passed:
         sys.exit(4)

@@ -375,15 +375,14 @@ def _verify_pairs(m, pairs, ref, good):
     return violations, direct
 
 
-def verify_mub_set(m: MubSet, workers: int = 1) -> MubVerification:
+def verify_mub_set(m: MubSet) -> MubVerification:
     """Exact verification: orthonormality within each phase basis and squared
     cross-basis magnitude q for every pair; failures become report content.
 
     Each phase basis is certified row by row (_certified_rows).  Pairs of
     certified vectors are read from their pair classes' tables, O(q^3) for
     the set; each uncertified vector takes one direct histogram against
-    every vector of every basis, O(q^3) more.  All of it runs in this
-    process: `workers` is accepted and ignored.  Logs one INFO line on the
+    every vector of every basis, O(q^3) more.  Logs one INFO line on the
     "planarlab" logger: the bases that pass the translation certificate, the
     uncertified vectors and the vector pairs that took direct histograms.
     """

@@ -2,11 +2,9 @@
 
 Families are finite and enumerated in a fixed deterministic order (coefficient
 vectors lexicographically by encoding, monomials by ascending degree), so a
-report's hit list is reproducible and identical whether the range is scanned
-serially or split across worker processes.  A worker scans its range with the
-pickled field and family and returns hit indices and texts; a FieldSpec
-unpickles to the worker's own instance of that field, and the report builds
-hit polynomials over the caller's field only when they are read.
+report's hit list is reproducible.  Every campaign runs in the calling
+process; the report keeps hit indices and texts, and builds hit polynomials
+only when they are read.
 
 A scan classifies one candidate per core: the reduced terms left after the
 affine terms (and, for Alltop, the Dembowski-Ostrom terms) are dropped,
@@ -20,9 +18,7 @@ from __future__ import annotations
 
 import functools
 import logging
-import os
 import time
-from concurrent import futures
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -224,21 +220,19 @@ def run_search(
     mode: str,
     *,
     budget: int | None = None,
-    workers: int = 1,
 ) -> SearchReport:
     """Decide every candidate in the family; hits are the mode positives.
 
-    Only the first candidate of each core (see `_core`) in a scanned range
-    is classified; the others take its verdict, which the free terms cannot
-    change.  The budgets still count candidates, and the table-operation
-    estimate is the worst case of classifying every one of them: BudgetExceeded
-    is raised when the family cardinality exceeds the candidate budget, or
-    when q^2 operations per planar candidate (q^3 per alltop candidate)
-    exceed 1000x that budget — with the defaults, 10^7 candidates and 10^10
-    table operations.  At most one worker process per CPU is started; logs
-    one INFO line on the "planarlab" logger with the number of candidates,
-    of classifier calls (one per distinct core in each worker's range) and
-    of hits.
+    Only the first candidate of each core (see `_core`) is classified; the
+    others take its verdict, which the free terms cannot change.  The
+    budgets still count candidates, and the table-operation estimate is the
+    worst case of classifying every one of them: BudgetExceeded is raised
+    when the family cardinality exceeds the candidate budget, or when q^2
+    operations per planar candidate (q^3 per alltop candidate) exceed 1000x
+    that budget — with the defaults, 10^7 candidates and 10^10 table
+    operations.  Logs one INFO line on the "planarlab" logger with the
+    number of candidates, of classifier calls (one per distinct core) and of
+    hits.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -260,23 +254,7 @@ def run_search(
 
     t0 = time.perf_counter()
     scan = _scan_digits if family.kind == "all-reduced" else _scan
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or n < 4 * workers:
-        indices, texts, classified = scan(field, family, mode, 0, n)
-    else:
-        bounds = [n * w // workers for w in range(workers + 1)]
-        indices, texts, classified = [], [], 0
-        with futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            jobs = [
-                ex.submit(scan, field, family, mode, bounds[w], bounds[w + 1])
-                for w in range(workers)
-                if bounds[w] < bounds[w + 1]
-            ]
-            for job in jobs:  # submission order == range order
-                part_indices, part_texts, count = job.result()
-                indices.extend(part_indices)
-                texts.extend(part_texts)
-                classified += count
+    indices, texts, classified = scan(field, family, mode, 0, n)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     label = family.kind
     if family.max_degree is not None:
@@ -297,7 +275,7 @@ def run_search(
 
 
 def verify_char3_no_alltop(
-    field: FieldSpec, family: FamilySpec, *, workers: int = 1
+    field: FieldSpec, family: FamilySpec
 ) -> tuple[bool, SearchReport]:
     """True when an Alltop search over a characteristic-3 field finds nothing.
 
@@ -306,7 +284,7 @@ def verify_char3_no_alltop(
     """
     if field.p != 3:
         raise ValueError("this check is about characteristic-3 fields")
-    report = run_search(field, family, "alltop", workers=workers)
+    report = run_search(field, family, "alltop")
     return (not report.hit_indices, report)
 
 
@@ -389,12 +367,12 @@ def _stripped_degree(f: Poly) -> int | None:
 
 
 def verify_alltop_hits_cubic(
-    field: FieldSpec, family: FamilySpec, *, workers: int = 1
+    field: FieldSpec, family: FamilySpec
 ) -> tuple[bool, CubicScopeReport]:
     """Search the family for Alltop hits and check each for cubic structure."""
     if field.p < 5:
         raise CharacteristicTooSmall("scope check applies to characteristic >= 5")
-    report = run_search(field, family, "alltop", workers=workers)
+    report = run_search(field, family, "alltop")
     scope = CubicScopeReport(search=report, hits_checked=len(report.hit_polys))
     for text, f in zip(report.hit_texts, report.hit_polys):
         issues = []

@@ -1,6 +1,8 @@
+import concurrent.futures
 import errno
 import hashlib
 import json
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from planarlab.cli import main
 from planarlab.field import make_field
 from planarlab.mub import build_planar_mubs, export_mubs
 from planarlab.polyfun import parse_poly
+from planarlab.search import FamilySpec, run_search
 
 
 @pytest.fixture
@@ -746,3 +749,19 @@ def test_search_canonical_stdout_is_pinned(runner, args, digest):
     result = invoke(runner, "search", *args, "--canonical")
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workers", ["2", "64"])
+def test_search_starts_no_process(runner, monkeypatch, workers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("planarlab started a process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    args, digest = PINNED_SEARCH[4]
+    assert args[-2:] == ["--workers", "2"]
+    result = invoke(runner, "search", *args[:-1], workers, "--canonical")
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+    rep = run_search(make_field(5), FamilySpec("all-reduced", 3), "alltop")
+    assert rep.tested == 625 and rep.hit_indices

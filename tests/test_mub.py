@@ -171,27 +171,6 @@ def test_exponents_are_read_only():
         m2.exponents[0, 0, 0] = 1
 
 
-def test_verify_parallel_matches_serial():
-    m = planar_set(7)
-    serial = verify_mub_set(m, workers=1)
-    parallel = verify_mub_set(m, workers=2)
-    assert serial.to_json_dict() == parallel.to_json_dict()
-    mc = corrupt(m)
-    assert (
-        verify_mub_set(mc, workers=1).to_json_dict()
-        == verify_mub_set(mc, workers=2).to_json_dict()
-    )
-
-
-def test_verify_caps_workers_at_the_machine(inline_pool):
-    """Verification runs in the calling process whatever `workers` says."""
-    m = corrupt(planar_set(7))
-    assert verify_mub_set(m, workers=64).to_json_dict() == (
-        verify_mub_set(m, workers=1).to_json_dict()
-    )
-    assert inline_pool == []
-
-
 def all_pairs(q):
     """Every basis pair k <= l in report order: the diagonal pairs first."""
     return [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
@@ -209,8 +188,8 @@ def generic_violations(m, pairs=None):
     return out
 
 
-def report_violations(m, workers=1):
-    return verify_mub_set(m, workers=workers).violations
+def report_violations(m):
+    return verify_mub_set(m).violations
 
 
 def uncertified(m):
@@ -330,10 +309,9 @@ def test_kernels_agree_with_standard_basis_last():
     assert report_violations(m) == want
 
 
-def test_kernels_agree_across_workers(inline_pool):
+def test_kernels_agree_across_workers():
     m = corrupt(unchecked_planar_set(7, 1, "x^3"), k=4, b=2, x=0)
-    assert report_violations(m, workers=2) == report_violations(m) == generic_violations(m)
-    assert inline_pool == []
+    assert report_violations(m) == generic_violations(m)
 
 
 def literal_violations(m, pairs=None):

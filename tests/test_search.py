@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from planarlab import classify, polyfun, search
+from planarlab.cli import main
 from planarlab.classify import is_alltop
 from planarlab.errors import BudgetExceeded, CharacteristicTooSmall
 from planarlab.field import make_field
@@ -260,36 +262,26 @@ def test_one_classification_per_core(monkeypatch, caplog, mode, cores):
         rep = run_search(make_field(5), FamilySpec("all-reduced", 5), mode)
     assert len(calls) == cores
     assert rep.tested == 15625
-    assert [r.getMessage() for r in caplog.records] == [
+    line = (
         f"search GF(5) all-reduced (max degree 5), {mode}: 15625 candidates, "
         f"cores classified: {cores}, hits: {len(rep.hit_indices)}"
-    ]
-
-
-def test_parallel_equals_serial():
-    f5 = make_field(5)
-    fam = FamilySpec("all-reduced", 3)
-    serial = run_search(f5, fam, "alltop", workers=1)
-    parallel = run_search(f5, fam, "alltop", workers=3)
-    assert serial.hit_indices == parallel.hit_indices
-    assert serial.hit_texts == parallel.hit_texts
-    assert serial.to_json_dict(canonical=True) == parallel.to_json_dict(canonical=True)
+    )
+    assert [r.getMessage() for r in caplog.records] == [line]
+    # --workers is accepted and ignored: one process classifies each core once
+    args = ["search", "--p", "5", "--family", "all-reduced", "--max-deg", "5",
+            "--mode", mode, "--canonical"]
+    result = CliRunner().invoke(main, ["-v", *args, "--workers", "2"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == f"INFO planarlab: {line}\n"
+    assert len(calls) == 2 * cores
+    assert CliRunner().invoke(main, [*args, "--workers", "abc"]).exit_code == 2
 
 
 def test_worker_hits_share_the_callers_field():
     field = make_field(5, 2)
-    rep = run_search(field, FamilySpec("all-reduced", 2), "planar", workers=2)
+    rep = run_search(field, FamilySpec("all-reduced", 2), "planar")
     assert len(rep.hit_polys) == 15000
     assert all(f.field is field for f in rep.hit_polys)
-
-
-def test_parallel_caps_workers_at_the_machine(inline_pool):
-    f5 = make_field(5)
-    fam = FamilySpec("all-reduced", 3)
-    serial = run_search(f5, fam, "alltop", workers=1)
-    parallel = run_search(f5, fam, "alltop", workers=64)
-    assert serial.to_json_dict(canonical=True) == parallel.to_json_dict(canonical=True)
-    assert inline_pool == [2]
 
 
 def test_report_json_shape():
