@@ -34,24 +34,19 @@ exponent costs 0.09 s at q = 125 and 1.3 s at q = 343, against 1.2 s and
 46 s when its whole basis took the generic kernel.  Both kernels judge by
 cyclo's exact rule.
 
-An export renders 2p tokens once, each exponent's text followed by "," or
-by the row end, and has two renderers.  When every token has the same byte
-width (exact json and csv with p <= 7) a phase basis is one uint8 table:
-the row heads NUL-padded to one width, then the tokens gathered by
-exponent, the padding dropped at the end.  Tokens of mixed widths
-(float-json, exact exports with p >= 11) are gathered into an object array
-of cells and joined, which measured faster for them.  At q = 125 json
-export takes about 0.015 s and csv 0.02 s, against 0.05 s each by the
-join (CPU time, 2-core x86).
-
-An import takes the canonical route first: the body of an exact export is
-cut into its q phase bases, and each basis's runs of ASCII digits are read
-with numpy, its label and q^2 exponents at once.  The set is kept only if
-export_mubs renders it back to the input byte for byte, so an accepted
-import is exact by construction.  Any other input goes to the checked
-parser, which reads every value and raises every import error.  At q = 125
-the canonical route takes about 0.04 s (json) and 0.05 s (csv), its
-re-render included, against 0.33 and 0.45 s through the checked parser.
+Exports and imports go one phase basis at a time, by one of two routes
+chosen by the exponent texts.  When every exponent is one digit (exact json
+and csv with p <= 7) a basis has a fixed layout: it is rendered by digit
+arithmetic into a uint8 table, each entry's digit and "," written at once
+as one uint16, and read back by position.  Other texts (float-json, exact
+exports with p >= 11) are gathered into cells and joined, and read back as
+runs of ASCII digits.  An import is kept only if the set's export, rendered
+piece by piece, tiles the input byte for byte, so it is exact by
+construction; any other input goes to the checked parser, which reads every
+value and raises every import error.  At q = 125 json export takes about
+0.003 s, csv 0.005 s, and the canonical import 0.004 s (json) and 0.006 s
+(csv), its check included, against 0.33 and 0.45 s through the checked
+parser (CPU time, 2-core x86).
 """
 
 from __future__ import annotations
@@ -59,6 +54,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, groupby
 from typing import NamedTuple
@@ -229,8 +225,9 @@ def _violations(q, d, bi, us, bj, vs):
     is_int, value, want, bad = _judge(q, d, us, vs, bi == bj)
     cols = [a[bad].tolist() for a in np.broadcast_arrays(bi, us, bj, vs, bad)[:4]]
     cols += [a[bad].tolist() for a in (want, is_int, value, d)]
-    return [MubViolation("orthonormality" if i == j else "unbiasedness",
-                         i, u, j, v, w, ok, val if ok else None, tuple(dd))
+    new = tuple.__new__  # the namedtuple's own __new__ costs a Python call a row
+    return [new(MubViolation, ("orthonormality" if i == j else "unbiasedness",
+                               i, u, j, v, w, ok, val if ok else None, tuple(dd)))
             for i, u, j, v, w, ok, val, dd in zip(*cols)]
 
 
@@ -402,82 +399,128 @@ def verify_mub_set(m: MubSet) -> MubVerification:
 # -- export / import --------------------------------------------------------
 
 
-def _rows_text(m: MubSet, texts: list[str], end: str, heads: list[list[str]]) -> list[bytes]:
-    """Each phase basis of m as text: row b of basis k is heads[k][b], then
+def _decimals(p: int) -> list[str]:
+    """The text of each exponent in exact exports."""
+    return [str(e) for e in range(p)]
+
+
+def _one_digit(texts: list[str]) -> bool:
+    """Whether the texts are the one-digit decimals 0, 1, ... (exact exports
+    with p <= 7): every token is then one digit and one separator byte, and
+    each basis has a fixed layout.  The renderer and the canonical reader
+    both choose their route by it."""
+    return "".join(texts) == "0123456789"[: len(texts)]
+
+
+def _head_runs(column: list[str]) -> list[tuple[int, int, np.ndarray]]:
+    """(b0, b1, bytes) of each run of rows b0 <= b < b1 whose heads column[b]
+    have one width; bytes is their (b1 - b0, width) uint8 array."""
+    runs, b0 = [], 0
+    for width, group in groupby(column, key=len):
+        b1 = b0 + len(list(group))
+        heads = np.array(column[b0:b1], dtype=np.bytes_).view(np.uint8).reshape(-1, width)
+        runs.append((b0, b1, heads))
+        b0 = b1
+    return runs
+
+
+def _json_column(q: int) -> list[str]:
+    """The row heads of a json body, which holds the bracket that opens its
+    vector list."""
+    return ["[["] + [",["] * (q - 1)
+
+
+def _csv_column(q: int) -> list[str]:
+    """The row heads of a csv basis after its label: each row's position b."""
+    return [f"{b}," for b in range(q)]
+
+
+def _rows_text(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
+    """Each phase basis of m as bytes, made when its turn comes.  Row b of
+    basis k is prefixes[k], column[b] (heads = (prefixes, column)), then
     texts[e] of each entry e, followed by "," or, on the last one, by `end`.
+    One-digit texts (_one_digit) take the byte table, others the join."""
+    render = _rows_table if _one_digit(texts) else _rows_join
+    return render(m, texts, end, heads)
 
-    The 2p tokens are rendered once; token e + p is e at a row's end.  When
-    they all have one width the bases are byte tables, else joins of cells.
-    """
+
+def _rows_table(m: MubSet, texts: list[str], end: str, heads) -> Iterator[np.ndarray]:
+    """Bases of one-digit texts (_one_digit) by digit arithmetic.  A run of
+    rows whose heads have one width w is a uint8 table of rows of w + 2q
+    bytes: the head, then one byte pair an entry, its digit and ",", written
+    at once as the little-endian uint16 e + 48 + 256 * ord(","), for the
+    text of e is the digit of code e + 48; the last byte of a row becomes
+    `end`.  Nothing is gathered."""
+    q = m.field.q
+    prefixes, column = heads
+    runs = _head_runs(column)
+    pair = ord("0") + 256 * ord(",")
+    size = q * 2 * q + sum(h.size for _, _, h in runs)
+    for k, prefix in enumerate(prefixes):
+        pre = np.frombuffer(prefix.encode(), np.uint8)
+        out = np.empty(size + q * len(pre), dtype=np.uint8)
+        at = 0
+        for b0, b1, h in runs:
+            w = len(pre) + h.shape[1]
+            table = out[at : at + (b1 - b0) * (w + 2 * q)].reshape(b1 - b0, w + 2 * q)
+            table[:, : len(pre)] = pre
+            table[:, len(pre) : w] = h
+            np.add(m.exponents[k, b0:b1], pair, out=table[:, w:].view("<u2"))
+            table[:, -1] = ord(end)
+            at += table.size
+        yield out
+
+
+def _rows_join(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
+    """Bases of texts of mixed widths: each is a (q, q + 2) object array of
+    cells, its prefix, head b and the 2p tokens (text and separator) gathered
+    by exponent, and one join."""
     p, q = m.field.p, m.field.q
-    tokens = [t + "," for t in texts] + [t + end for t in texts]
+    tok = np.array([t + "," for t in texts] + [t + end for t in texts], dtype=object)
     last = np.zeros(q, dtype=np.intp)
-    last[-1] = p
-    cells = (m.exponents[k] + last for k in range(q))
-    render = _rows_table if len({len(t) for t in tokens}) == 1 else _rows_join
-    return render(tokens, heads, cells)
+    last[-1] = p  # token e + p is e at a row's end
+    prefixes, column = heads
+    table = np.empty((q, q + 2), dtype=object)
+    table[:, 1] = column
+    for k, prefix in enumerate(prefixes):
+        table[:, 0] = prefix
+        table[:, 2:] = tok[m.exponents[k] + last]
+        yield "".join(table.ravel().tolist()).encode()
 
 
-def _rows_table(tokens: list[str], heads: list[list[str]], cells) -> list[bytes]:
-    """Bases from tokens of one width: each is a uint8 table whose row b holds
-    head b, NUL-padded to the widest head, and the tokens gathered by cells
-    row b.  The padding is dropped at the end; exports are ASCII and never
-    hold a NUL."""
-    tok = np.array(tokens, dtype=np.bytes_)
-    out = []
-    for rows, idx in zip(heads, cells):
-        head = np.array(rows, dtype=np.bytes_)
-        q, w = len(rows), head.itemsize
-        table = np.empty((q, w + q * tok.itemsize), dtype=np.uint8)
-        table[:, :w] = head.view(np.uint8).reshape(q, w)
-        table[:, w:] = tok[idx].view(np.uint8).reshape(q, -1)
-        out.append(table.tobytes().replace(b"\0", b""))
-    return out
-
-
-def _rows_join(tokens: list[str], heads: list[list[str]], cells) -> list[bytes]:
-    """Bases from tokens of mixed widths: each is a (q, q + 1) object array
-    of cells, head b then the tokens gathered by cells row b, and one join."""
-    tok = np.array(tokens, dtype=object)
-    q = len(heads)
-    table = np.empty((q, q + 1), dtype=object)
-    out = []
-    for rows, idx in zip(heads, cells):
-        table[:, 0] = rows
-        table[:, 1:] = tok[idx]
-        out.append("".join(table.ravel().tolist()).encode())
-    return out
-
-
-def _json_sets(m: MubSet, key: str, bodies: list[bytes], **extra) -> bytes:
-    """The json document: basis k as {"a": a[k], key: [bodies[k]]}, the
-    standard basis at its position, then the header, all keys sorted."""
-    bases = [[b'{"a":%d,"%s":[' % (a, key.encode()), body, b"]}"] for a, body in zip(m.a, bodies)]
-    bases.insert(m.standard, [b'{"standard":true}'])
+def _json_pieces(m: MubSet, key: str, bodies, **extra) -> Iterator[bytes]:
+    """The json document in pieces: basis k as {"a": a[k], key: bodies[k]},
+    the standard basis at its position, then the header, all keys sorted."""
+    q = m.field.q
+    yield b'{"bases":['
+    for k, (a, body) in enumerate(zip(m.a, bodies)):
+        if k == m.standard:
+            yield b'{"standard":true},'
+        yield b'{"a":%d,"%s":' % (a, key.encode())
+        yield body
+        yield b"]}," if k < q - 1 or m.standard == q else b"]}],"
+    if m.standard == q:
+        yield b'{"standard":true}],'
     header = {"field": m.field.to_json_dict(), "construction": m.construction,
               "poly": str(m.poly), **extra}
-    # "bases" sorts before every header key; one join, so the bodies are copied once
-    parts = [b'{"bases":[', *chain.from_iterable(basis + [b","] for basis in bases)]
-    parts[-1] = b"],"  # the comma after the last basis closes the list
-    parts.append(json.dumps(header, sort_keys=True, separators=(",", ":"))[1:].encode() + b"\n")
-    return b"".join(parts)
+    # "bases" sorts before every header key
+    yield json.dumps(header, sort_keys=True, separators=(",", ":"))[1:].encode() + b"\n"
 
 
-def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
-    """Serialize a MubSet: 'json' and 'csv' are exact, 'float-json' is lossy.
+def _pieces(m: MubSet, fmt: str) -> Iterator:
+    """export_mubs(m, fmt) in pieces, each phase basis rendered in its turn.
 
     Each of the p exponents is rendered once: its decimal text for json and
     csv, its compact [re, im] pair for float-json.
     """
     p, q = m.field.p, m.field.q
-    digits = [str(e) for e in range(p)]
     if fmt == "csv":
-        heads = [[f"{a},{b}," for b in range(q)] for a in m.a]
         header = "basis,b," + ",".join(f"x{i}" for i in range(q)) + "\n"
-        return b"".join([header.encode(), *_rows_text(m, digits, "\n", heads)])
-    row_heads = [["["] + [",["] * (q - 1)] * q
+        heads = [f"{a}," for a in m.a], _csv_column(q)
+        return chain([header.encode()], _rows_text(m, _decimals(p), "\n", heads))
+    heads = [""] * q, _json_column(q)
     if fmt == "json":
-        return _json_sets(m, "vectors", _rows_text(m, digits, "]", row_heads))
+        return _json_pieces(m, "vectors", _rows_text(m, _decimals(p), "]", heads))
     if fmt == "float-json":
         amp = 1.0 / math.sqrt(q)
         pairs = [
@@ -485,8 +528,24 @@ def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
                         amp * math.sin(2.0 * math.pi * e / p)], separators=(",", ":"))
             for e in range(p)
         ]
-        return _json_sets(m, "entries", _rows_text(m, pairs, "]", row_heads), lossy=True)
+        return _json_pieces(m, "entries", _rows_text(m, pairs, "]", heads), lossy=True)
     raise ValueError(f"unknown export format {fmt!r}")
+
+
+def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
+    """Serialize a MubSet: 'json' and 'csv' are exact, 'float-json' is lossy."""
+    return b"".join(_pieces(m, fmt))
+
+
+def _tiles(data: bytes, pieces) -> bool:
+    """Whether the pieces, in order, are data byte for byte.  Each is
+    compared in place as it is made, so only one basis is rendered at once."""
+    at = 0
+    for piece in pieces:
+        if not data.startswith(piece, at):
+            return False
+        at += len(piece)
+    return at == len(data)
 
 
 def _json_value(value, kind: type, what: str):
@@ -553,6 +612,102 @@ def _read_bases(chars: np.ndarray, bounds: list[int], field: FieldSpec, lead: in
     return tuple(labels), exps
 
 
+def _body_digits(chars: np.ndarray, at: int, width: int, runs, out: np.ndarray) -> int:
+    """Read into the (q, q) array out the exponents of a one-digit basis laid
+    out as _rows_table renders it at chars[at:], its rows' prefix `width`
+    bytes wide and its heads in runs (_head_runs).  Returns the offset after
+    the basis, or -1 when chars ends first.  A byte that is not a digit
+    reads as 10 or more."""
+    q = len(out)
+    for b0, b1, h in runs:
+        w = width + h.shape[1] + 2 * q
+        end = at + (b1 - b0) * w
+        if end > len(chars):
+            return -1
+        rows = chars[at:end].reshape(b1 - b0, w)
+        np.subtract(rows[:, w - 2 * q :: 2], np.uint8(48), out=out[b0:b1], casting="unsafe")
+        at = end
+    return at
+
+
+def _json_by_position(data: bytes, fld: FieldSpec, at: int):
+    """(labels, exponents, standard) of a one-digit json document whose
+    header starts at `at`, read by position, or None.
+
+    After `{"bases":[` each of the q + 1 bases is followed by one separator
+    byte.  A phase basis is `{"a":`, its label, `,"vectors":`, a body of q
+    rows of 2q + 2 bytes (`[[` or `,[`, then q digits, each followed by
+    `,` or `]`) and `]}`.  Only the labels and digits are read here; the
+    caller compares every byte with the set's rendering.
+    """
+    p, q = fld.p, fld.q
+    chars = np.frombuffer(data, np.uint8, count=at)
+    runs = _head_runs(_json_column(q))
+    labels, standard = [], None
+    exps = np.empty((q, q, q), dtype=np.uint16)
+    pos = len(b'{"bases":[')
+    for n in range(q + 1):
+        if data.startswith(b'{"standard":true}', pos):
+            standard = n
+            pos += len(b'{"standard":true},')
+            continue
+        comma = data.find(b",", pos + 5, pos + 9)  # a label has at most 3 digits
+        if len(labels) == q or comma < 0:
+            return None
+        labels.append(int(data[pos + 5 : comma]))
+        pos = _body_digits(chars, comma + len(b',"vectors":'), 0, runs, exps[len(labels) - 1])
+        if pos < 0:
+            return None
+        pos += len(b"]},")
+    if standard is None or exps.max() >= p:
+        return None
+    return tuple(labels), exps, standard
+
+
+def _json_by_runs(data: bytes, fld: FieldSpec, at: int):
+    """(labels, exponents, standard) of a json document of mixed-width
+    exponents whose header starts at `at`, or None: each phase basis, from
+    its `{"a":` to the next, is read as digit runs, its label, then its q^2
+    exponents."""
+    q = fld.q
+    starts = []
+    at_a = data.find(b'{"a":', 0, at)
+    while at_a >= 0 and len(starts) <= q:
+        starts.append(at_a)
+        at_a = data.find(b'{"a":', at_a + 1, at)
+    standard = data.find(b'{"standard":true}', 0, at)
+    if len(starts) != q or standard < 0:
+        return None
+    bases = _read_bases(np.frombuffer(data, np.uint8), starts + [at], fld, 1, 0)
+    if bases is None:
+        return None
+    return (*bases, sum(s < standard for s in starts))
+
+
+def _csv_by_position(data: bytes, field: FieldSpec):
+    """(labels, exponents) of a one-digit csv document, read by position, or
+    None.  After the header line, line b of basis k is its label, b and 2q
+    bytes: q digits, each followed by "," or the line end.  Only the labels
+    and digits are read here; the caller compares every byte with the set's
+    rendering.
+    """
+    p, q = field.p, field.q
+    chars = np.frombuffer(data, np.uint8)
+    runs = _head_runs(_csv_column(q))
+    labels = []
+    exps = np.empty((q, q, q), dtype=np.uint16)
+    pos = data.find(b"\n") + 1
+    for k in range(q):
+        comma = data.find(b",", pos, pos + 4)  # a label has at most 3 digits
+        if comma < 0:
+            return None
+        labels.append(int(data[pos:comma]))
+        pos = _body_digits(chars, pos, comma + 1 - pos, runs, exps[k])
+        if pos < 0:
+            return None
+    return None if exps.max() >= p else (tuple(labels), exps)
+
+
 def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None):
     """A csv set's construction and polynomial: the planar square unless given."""
     construction = construction or "planar"
@@ -563,9 +718,9 @@ def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None)
 def _canonical_json(data: bytes, field, construction, poly_text) -> MubSet | None:
     """The set of a json document exactly as export_mubs writes it, else None.
 
-    The header after `],"construction":` is read with json; the body of each
-    phase basis, from its `{"a":` to the next, is read as digit runs: its label,
-    then its q^2 exponents.  Only a set that exports to `data` itself is kept.
+    The header after `],"construction":` is read with json, the bases by
+    position (one-digit exponents) or as digit runs.  The set is kept only
+    when its rendering, piece by piece, tiles `data` itself.
     """
     at = data.rfind(b'],"construction":')
     if at < 0:
@@ -579,44 +734,39 @@ def _canonical_json(data: bytes, field, construction, poly_text) -> MubSet | Non
             or poly_text is not None and parse_poly(poly_text, fld) != poly):
         return None
     _check_size(fld)
-    q = fld.q
-    starts = []
-    at_a = data.find(b'{"a":', 0, at)
-    while at_a >= 0 and len(starts) <= q:
-        starts.append(at_a)
-        at_a = data.find(b'{"a":', at_a + 1, at)
-    standard = data.find(b'{"standard":true}', 0, at)
-    if len(starts) != q or standard < 0:
-        return None
-    bases = _read_bases(np.frombuffer(data, np.uint8), starts + [at], fld, 1, 0)
+    read = _json_by_position if _one_digit(_decimals(fld.p)) else _json_by_runs
+    bases = read(data, fld, at)
     if bases is None:
         return None
-    m = MubSet(fld, kind, poly, *bases, sum(s < standard for s in starts))
-    return m if export_mubs(m, "json") == data else None
+    m = MubSet(fld, kind, poly, *bases)
+    return m if _tiles(data, _pieces(m, "json")) else None
 
 
 def _canonical_csv(data: bytes, field, construction, poly_text) -> MubSet | None:
     """The set of a csv document exactly as export_mubs writes it, else None.
 
-    After the header line each phase basis is q lines, read as digit runs:
-    label, position b and q exponents per line.  Only a set that exports to
-    `data` itself is kept.
+    After the header line each phase basis is q lines, read by position
+    (one-digit exponents) or as digit runs.  The set is kept only when its
+    rendering, piece by piece, tiles `data` itself.
     """
     if field is None:
         return None
     _check_size(field)
     q = field.q
     kind, poly = _csv_kind(field, construction, poly_text)
-    chars = np.frombuffer(data, np.uint8)
-    line_ends = np.flatnonzero(chars == ord("\n"))
-    if len(line_ends) != q * q + 1:
-        return None
-    # the header line, then q lines a basis
-    bases = _read_bases(chars, (line_ends[::q] + 1).tolist(), field, 0, 2)
+    if _one_digit(_decimals(field.p)):
+        bases = _csv_by_position(data, field)
+    else:
+        chars = np.frombuffer(data, np.uint8)
+        line_ends = np.flatnonzero(chars == ord("\n"))
+        if len(line_ends) != q * q + 1:  # the header line, then q lines a basis
+            return None
+        # label, position b and q exponents a line
+        bases = _read_bases(chars, (line_ends[::q] + 1).tolist(), field, 0, 2)
     if bases is None:
         return None
     m = MubSet(field, kind, poly, *bases)
-    return m if export_mubs(m, "csv") == data else None
+    return m if _tiles(data, _pieces(m, "csv")) else None
 
 
 def import_mubs(
@@ -638,8 +788,8 @@ def import_mubs(
     a set above the size bound, BudgetExceeded.
 
     Bytes exactly as export_mubs writes them take the canonical route, which
-    keeps a set only when it re-exports to the input; everything else, and
-    every error, comes from the checked parser.  Logs the route taken as one
+    keeps a set only when its export, rendered piece by piece, tiles the
+    input; everything else, and every error, comes from the checked parser.  Logs the route taken as one
     INFO line on the "planarlab" logger.
     """
     m = None

@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -700,6 +701,23 @@ def test_renderer_is_chosen_by_token_width(monkeypatch):
                 export_mubs(m, fmt)
 
 
+def test_reader_is_chosen_by_token_width(monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger="planarlab")
+    uniform = [planar_set(7, 2), build_alltop_mubs(make_field(5, 2)), planar_set(3, 3)]
+    mixed = [planar_set(11), build_alltop_mubs(make_field(13, 1))]
+    for sets, refused in ((uniform, ["_read_bases"]),
+                          (mixed, ["_json_by_position", "_csv_by_position"])):
+        with monkeypatch.context() as patch:
+            for name in refused:
+                patch.setattr(mub, name, _refuse)
+            patch.setattr(mub, "_import_checked", _refuse)
+            for m in sets:
+                _same_set(import_mubs(export_mubs(m, "json"), "json"), m)
+                _same_set(import_mubs(export_mubs(m, "csv"), "csv", field=m.field,
+                                      construction=m.construction, poly_text=str(m.poly)), m)
+    assert {rec.getMessage().split(": ")[1] for rec in caplog.records} == {"canonical route"}
+
+
 def test_export_bytes_with_standard_basis_last_are_pinned():
     obj = _standard_last(planar_set(5, 2))
     data = (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
@@ -901,26 +919,75 @@ def _import_outcome(import_, *args, **kwargs):
         return type(exc)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_one_byte_mutations_import_as_the_checked_parser_does(fmt):
-    m = build_alltop_mubs(make_field(5, 2))
-    data = export_mubs(dataclasses.replace(m, standard=7), fmt)
-    rng = np.random.default_rng(2024)
-    accepted = rejected = 0
+def _exponent_digits(data):
+    """Positions of the one-digit tokens of a one-digit export: exponents,
+    and csv positions b below 10."""
+    return [i for i in range(1, len(data) - 1)
+            if data[i - 1] in b",[" and data[i] in b"0123456789" and data[i + 1] in b",]\n"]
+
+
+def _mutations(data, p, rng):
+    """Edits of a one-digit export: 40 one-byte substitutions, then byte
+    insertions and deletions, digits >= p and two-digit tokens in place of
+    one-digit ones, CRLF line ends and a missing final newline."""
+    alphabet = list(b'0123456789,[]{}" \n-:at')
     for _ in range(40):
         pos = int(rng.integers(len(data)))
-        byte = rng.choice(list(b'0123456789,[]{}" \n-:at'))
-        mutated = data[:pos] + bytes([byte]) + data[pos + 1 :]
-        kwargs = {"field": m.field} if fmt == "csv" else {}
-        got = _import_outcome(import_mubs, mutated, fmt, **kwargs)
-        want = _import_outcome(_import_checked, mutated, fmt, kwargs.get("field"), None, None)
-        if isinstance(want, type):
-            assert got is want, (pos, byte)
-            rejected += 1
-        else:
-            _same_set(got, want)
-            accepted += 1
+        yield data[:pos] + bytes([rng.choice(alphabet)]) + data[pos + 1 :]
+    for _ in range(10):
+        pos = int(rng.integers(len(data) + 1))
+        yield data[:pos] + bytes([rng.choice(alphabet)]) + data[pos:]
+    for _ in range(10):
+        pos = int(rng.integers(len(data)))
+        yield data[:pos] + data[pos + 1 :]
+    digits = _exponent_digits(data)
+    for n in range(12):
+        pos = digits[int(rng.integers(len(digits)))]
+        d = chr(data[pos])
+        token = (str(int(rng.integers(p, 10))), "0" + d, d + d, "1" + d)[n % 4]
+        yield data[:pos] + token.encode() + data[pos + 1 :]
+    yield data.replace(b"\n", b"\r\n")
+    yield data[:-1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_one_byte_mutations_import_as_the_checked_parser_does(fmt):
+    rng = np.random.default_rng(2024)
+    accepted = rejected = 0
+    for m in (build_alltop_mubs(make_field(5, 2)), planar_set(3, 3)):
+        data = export_mubs(dataclasses.replace(m, standard=7), fmt)
+        kwargs = {"field": m.field, "construction": m.construction} if fmt == "csv" else {}
+        for n, mutated in enumerate(_mutations(data, m.field.p, rng)):
+            got = _import_outcome(import_mubs, mutated, fmt, **kwargs)
+            want = _import_outcome(_import_checked, mutated, fmt, kwargs.get("field"),
+                                   kwargs.get("construction"), None)
+            if isinstance(want, type):
+                assert got is want, (n, mutated)
+                rejected += 1
+            else:
+                _same_set(got, want)
+                accepted += 1
     assert accepted and rejected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(field=st.sampled_from(UNIFORM_WIDTH_FIELDS), seed=st.integers(0, 2**32 - 1),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_one_digit_tables_render_as_the_join_and_import_by_position(field, seed, fmt):
+    # arbitrary exponent tables, not a construction's, so every digit can
+    # sit anywhere
+    fld = make_field(*field)
+    q = fld.q
+    rng = np.random.default_rng(seed)
+    m = MubSet(fld, "planar", parse_poly("x^2", fld), tuple(rng.permutation(q).tolist()),
+               rng.integers(0, fld.p, (q, q, q), dtype=np.uint16), int(rng.integers(q + 1)))
+    data = export_mubs(m, fmt)
+    with mock.patch.object(mub, "_rows_table", mub._rows_join):
+        assert export_mubs(m, fmt) == data
+    kwargs = {"field": fld} if fmt == "csv" else {}
+    with mock.patch.object(mub, "_import_checked", _refuse):  # the canonical route only
+        back = import_mubs(data, fmt, **kwargs)
+    _same_set(back, m if fmt == "json" else dataclasses.replace(m, standard=0))
 
 
 def _standard_last(m):
