@@ -34,8 +34,19 @@ and x^3 over GF(2401) in 0.12 s (CPU time, 2-core x86).
 Witness rule.  A passing certificate answers None.  A failing one names the
 smallest failing shift a, which is a point of smallest encoding on its line,
 and the scan runs from that a (`_table_planar_witness`,
-`_table_alltop_witness` with first=a), so the witness is the scan's.  Any f
-of higher digit degree goes to the scan from a = 1.
+`_table_alltop_witness` with first=a), so the witness is the scan's.
+
+Single terms.  Let f be c * x^e plus terms of the mode's free exponents
+(`_free_exponents`: affine terms, and for Alltop Dembowski-Ostrom terms
+too).  Homogeneity, Delta_a x^e(x) = a^e * Delta_1 x^e(x / a), makes every
+shift a behave like a = 1: such an f is planar exactly when its row a = 1
+permutes, and Alltop exactly when Delta_1 f is planar (`_single_term`).
+A positive of higher digit degree, such as the Coulter-Matthews
+x^((3^k+1)/2) over GF(3^r), then costs O(q) reads for planar and O(q^2)
+for Alltop, and a negative fails at a = 1, where the scan names the same
+first witness.  `monomial_verdicts` decides many exponents at once from the
+same facts.  Any other f of higher digit degree goes to the scan from
+a = 1.
 
 One table, `_p_power_exponents` = {p^i: i}, gives the exponent classes: its
 keys are the linearized exponents, and x^e is the quadratic monomial
@@ -58,6 +69,7 @@ from .polyfun import Poly
 
 _FIRST_CHUNK_ENTRIES = 1 << 14
 _CHUNK_ENTRIES = 1 << 20
+_BATCH_ENTRIES = 1 << 16  # difference entries per batch in monomial_verdicts
 
 
 def _row_chunks(start: int, stop: int, q: int):
@@ -269,6 +281,8 @@ def planar_witness(f: Poly) -> tuple[int, int, int] | None:
 
     Digit degree at most 2 goes through `_first_singular_shift`, which
     returns None for a planar f and otherwise the shift the scan starts at.
+    A single-term core (`_single_term`) is planar exactly when its row
+    a = 1 permutes; otherwise the scan names the witness in that row.
     """
     fld = f.field
     t = f.value_table()
@@ -276,6 +290,9 @@ def planar_witness(f: Poly) -> tuple[int, int, int] | None:
     if _digit_degree(f) <= 2:
         first = _first_singular_shift(fld, t)
         if first is None:
+            return None
+    elif _single_term(f, "planar"):
+        if _perm_rows_ok(fld.q, polyfun._table_delta(fld, t, 1)[None]).all():
             return None
     return _table_planar_witness(fld, t, first)
 
@@ -314,7 +331,9 @@ def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
     """None when every difference of f is planar, else the first (a, b, x, x2).
 
     Works entirely on the value table.  Digit degree at most 3 goes through
-    `_first_singular_pair_shift`, any other f through the scan from a = 1.
+    `_first_singular_pair_shift`.  A single-term core is Alltop exactly when
+    its difference at a = 1 is planar; otherwise, like any other f, it goes
+    through the scan from a = 1.
     """
     fld = f.field
     t = f.value_table()
@@ -323,11 +342,66 @@ def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
         first = _first_singular_pair_shift(fld, t)
         if first is None:
             return None
+    elif _single_term(f, "alltop"):
+        d = polyfun._table_delta(fld, t, 1)
+        if (_perm_rows_ok(fld.q, polyfun._table_delta(fld, d, 1)[None]).all()
+                and _table_planar_witness(fld, d, 2) is None):
+            return None
     return _table_alltop_witness(fld, t, first)
 
 
 def is_alltop(f: Poly) -> bool:
     return alltop_witness(f) is None
+
+
+def _single_term(f: Poly, mode: str) -> bool:
+    """Is f one term c * x^e once the mode's free terms are dropped, with e
+    beyond the certificate's digit degree (2 for planar, 3 for Alltop)?"""
+    core = _core(f, _free_exponents(f.field, mode))
+    if len(core) != 1:
+        return False
+    ((e, _),) = core
+    return sum(base_p_digits(e, f.field.p)) > (2 if mode == "planar" else 3)
+
+
+def monomial_verdicts(fld: FieldSpec, exponents, mode: str) -> np.ndarray:
+    """Per exponent e: is x^e planar (mode "planar") or Alltop ("alltop")?
+
+    Homogeneity decides from one difference.  For a != 0,
+    Delta_a x^e(x) = a^e * Delta_1 x^e(x / a) and
+    Delta_b Delta_a x^e(x) = a^e * (Delta_(b/a) Delta_1 x^e)(x / a), so x^e
+    is planar exactly when the row Delta_1 x^e permutes the field, and
+    Alltop exactly when Delta_1 x^e is planar.  Rows are built and checked
+    in batches of at most _BATCH_ENTRIES entries.  In alltop mode the shift
+    b = 1 comes first for every exponent, and only the exponents that pass
+    it go on to the other shifts.
+    """
+    if mode not in ("planar", "alltop"):
+        raise ValueError(f"unknown mode {mode!r}")
+    exps = np.asarray(exponents, dtype=np.int64)
+    q = fld.q
+    x = fld.encodings[:, None]
+
+    def delta_one(es):  # column j is the table of Delta_1 x^(es[j])
+        return polyfun._table_delta(fld, fld.pow_elemwise(x, es), 1)
+
+    ok = np.ones(len(exps), dtype=bool)
+    if mode == "planar":
+        step = max(1, _BATCH_ENTRIES // q)
+        for lo in range(0, len(exps), step):
+            ok[lo : lo + step] = _perm_rows_ok(q, delta_one(exps[lo : lo + step]).T)
+        return ok
+    edges = [1, *range(2, q, max(1, _BATCH_ENTRIES // q)), q]
+    for lo_b, hi_b in zip(edges, edges[1:]):
+        shifts = np.arange(lo_b, hi_b, dtype=np.int32)[:, None]
+        alive = np.flatnonzero(ok)
+        step = max(1, _BATCH_ENTRIES // (len(shifts) * q))
+        for lo in range(0, len(alive), step):
+            sel = alive[lo : lo + step]
+            dd = polyfun._table_delta(fld, delta_one(exps[sel]), shifts)  # [b, x, e]
+            rows = dd.transpose(2, 0, 1).reshape(-1, q)
+            ok[sel] = _perm_rows_ok(q, rows).reshape(len(sel), -1).all(axis=1)
+    return ok
 
 
 def is_do_monomial_planar(p: int, r: int, k: int) -> bool:
@@ -362,6 +436,37 @@ class DODecomposition:
 def _p_power_exponents(fld: FieldSpec) -> dict[int, int]:
     """{p**i: i} for i < r: the reduced exponents of the linearized terms."""
     return {fld.p**i: i for i in range(fld.r)}
+
+
+@functools.lru_cache(maxsize=64)
+def _free_exponents(fld: FieldSpec, mode: str) -> frozenset[int]:
+    """Reduced exponents whose terms cannot change the mode's verdict.
+
+    Adding an affine function (exponents 0 and p^i) preserves planarity; in
+    alltop mode the Dembowski-Ostrom exponents p^i + p^j, whose first
+    differences are affine, are free as well.
+    """
+    powers = _p_power_exponents(fld).keys()
+    free = {0, *powers}
+    if mode == "alltop":
+        free.update(a + b for a in powers for b in powers)
+    return frozenset(free)
+
+
+def _core(f: Poly, free: frozenset[int]) -> frozenset[tuple[int, int]]:
+    """The reduced (exponent, coefficient) terms of f outside the free set.
+
+    Free terms are dropped before any coefficients are combined, and only
+    exponents that collide after reduction cost a field addition.
+    """
+    fld = f.field
+    core: dict[int, int] = {}
+    for e, c in f.terms.items():
+        e = polyfun._reduced_exponent(e, fld.q)
+        if e not in free:
+            prev = core.get(e)
+            core[e] = c if prev is None else fld.add(prev, c)
+    return frozenset(item for item in core.items() if item[1])
 
 
 def do_decompose(g: Poly) -> DODecomposition | None:

@@ -8,8 +8,8 @@ the formal degree, which silent reduction would destroy.
 
 A value table is a read-only int32 array of length q, entry e = f(element
 with encoding e).  `_table_delta` is the one table difference
-T[x + a] - T[x], for one shift or a column of shifts; `delta_table` and the
-planar and Alltop scans in `classify` call it.  `delta` and `shift_scale`
+T[x + a] - T[x], for one shift or a column of shifts; `delta_table`, the
+planar and Alltop scans in `classify` and its monomial sweeps call it.  `delta` and `shift_scale`
 expand each monomial binomially.  Like terms are summed in one place,
 `_combine`, which `+`, `reduce`, `parse_poly`, `delta` and `shift_scale`
 share; it adds coefficients only where an exponent repeats.
@@ -247,7 +247,8 @@ def delta(f: Poly, a) -> Poly:
 
 def _table_delta(fld: FieldSpec, t: np.ndarray, a) -> np.ndarray:
     """T[x + a] - T[x] for the value table t: a row of length q for one
-    shift a, a (k, q) array for a (k, 1) column of shifts."""
+    shift a, a (k, q) array for a (k, 1) column of shifts.  A (q, n) array
+    of n tables gives (q, n) and (k, q, n)."""
     return fld.sub_vec(t[fld.add_vec(a, fld.encodings)], t)
 
 

@@ -6,12 +6,22 @@ report's hit list is reproducible.  Every campaign runs in the calling
 process; the report keeps hit indices and texts, and builds hit polynomials
 only when they are read.
 
-A scan classifies one candidate per core: the reduced terms left after the
-affine terms (and, for Alltop, the Dembowski-Ostrom terms) are dropped,
-which cannot change the verdict.  The all-reduced family is scanned as
-arrays of base-q digits (`_scan_digits`); the O(q) families one candidate at
-a time (`_scan`).  Candidate and table-operation budgets still count every
-candidate.
+Each family is decided from an exact invariance, never by more
+classifications than it needs:
+
+- all-reduced: one candidate per core, the reduced terms left after the
+  affine terms (and, for Alltop, the Dembowski-Ostrom terms) are dropped,
+  which cannot change the verdict; scanned as arrays of base-q digits
+  (`_scan_digits`).
+- monomials and do-monomials: one exponent per Frobenius coset, since
+  x^(pe) = (x^e)^p and Frobenius is an additive bijection, decided by
+  homogeneity from the one row Delta_1 x^e (`classify.monomial_verdicts`).
+- shifted-cubics: f(x + t) is planar or Alltop exactly when f is, so the
+  verdict on x^3 decides every candidate.
+
+`_scan`, which classifies one candidate per core, is the per-candidate
+reference for all of them.  Candidate and table-operation budgets still
+count every candidate.
 """
 
 from __future__ import annotations
@@ -117,36 +127,6 @@ class SearchReport:
         return out
 
 
-def _free_exponents(field: FieldSpec, mode: str) -> frozenset[int]:
-    """Reduced exponents whose terms cannot change the mode's verdict.
-
-    Adding an affine function (exponents 0 and p^i) preserves planarity; in
-    alltop mode the Dembowski-Ostrom exponents p^i + p^j, whose first
-    differences are affine, are free as well.
-    """
-    powers = classify._p_power_exponents(field).keys()
-    free = {0, *powers}
-    if mode == "alltop":
-        free.update(a + b for a in powers for b in powers)
-    return frozenset(free)
-
-
-def _core(f: Poly, free: frozenset[int]) -> frozenset[tuple[int, int]]:
-    """The reduced (exponent, coefficient) terms of f outside the free set.
-
-    Free terms are dropped before any coefficients are combined, and only
-    exponents that collide after reduction cost a field addition.
-    """
-    fld = f.field
-    core: dict[int, int] = {}
-    for e, c in f.terms.items():
-        e = polyfun._reduced_exponent(e, fld.q)
-        if e not in free:
-            prev = core.get(e)
-            core[e] = c if prev is None else fld.add(prev, c)
-    return frozenset(item for item in core.items() if item[1])
-
-
 def _scan(field, family, mode, start, stop):
     """Hit indices and texts in [start, stop) and the number of classifier
     calls.
@@ -155,12 +135,12 @@ def _scan(field, family, mode, start, stop):
     candidate of each core is classified and the rest reuse its verdict.
     """
     predicate = classify.is_planar if mode == "planar" else classify.is_alltop
-    free = _free_exponents(field, mode)
+    free = classify._free_exponents(field, mode)
     verdicts: dict[frozenset, bool] = {}
     hit_indices, hit_texts = [], []
     for idx in range(start, stop):
         f = family.candidate(field, idx)
-        key = _core(f, free)
+        key = classify._core(f, free)
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = predicate(f)
@@ -182,7 +162,7 @@ def _scan_digits(field, family, mode, start, stop):
     """
     predicate = classify.is_planar if mode == "planar" else classify.is_alltop
     q, D = field.q, family.max_degree
-    free = _free_exponents(field, mode)
+    free = classify._free_exponents(field, mode)
     core_rows: dict[int, list[int]] = {}
     for e in range(D + 1):
         red = polyfun._reduced_exponent(e, q)
@@ -214,6 +194,50 @@ def _scan_digits(field, family, mode, start, stop):
     return hit_indices, hit_texts, len(verdicts)
 
 
+def _frobenius_cosets(field: FieldSpec, exps: np.ndarray) -> np.ndarray:
+    """The smallest member of each exponent's cyclotomic coset
+    {e, p*e, p^2*e, ...}, each product taken as a reduced exponent."""
+    rep = cur = exps
+    for _ in range(field.r - 1):
+        cur = (cur * field.p - 1) % (field.q - 1) + 1
+        rep = np.minimum(rep, cur)
+    return rep
+
+
+def _scan_monomials(field, family, mode, start, stop):
+    """`_scan` for the monomials and do-monomials families: one verdict per
+    Frobenius coset of the candidates' exponents, by
+    `classify.monomial_verdicts`; the count is of cosets."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    exps = idx + 2 if family.kind == "monomials" else field.p**idx + 1
+    cosets, inverse = np.unique(_frobenius_cosets(field, exps), return_inverse=True)
+    hit = classify.monomial_verdicts(field, cosets, mode)[inverse]
+    hit_indices = idx[hit].tolist()
+    return hit_indices, [str(family.candidate(field, i)) for i in hit_indices], len(cosets)
+
+
+def _scan_shifted_cubics(field, family, mode, start, stop):
+    """`_scan` for the shifted cubics: x^3 is classified once and its verdict
+    holds for every (x + t)^3.  Hit texts come from the coefficient columns
+    C(3, k) * t^(3 - k), all t at once."""
+    predicate = classify.is_planar if mode == "planar" else classify.is_alltop
+    if not predicate(family.candidate(field, 0)):
+        return [], [], 1
+    ts = field.encodings[start:stop]
+    ks, bs = (a.tolist() for a in binom.expansion(3, field.p))
+    coeffs = np.transpose([field.mul_vec(b, field.pow_vec(ts, 3 - k)) for k, b in zip(ks, bs)])
+    texts = [str(Poly(field, dict(zip(ks, col)))) for col in coeffs.tolist()]
+    return list(range(start, stop)), texts, 1
+
+
+_SCANS = {
+    "all-reduced": _scan_digits,
+    "monomials": _scan_monomials,
+    "do-monomials": _scan_monomials,
+    "shifted-cubics": _scan_shifted_cubics,
+}
+
+
 def run_search(
     field: FieldSpec,
     family: FamilySpec,
@@ -223,16 +247,18 @@ def run_search(
 ) -> SearchReport:
     """Decide every candidate in the family; hits are the mode positives.
 
-    Only the first candidate of each core (see `_core`) is classified; the
-    others take its verdict, which the free terms cannot change.  The
-    budgets still count candidates, and the table-operation estimate is the
-    worst case of classifying every one of them: BudgetExceeded is raised
-    when the family cardinality exceeds the candidate budget, or when q^2
-    operations per planar candidate (q^3 per alltop candidate) exceed 1000x
-    that budget — with the defaults, 10^7 candidates and 10^10 table
+    Each family takes its route from the module docstring: all-reduced
+    classifies one candidate per core (see `classify._core`), the monomial
+    families one exponent per Frobenius coset, and shifted-cubics x^3 alone.
+    The budgets still count candidates, and the table-operation estimate is
+    the worst case of classifying every one of them: BudgetExceeded is
+    raised when the family cardinality exceeds the candidate budget, or when
+    q^2 operations per planar candidate (q^3 per alltop candidate) exceed
+    1000x that budget — with the defaults, 10^7 candidates and 10^10 table
     operations.  Logs one INFO line on the "planarlab" logger with the
-    number of candidates, of classifier calls (one per distinct core) and of
-    hits.
+    number of candidates, of cores classified and of hits; the cores are
+    the distinct cores for all-reduced, the Frobenius cosets for the
+    monomial families, and 1 for shifted-cubics.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -253,8 +279,7 @@ def run_search(
         )
 
     t0 = time.perf_counter()
-    scan = _scan_digits if family.kind == "all-reduced" else _scan
-    indices, texts, classified = scan(field, family, mode, 0, n)
+    indices, texts, classified = _SCANS[family.kind](field, family, mode, 0, n)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     label = family.kind
     if family.max_degree is not None:
@@ -362,7 +387,7 @@ class CubicScopeReport:
 
 def _stripped_degree(f: Poly) -> int | None:
     """Degree of reduce(f) after removing the constant and power-of-p terms."""
-    core = _core(f, _free_exponents(f.field, "planar"))
+    core = classify._core(f, classify._free_exponents(f.field, "planar"))
     return max((e for e, _ in core), default=None)
 
 

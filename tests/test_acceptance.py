@@ -457,3 +457,29 @@ def test_criterion_17_corrupted_sets_verify_by_rows():
     assert len(alltop.violations) == q * q - 1
     assert all((201, 17) in ((v.basis_i, v.vector_i), (v.basis_j, v.vector_j))
                for v in alltop.violations)
+
+
+ORACLE_PRIME_BOUND = 600
+
+
+def test_criterion_18_prime_field_monomial_sweeps():
+    """Over GF(p) every planar function is quadratic (Gluck 1990,
+    Ronyai-Szonyi 1989, Hiramine 1989), so the planar monomial sweep hits x^2
+    alone.  Every Alltop function has planar differences, hence quadratic
+    ones, so it is cubic, and the Alltop sweep hits x^3 alone, except at
+    p = 3, where x^3 = x.  Checked for every prime p <= ORACLE_PRIME_BOUND,
+    a bound whose sweeps take about 1.4 s on a 2-core x86 machine, well
+    inside the budget.  The Alltop sweeps past p = 313 lift the candidate
+    budget: its estimate of (p - 2) * p^3 table operations is the worst case
+    of classifying every exponent by scan.
+    """
+    with criterion(18, f"GF(p) monomial sweeps hit x^2 and x^3 alone, p <= {ORACLE_PRIME_BOUND}",
+                   5.0):
+        primes = [p for p in range(3, ORACLE_PRIME_BOUND + 1) if _is_prime(p)]
+        assert len(primes) == 108
+        for p in primes:
+            field = make_field(p)
+            planar = run_search(field, FamilySpec("monomials"), "planar")
+            assert planar.hit_texts == ["x^2"], p
+            alltop = run_search(field, FamilySpec("monomials"), "alltop", budget=10**9)
+            assert alltop.hit_texts == ([] if p == 3 else ["x^3"]), p

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from planarlab import classify
+from planarlab import classify, polyfun
 from planarlab.classify import (
     DODecomposition,
     additive_witness,
@@ -814,3 +814,114 @@ def test_singular_matches_the_determinant(p):
 ])
 def test_digit_degree_reads_reduced_exponents(text, p, r, degree):
     assert classify._digit_degree(parse_poly(text, make_field(p, r))) == degree
+
+
+# ---------------------------------------------------------------------------
+# monomials by homogeneity, and single-term cores
+# ---------------------------------------------------------------------------
+
+# every field of odd characteristic with q <= 49
+SMALL_FIELDS = [(p, r) for p, r in PLANAR_FIELDS if p**r <= 49]
+
+
+@pytest.mark.parametrize("mode", ["planar", "alltop"])
+@pytest.mark.parametrize("p,r", SMALL_FIELDS)
+def test_monomial_verdicts_match_the_classifiers(p, r, mode):
+    field = make_field(p, r)
+    predicate = is_planar if mode == "planar" else is_alltop
+    exps = np.arange(field.q)
+    want = [predicate(Poly.monomial(field, int(e))) for e in exps]
+    assert classify.monomial_verdicts(field, exps, mode).tolist() == want
+    # formal exponents are the same functions as their reductions
+    formal = exps[1:] + (field.q - 1) * np.arange(1, field.q)
+    assert classify.monomial_verdicts(field, formal, mode).tolist() == want[1:]
+    # x^2 is planar; x^3 is Alltop exactly in characteristic >= 5
+    assert any(want) == (mode == "planar" or p > 3)
+
+
+@pytest.mark.parametrize("mode", ["planar", "alltop"])
+@pytest.mark.parametrize("p,r", [(5, 2), (7, 2), (3, 3)])
+def test_monomial_verdicts_across_batches(monkeypatch, p, r, mode):
+    """Batches of one difference row each give the same verdicts."""
+    field = make_field(p, r)
+    exps = np.arange(1, field.q)
+    want = classify.monomial_verdicts(field, exps, mode)
+    rows_per_batch = []
+    perm_rows_ok = classify._perm_rows_ok
+
+    def recorded(q, rows):
+        rows_per_batch.append(rows.shape[0])
+        return perm_rows_ok(q, rows)
+
+    monkeypatch.setattr(classify, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(classify, "_perm_rows_ok", recorded)
+    assert np.array_equal(classify.monomial_verdicts(field, exps, mode), want)
+    assert set(rows_per_batch) == {1}
+    # planar reads one row per exponent; alltop every shift b only for the
+    # exponents that pass b = 1
+    if mode == "planar":
+        assert len(rows_per_batch) == len(exps)
+    else:
+        assert len(rows_per_batch) < len(exps) * (field.q - 1)
+
+
+def test_monomial_verdicts_reject_an_unknown_mode():
+    with pytest.raises(ValueError):
+        classify.monomial_verdicts(make_field(5), [2, 3], "bijective")
+
+
+@st.composite
+def _single_term_polys(draw, field, mode):
+    """c * x^e beyond the certificate's digit degree, e reduced or formal,
+    plus up to three terms of the mode's free exponents."""
+    bound = 2 if mode == "planar" else 3
+    exps = [e for e in range(1, field.q) if sum(base_p_digits(e, field.p)) > bound]
+    coeffs = st.integers(1, field.q - 1)
+    terms = {draw(st.sampled_from(exps)) + (field.q - 1) * draw(st.integers(0, 2)): draw(coeffs)}
+    for e in draw(st.lists(st.sampled_from(sorted(classify._free_exponents(field, mode))),
+                           max_size=3)):
+        terms[e] = draw(coeffs)
+    return Poly(field, terms)
+
+
+# every field of odd characteristic with 3 < q <= 729
+SINGLE_TERM_FIELDS = [(p, r) for p in range(3, 730) if _is_prime(p)
+                      for r in range(1, 7) if 3 < p**r <= 729]
+
+
+@pytest.mark.parametrize("p,r", SINGLE_TERM_FIELDS)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_single_term_route_matches_the_scan(p, r, data):
+    field = make_field(p, r)
+    for mode, witness, name in [("planar", planar_witness, "_table_planar_witness"),
+                                ("alltop", alltop_witness, "_table_alltop_witness")]:
+        f = data.draw(_single_term_polys(field, mode))
+        assert classify._single_term(f, mode)
+        with pytest.MonkeyPatch.context() as m:
+            scan, calls = _routes(m, name)
+            w = witness(f)
+        assert w == scan(field, f.value_table()), (mode, str(f))
+        # a positive is decided at a = 1 alone, and a negative fails there
+        assert calls == ([] if w is None else [1]) and (w is None or w[0] == 1)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_coulter_matthews_monomials_take_one_row(monkeypatch, r):
+    """x^((3^k + 1)/2) over GF(3^r), k odd in [3, 2r), is planar exactly when
+    gcd(k, r) = 1 (Coulter-Matthews 1997), scaled and with affine terms
+    added; a positive reads no row past a = 1."""
+    field = make_field(3, r)
+    scan, calls = _routes(monkeypatch, "_table_planar_witness")
+    free = Poly(field, {1: 2, 3**(r - 1): 1, 0: 5 % field.q})
+    planar = []
+    for k in range(3, 2 * r, 2):
+        e = polyfun._reduced_exponent((3**k + 1) // 2, field.q)
+        f = Poly.monomial(field, e, 2) + free
+        calls.clear()
+        w = planar_witness(f)
+        assert w == scan(field, f.value_table()), (k, e)
+        assert calls == ([] if w is None else [1])
+        if w is None:
+            planar.append(k)
+    assert planar == [k for k in range(3, 2 * r, 2) if math.gcd(k, r) == 1]

@@ -10,7 +10,7 @@ from planarlab import classify, polyfun, search
 from planarlab.cli import main
 from planarlab.classify import is_alltop
 from planarlab.errors import BudgetExceeded, CharacteristicTooSmall
-from planarlab.field import make_field
+from planarlab.field import _is_prime, make_field
 from planarlab.polyfun import Poly, delta
 from planarlab.search import (
     FamilySpec,
@@ -167,6 +167,8 @@ DIFFERENTIAL_CAMPAIGNS = [
     (5, 2, "all-reduced", 1),
     (7, 2, "monomials", None),
     (7, 2, "shifted-cubics", None),
+    *((p, r, kind, None) for p, r in [(3, 5), (5, 3)]
+      for kind in ("monomials", "do-monomials", "shifted-cubics")),
 ]
 
 
@@ -275,6 +277,96 @@ def test_one_classification_per_core(monkeypatch, caplog, mode, cores):
     assert result.stderr == f"INFO planarlab: {line}\n"
     assert len(calls) == 2 * cores
     assert CliRunner().invoke(main, [*args, "--workers", "abc"]).exit_code == 2
+
+
+# every field of odd characteristic with q <= 49
+SMALL_FIELDS = [(p, r) for p in range(3, 50) if _is_prime(p) for r in range(1, 5) if p**r <= 49]
+
+
+@pytest.mark.parametrize("kind", ["monomials", "do-monomials", "shifted-cubics"])
+@pytest.mark.parametrize("p, r", SMALL_FIELDS)
+def test_sweeps_equal_the_per_candidate_scan(p, r, kind):
+    field = make_field(p, r)
+    fam = FamilySpec(kind)
+    for mode in ("planar", "alltop"):
+        rep = run_search(field, fam, mode)
+        want = search._scan(field, fam, mode, 0, rep.tested)[:2]
+        assert (rep.hit_indices, rep.hit_texts) == want
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 4), (7, 3), (3, 7)])
+def test_frobenius_cosets_are_the_smallest_orbit_members(p, r):
+    field = make_field(p, r)
+    exps = np.arange(1, field.q, dtype=np.int64)
+    want = []
+    for e in exps.tolist():
+        orbit = [e]
+        for _ in range(r - 1):
+            orbit.append(polyfun._reduced_exponent(orbit[-1] * p, field.q))
+        want.append(min(orbit))
+    assert search._frobenius_cosets(field, exps).tolist() == want
+
+
+@pytest.mark.parametrize("kind, mode, exponents, cosets", [
+    # GF(9): exponents 2..8 fall into the cosets {2, 6}, {1, 3}, {4},
+    # {5, 7} and {8}, each classified by its smallest member
+    ("monomials", "planar", list(range(2, 9)), [1, 2, 4, 5, 8]),
+    ("monomials", "alltop", list(range(2, 9)), [1, 2, 4, 5, 8]),
+    # x^2 and x^4 = x^(3 + 1) are their own cosets
+    ("do-monomials", "planar", [2, 4], [2, 4]),
+])
+def test_monomial_sweeps_classify_one_exponent_per_coset(
+        monkeypatch, caplog, kind, mode, exponents, cosets):
+    field = make_field(3, 2)
+    original = classify.monomial_verdicts
+    calls = []
+    monkeypatch.setattr(classify, "monomial_verdicts",
+                        lambda fld, exps, m: calls.append(exps.tolist()) or original(fld, exps, m))
+    with caplog.at_level(logging.INFO, logger="planarlab"):
+        rep = run_search(field, FamilySpec(kind), mode)
+    assert calls == [cosets]
+    assert rep.tested == len(exponents)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"search GF(3^2) {kind}, {mode}: {len(exponents)} candidates, "
+        f"cores classified: {len(cosets)}, hits: {len(rep.hit_indices)}"
+    ]
+
+
+@pytest.mark.parametrize("p, mode, hits", [(7, "alltop", 7), (7, "planar", 0), (3, "alltop", 0)])
+def test_shifted_cubics_classify_x3_once(monkeypatch, caplog, p, mode, hits):
+    name = "is_planar" if mode == "planar" else "is_alltop"
+    original = getattr(classify, name)
+    calls = []
+    monkeypatch.setattr(classify, name, lambda f: calls.append(str(f)) or original(f))
+    with caplog.at_level(logging.INFO, logger="planarlab"):
+        rep = run_search(make_field(p), FamilySpec("shifted-cubics"), mode)
+    assert calls == ["x^3"]
+    assert len(rep.hit_indices) == hits
+    assert caplog.records[-1].getMessage().endswith(f"cores classified: 1, hits: {hits}")
+
+
+def test_alltop_monomial_sweep_memory_is_bounded_by_the_batch(monkeypatch):
+    # every difference row is accepted, so no exponent exits early and the
+    # whole (cosets, q - 1, q) second-difference volume of GF(3^5), 11 MB as
+    # one int32 array, passes through the batches
+    field = make_field(3, 5)
+    entries = []
+
+    def accept(q, rows):
+        entries.append(rows.size)
+        return np.ones(rows.shape[0], dtype=bool)
+
+    monkeypatch.setattr(classify, "_perm_rows_ok", accept)
+    tracemalloc.start()
+    try:
+        rep = run_search(field, FamilySpec("monomials"), "alltop")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.tested == len(rep.hit_indices) == 241
+    assert max(entries) <= classify._BATCH_ENTRIES
+    assert sum(entries) > 2**21
+    assert peak < 3 * 2**20
 
 
 def test_worker_hits_share_the_callers_field():
