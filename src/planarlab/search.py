@@ -20,8 +20,8 @@ classifications than it needs:
   verdict on x^3 decides every candidate.
 
 `_scan`, which classifies one candidate per core, is the per-candidate
-reference for all of them.  Candidate and table-operation budgets still
-count every candidate.
+reference for all of them.  The candidate budget counts every candidate;
+the table-operation budget prices the work of each route (`_route`).
 """
 
 from __future__ import annotations
@@ -157,8 +157,13 @@ def _scan_digits(field, family, mode, start, stop):
     c_(D-j).  Rows whose reduced exponents collide outside the free set are
     summed with `add_vec`, and the merged rows, read as base-q digits, give
     each candidate one int64 key that is equal exactly when the cores are.
-    One member of each key not seen in an earlier chunk is classified; hit
-    texts are joined from per-row tables of formatted terms.
+    One member of each key not seen in an earlier chunk is classified.
+
+    A chunk's hit texts are rendered at once as one byte table: row i is
+    "\\n" followed by, for each j, entry digits[j, i] of column j's token
+    table, whose entry c is " + " + str(c * x^(D-j)) padded with NUL bytes
+    to the column's width, and empty for c = 0.  Its bytes, without the
+    padding and without the " + " after each "\\n", split into the texts.
     """
     predicate = classify.is_planar if mode == "planar" else classify.is_alltop
     q, D = field.q, family.max_degree
@@ -168,7 +173,10 @@ def _scan_digits(field, family, mode, start, stop):
         red = polyfun._reduced_exponent(e, q)
         if red not in free:
             core_rows.setdefault(red, []).append(D - e)
-    tokens = [[str(Poly.monomial(field, D - j, c)) for c in range(q)] for j in range(D + 1)]
+    tokens = [
+        np.array([b""] + [f" + {Poly.monomial(field, D - j, c)}".encode() for c in range(1, q)])
+        for j in range(D + 1)
+    ]
     verdicts: dict[int, bool] = {}
     hit_indices, hit_texts = [], []
     for lo in range(start, stop, _CHUNK_CANDIDATES):
@@ -188,9 +196,14 @@ def _scan_digits(field, family, mode, start, stop):
             if k not in verdicts:
                 verdicts[k] = predicate(family.candidate(field, lo + i))
         hit = np.fromiter((verdicts[k] for k in keys), bool, len(keys))[inverse]
-        for i, row in zip(np.flatnonzero(hit).tolist(), digits[:, hit].T.tolist()):
-            hit_indices.append(lo + i)
-            hit_texts.append(" + ".join(t[c] for t, c in zip(tokens, row) if c) or "0")
+        rows = digits[:, hit]
+        newlines = np.full(rows.shape[1], b"\n")
+        table = np.rec.fromarrays([newlines, *(t[c] for t, c in zip(tokens, rows))])
+        text = table.tobytes().replace(b"\0", b"").replace(b"\n + ", b"\n").decode()
+        hit_indices += (np.flatnonzero(hit) + lo).tolist()
+        hit_texts += text.split("\n")[1:]
+    if hit_indices[:1] == [0]:
+        hit_texts[0] = "0"  # the zero polynomial, the one row without a token
     return hit_indices, hit_texts, len(verdicts)
 
 
@@ -204,15 +217,12 @@ def _frobenius_cosets(field: FieldSpec, exps: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _scan_monomials(field, family, mode, start, stop):
+def _scan_monomials(field, family, mode, cosets, inverse):
     """`_scan` for the monomials and do-monomials families: one verdict per
-    Frobenius coset of the candidates' exponents, by
+    Frobenius coset of the candidates' exponents (`_route`), by
     `classify.monomial_verdicts`; the count is of cosets."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    exps = idx + 2 if family.kind == "monomials" else field.p**idx + 1
-    cosets, inverse = np.unique(_frobenius_cosets(field, exps), return_inverse=True)
     hit = classify.monomial_verdicts(field, cosets, mode)[inverse]
-    hit_indices = idx[hit].tolist()
+    hit_indices = np.flatnonzero(hit).tolist()
     return hit_indices, [str(family.candidate(field, i)) for i in hit_indices], len(cosets)
 
 
@@ -230,12 +240,28 @@ def _scan_shifted_cubics(field, family, mode, start, stop):
     return list(range(start, stop)), texts, 1
 
 
-_SCANS = {
-    "all-reduced": _scan_digits,
-    "monomials": _scan_monomials,
-    "do-monomials": _scan_monomials,
-    "shifted-cubics": _scan_shifted_cubics,
-}
+def _route(field, family, mode, n):
+    """The table operations that deciding the family's n candidates may cost
+    at most, and the call that decides them, which returns the hit indices,
+    the hit texts and the number of cores classified.
+
+    A full scan costs q^2 reads planar and q^3 Alltop: each all-reduced
+    candidate is priced as one, and the shifted cubics as the one of x^3.
+    A monomial coset costs its row Delta_1 x^e of q reads planar, or that
+    row's (q - 1, q) second differences Alltop (`classify.monomial_verdicts`).
+    The cosets are found here, once, and handed to the sweep."""
+    q = field.q
+    per_scan = q ** (2 if mode == "planar" else 3)
+    if family.kind == "all-reduced":
+        return n * per_scan, functools.partial(_scan_digits, field, family, mode, 0, n)
+    if family.kind == "shifted-cubics":
+        return per_scan, functools.partial(_scan_shifted_cubics, field, family, mode, 0, n)
+    idx = np.arange(n, dtype=np.int64)
+    exps = idx + 2 if family.kind == "monomials" else field.p**idx + 1
+    cosets, inverse = np.unique(_frobenius_cosets(field, exps), return_inverse=True)
+    per_coset = q if mode == "planar" else q * (q - 1)
+    sweep = functools.partial(_scan_monomials, field, family, mode, cosets, inverse)
+    return len(cosets) * per_coset, sweep
 
 
 def run_search(
@@ -250,15 +276,16 @@ def run_search(
     Each family takes its route from the module docstring: all-reduced
     classifies one candidate per core (see `classify._core`), the monomial
     families one exponent per Frobenius coset, and shifted-cubics x^3 alone.
-    The budgets still count candidates, and the table-operation estimate is
-    the worst case of classifying every one of them: BudgetExceeded is
-    raised when the family cardinality exceeds the candidate budget, or when
-    q^2 operations per planar candidate (q^3 per alltop candidate) exceed
-    1000x that budget — with the defaults, 10^7 candidates and 10^10 table
-    operations.  Logs one INFO line on the "planarlab" logger with the
-    number of candidates, of cores classified and of hits; the cores are
-    the distinct cores for all-reduced, the Frobenius cosets for the
-    monomial families, and 1 for shifted-cubics.
+    BudgetExceeded is raised when the family cardinality exceeds the
+    candidate budget, or when the route's worst-case table operations
+    (`_route`) exceed 1000x that budget — with the defaults, 10^7 candidates
+    and 10^10 table operations: q^2 per planar all-reduced candidate and q^3
+    per Alltop one; for the monomial families q per planar Frobenius coset
+    and q(q - 1) per Alltop one; for shifted-cubics one candidate's q^2 or
+    q^3.  Logs one INFO line on the "planarlab" logger with the number of
+    candidates, of cores classified and of hits; the cores are the distinct
+    cores for all-reduced, the Frobenius cosets for the monomial families,
+    and 1 for shifted-cubics.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -271,15 +298,13 @@ def run_search(
     n = family.size(field)
     if n > cand_budget:
         raise BudgetExceeded(f"{n} candidates exceed the budget {cand_budget}")
-    per_candidate = field.q ** (2 if mode == "planar" else 3)
-    ops_budget = cand_budget * TABLE_OPS_PER_CANDIDATE
-    if n * per_candidate > ops_budget:
-        raise BudgetExceeded(
-            f"estimated {n * per_candidate} table operations exceed {ops_budget}"
-        )
 
     t0 = time.perf_counter()
-    indices, texts, classified = _SCANS[family.kind](field, family, mode, 0, n)
+    estimate, decide = _route(field, family, mode, n)
+    ops_budget = cand_budget * TABLE_OPS_PER_CANDIDATE
+    if estimate > ops_budget:
+        raise BudgetExceeded(f"estimated {estimate} table operations exceed {ops_budget}")
+    indices, texts, classified = decide()
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
     label = family.kind
     if family.max_degree is not None:

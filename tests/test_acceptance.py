@@ -469,9 +469,7 @@ def test_criterion_18_prime_field_monomial_sweeps():
     ones, so it is cubic, and the Alltop sweep hits x^3 alone, except at
     p = 3, where x^3 = x.  Checked for every prime p <= ORACLE_PRIME_BOUND,
     a bound whose sweeps take about 1.4 s on a 2-core x86 machine, well
-    inside the budget.  The Alltop sweeps past p = 313 lift the candidate
-    budget: its estimate of (p - 2) * p^3 table operations is the worst case
-    of classifying every exponent by scan.
+    inside the budget.
     """
     with criterion(18, f"GF(p) monomial sweeps hit x^2 and x^3 alone, p <= {ORACLE_PRIME_BOUND}",
                    5.0):
@@ -481,5 +479,56 @@ def test_criterion_18_prime_field_monomial_sweeps():
             field = make_field(p)
             planar = run_search(field, FamilySpec("monomials"), "planar")
             assert planar.hit_texts == ["x^2"], p
-            alltop = run_search(field, FamilySpec("monomials"), "alltop", budget=10**9)
+            alltop = run_search(field, FamilySpec("monomials"), "alltop")
             assert alltop.hit_texts == ([] if p == 3 else ["x^3"]), p
+
+
+# the exponents e of every Alltop monomial x^e, 2 <= e <= q - 1, over each
+# field with p >= 5, r >= 2 and q <= 2500
+ALLTOP_MONOMIAL_ATLAS = {
+    (5, 2): [3, 15],
+    (5, 3): [3, 15, 75],
+    (5, 4): [3, 15, 27, 51, 75, 135, 255, 375],
+    (7, 2): [3, 9, 15, 21],
+    (7, 3): [3, 21, 147],
+    (7, 4): [3, 21, 51, 99, 147, 357, 693, 1029],
+    (11, 2): [3, 33],
+    (11, 3): [3, 33, 363],
+    (13, 2): [3, 15, 27, 39],
+    (13, 3): [3, 39, 507],
+    (17, 2): [3, 51],
+    (19, 2): [3, 21, 39, 57],
+    (23, 2): [3, 69],
+    (29, 2): [3, 87],
+    (31, 2): [3, 33, 63, 93],
+    (37, 2): [3, 39, 75, 111],
+    (41, 2): [3, 123],
+    (43, 2): [3, 45, 87, 129],
+    (47, 2): [3, 141],
+}
+
+
+def test_criterion_19_alltop_monomial_atlas():
+    """Every Alltop monomial over the fields with p >= 5, r >= 2 and
+    q <= 2500 lies in the Frobenius orbit of x^3, or, over GF(Q^2) with
+    Q = 1 (mod 3), in that of x^(Q+2), and each of those orbits is all hit.
+
+    The x^(Q+2) family is the one of Hall, Rao and Gagola (IEEE Trans.
+    Commun., 2013), Alltop functions that are not EA-equivalent to x^3;
+    criterion 15 proves the condition Q = 1 (mod 3).  What the sweeps add is
+    that no other monomial is Alltop on these fields: none for r = 3, and
+    none besides the two orbits for r = 2 and 4.  The sweeps take about
+    2.2 s on a 2-core x86 machine.
+    """
+    with criterion(19, "Alltop monomials over GF(p^r), p >= 5, r >= 2, q <= 2500", 10.0):
+        fields = [(p, r) for p in range(5, 50) if _is_prime(p)
+                  for r in range(2, 5) if p**r <= 2500]
+        assert fields == list(ALLTOP_MONOMIAL_ATLAS)
+        for (p, r), exps in ALLTOP_MONOMIAL_ATLAS.items():
+            field = make_field(p, r)
+            report = run_search(field, FamilySpec("monomials"), "alltop")
+            assert report.hit_texts == [f"x^{e}" for e in exps], (p, r)
+            Q = p ** (r // 2)
+            leaders = [3, Q + 2] if r % 2 == 0 and Q % 3 == 1 else [3]
+            orbits = {e * p**k % (field.q - 1) for e in leaders for k in range(r)}
+            assert set(exps) == orbits, (p, r)

@@ -223,7 +223,10 @@ def test_digit_scan_carries_verdicts_across_chunks(monkeypatch, mode):
     assert len(calls) == want[2]  # no class is classified in two chunks
 
 
-@pytest.mark.parametrize("p, r, max_deg", [(3, 2, 2), (5, 1, 3), (3, 1, 4)])
+@pytest.mark.parametrize("p, r, max_deg", [
+    (3, 2, 2), (5, 1, 3), (3, 1, 4), (11, 1, 3),
+    (7, 2, 2),  # tokens from x^2 to 48*x^2, over two chunks
+])
 def test_digit_scan_texts_are_format_poly(monkeypatch, p, r, max_deg):
     # with every candidate a hit, each text (the zero polynomial's too) is
     # checked against str() of the candidate
@@ -235,6 +238,20 @@ def test_digit_scan_texts_are_format_poly(monkeypatch, p, r, max_deg):
     assert indices == list(range(n))
     assert texts == [str(fam.candidate(field, i)) for i in range(n)]
     assert texts[0] == "0"
+    assert not any("\0" in t or "\n" in t for t in texts)
+
+
+def test_digit_scan_renders_chunks_without_hits(monkeypatch):
+    # over GF(5), deg <= 3, the planar candidates are c2*x^2 + c1*x + c0 with
+    # c2 != 0, at the indices divisible by 5 and not by 25: in chunks of 3,
+    # [6, 9) has no hit between [3, 6) and [9, 12)
+    field = make_field(5)
+    fam = FamilySpec("all-reduced", 3)
+    want = search._scan(field, fam, "planar", 0, 625)
+    monkeypatch.setattr(search, "_CHUNK_CANDIDATES", 3)
+    got = search._scan_digits(field, fam, "planar", 0, 625)
+    assert got == want
+    assert got[0][:3] == [5, 10, 15]
 
 
 def test_digit_scan_memory_is_bounded_by_the_chunk():
@@ -250,6 +267,22 @@ def test_digit_scan_memory_is_bounded_by_the_chunk():
         tracemalloc.stop()
     assert classified == 11**3
     assert peak < 32 * 2**20
+
+
+def test_digit_scan_text_buffers_are_bounded_by_the_chunk():
+    # the GF(49) deg <= 2 planar census keeps 115 248 hit texts, about
+    # 12.5 MB with their indices; its chunks' byte tables add about 5 MB
+    # at the peak (17.4 MB measured), one table for all hits about 11 MB
+    field = make_field(7, 2)
+    fam = FamilySpec("all-reduced", 2)
+    tracemalloc.start()
+    try:
+        indices, _, _ = search._scan_digits(field, fam, "planar", 0, fam.size(field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indices) == 115_248
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("mode, cores", [("planar", 125), ("alltop", 25)])
@@ -393,9 +426,13 @@ def test_budget_guards():
         run_search(f343, FamilySpec("all-reduced", 4), "planar")  # 343^5 candidates
     with pytest.raises(BudgetExceeded):
         run_search(f343, FamilySpec("monomials"), "planar", budget=100)
-    with pytest.raises(BudgetExceeded):
-        # 341 candidates * 343^3 table ops > 10^10 under the default budget
-        run_search(f343, FamilySpec("monomials"), "alltop")
+    with pytest.raises(BudgetExceeded, match="^estimated 35852453280 table operations"):
+        # 833 Frobenius cosets * 6561 * 6560 table ops > 10^10 by default
+        run_search(make_field(3, 8), FamilySpec("monomials"), "alltop")
+    # sweeps priced by their cosets, not as a full scan of every candidate
+    assert run_search(f343, FamilySpec("monomials"), "alltop").hit_texts == [
+        "x^3", "x^21", "x^147"]
+    assert run_search(make_field(3, 7), FamilySpec("monomials"), "planar").tested == 2185
 
 
 def test_huge_max_degree_exceeds_budget_at_once():
@@ -413,6 +450,35 @@ def test_all_reduced_budget_boundary_is_exact(p, r, max_deg):
     assert run_search(field, family, "planar", budget=n).tested == n
     with pytest.raises(BudgetExceeded, match=f"^{n} candidates"):
         run_search(field, family, "planar", budget=n - 1)
+
+
+def _frobenius_coset_count(p, r, exps):
+    q = p**r
+    return len({min(polyfun._reduced_exponent(e * p**k, q) for k in range(r)) for e in exps})
+
+
+@pytest.mark.parametrize("p, r, kind, mode", [
+    (1009, 1, "monomials", "planar"),
+    (7, 2, "monomials", "alltop"),
+    (3, 4, "do-monomials", "alltop"),
+    (37, 1, "shifted-cubics", "alltop"),
+    (1009, 1, "shifted-cubics", "planar"),
+])
+def test_route_budget_boundary_is_exact(p, r, kind, mode):
+    # a monomial sweep costs q reads per planar Frobenius coset and q(q - 1)
+    # per Alltop one; the shifted cubics cost one scan of x^3
+    field, family = make_field(p, r), FamilySpec(kind)
+    q, n = field.q, family.size(field)
+    if kind == "shifted-cubics":
+        estimate = q ** (2 if mode == "planar" else 3)
+    else:
+        exps = range(2, q) if kind == "monomials" else [p**k + 1 for k in range(r)]
+        estimate = _frobenius_coset_count(p, r, exps) * (q if mode == "planar" else q * (q - 1))
+    budget = -(-estimate // search.TABLE_OPS_PER_CANDIDATE)
+    assert budget > n  # so the table operations bind, not the candidates
+    assert run_search(field, family, mode, budget=budget).tested == n
+    with pytest.raises(BudgetExceeded, match=f"^estimated {estimate} table operations"):
+        run_search(field, family, mode, budget=budget - 1)
 
 
 def test_invalid_mode():
