@@ -31,22 +31,22 @@ about ((q - 1)/(p - 1))^2 / 2, in any odd characteristic: x^2 over GF(2401)
 in 0.7 ms and x^3 over GF(343) in 1.6 ms against 0.18 s and 0.60 s by scan,
 and x^3 over GF(2401) in 0.12 s (CPU time, 2-core x86).
 
-Witness rule.  A passing certificate answers None.  A failing one names the
-smallest failing shift a, which is a point of smallest encoding on its line,
-and the scan runs from that a (`_table_planar_witness`,
-`_table_alltop_witness` with first=a), so the witness is the scan's.
-
-Single terms.  Let f be c * x^e plus terms of the mode's free exponents
-(`_free_exponents`: affine terms, and for Alltop Dembowski-Ostrom terms
-too).  Homogeneity, Delta_a x^e(x) = a^e * Delta_1 x^e(x / a), makes every
-shift a behave like a = 1: such an f is planar exactly when its row a = 1
-permutes, and Alltop exactly when Delta_1 f is planar (`_single_term`).
-A positive of higher digit degree, such as the Coulter-Matthews
+Routes.  Every witness comes from one scan (`_table_planar_witness`,
+`_table_alltop_witness`) over a range of shifts [first, stop), and a route
+only picks that range (`_witness`).  A passing certificate answers None
+with no scan.  A failing one names the smallest failing shift a, a point
+of smallest encoding on its line, and the scan reads the one row a.  Let
+f be c * x^e plus terms of the mode's free exponents (`_free_exponents`:
+affine terms, and for Alltop Dembowski-Ostrom terms too), with e beyond
+the certificate's digit degree (`_single_term`).  Homogeneity,
+Delta_a x^e(x) = a^e * Delta_1 x^e(x / a), makes every shift a behave like
+a = 1, so the scan reads the one row a = 1: such an f is planar exactly
+when that row permutes, and Alltop exactly when Delta_1 f is planar.  A
+positive of higher digit degree, such as the Coulter-Matthews
 x^((3^k+1)/2) over GF(3^r), then costs O(q) reads for planar and O(q^2)
-for Alltop, and a negative fails at a = 1, where the scan names the same
-first witness.  `monomial_verdicts` decides many exponents at once from the
-same facts.  Any other f of higher digit degree goes to the scan from
-a = 1.
+for Alltop.  Any other f of higher digit degree is scanned over [1, q).
+`monomial_verdicts` decides many exponents at once from the same facts.
+In every case the witness is the first violation of the whole scan.
 
 One table, `_p_power_exponents` = {p^i: i}, gives the exponent classes: its
 keys are the linearized exponents, and x^e is the quadratic monomial
@@ -70,6 +70,7 @@ from .polyfun import Poly
 _FIRST_CHUNK_ENTRIES = 1 << 14
 _CHUNK_ENTRIES = 1 << 20
 _BATCH_ENTRIES = 1 << 16  # difference entries per batch in monomial_verdicts
+_CERTIFIED_DEGREE = {"planar": 2, "alltop": 3}  # the certificates' digit degrees
 
 
 def _row_chunks(start: int, stop: int, q: int):
@@ -149,13 +150,13 @@ def is_additive_function(f: Poly) -> bool:
 
 
 def _table_planar_witness(
-    fld: FieldSpec, t: np.ndarray, first: int = 1
+    fld: FieldSpec, t: np.ndarray, first: int = 1, stop: int | None = None
 ) -> tuple[int, int, int] | None:
     """Planarity of the function given by table t: every difference row with
-    shift a >= first (nonzero) must be a permutation.  Returns the first
-    (a, x, x2)."""
+    shift a in [first, stop) (nonzero; stop defaults to q) must be a
+    permutation.  Returns the first (a, x, x2)."""
     q = fld.q
-    for shifts in _row_chunks(first, q, q):
+    for shifts in _row_chunks(first, q if stop is None else stop, q):
         diff = polyfun._table_delta(fld, t, shifts[:, None])
         ok = _perm_rows_ok(q, diff)
         if not ok.all():
@@ -166,16 +167,17 @@ def _table_planar_witness(
 
 
 def _table_alltop_witness(
-    fld: FieldSpec, t: np.ndarray, first: int = 1
+    fld: FieldSpec, t: np.ndarray, first: int = 1, stop: int | None = None
 ) -> tuple[int, int, int, int] | None:
-    """The Alltop scan of table t from shift a = first: the first (a, b, x, x2).
+    """The Alltop scan of table t over shifts a in [first, stop) (stop
+    defaults to q), each against every b >= a: the first (a, b, x, x2).
 
     The second difference at (a, b) is T[x+a+b] - T[x+b] - T[x+a] + T[x].
     That row is symmetric in a and b, so a failing row (a, b) with b < a
     also fails as row (b, a), which comes first; scanning only b >= a finds
     the same first witness.
     """
-    for a in range(first, fld.q):
+    for a in range(first, fld.q if stop is None else stop):
         w = _table_planar_witness(fld, polyfun._table_delta(fld, t, a), a)
         if w is not None:
             return (a, *w)
@@ -277,24 +279,8 @@ def _first_singular_shift(fld: FieldSpec, t: np.ndarray) -> int | None:
 
 
 def planar_witness(f: Poly) -> tuple[int, int, int] | None:
-    """None when f is planar, else the first (a, x, x2) with a difference collision.
-
-    Digit degree at most 2 goes through `_first_singular_shift`, which
-    returns None for a planar f and otherwise the shift the scan starts at.
-    A single-term core (`_single_term`) is planar exactly when its row
-    a = 1 permutes; otherwise the scan names the witness in that row.
-    """
-    fld = f.field
-    t = f.value_table()
-    first = 1
-    if _digit_degree(f) <= 2:
-        first = _first_singular_shift(fld, t)
-        if first is None:
-            return None
-    elif _single_term(f, "planar"):
-        if _perm_rows_ok(fld.q, polyfun._table_delta(fld, t, 1)[None]).all():
-            return None
-    return _table_planar_witness(fld, t, first)
+    """None when f is planar, else the first (a, x, x2) with a difference collision."""
+    return _witness(f, "planar")
 
 
 def is_planar(f: Poly) -> bool:
@@ -328,26 +314,26 @@ def _first_singular_pair_shift(fld: FieldSpec, t: np.ndarray) -> int | None:
 
 
 def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
-    """None when every difference of f is planar, else the first (a, b, x, x2).
+    """None when every difference of f is planar, else the first (a, b, x, x2)."""
+    return _witness(f, "alltop")
 
-    Works entirely on the value table.  Digit degree at most 3 goes through
-    `_first_singular_pair_shift`.  A single-term core is Alltop exactly when
-    its difference at a = 1 is planar; otherwise, like any other f, it goes
-    through the scan from a = 1.
-    """
+
+def _witness(f: Poly, mode: str):
+    """The mode's witness for f from one scan over the shifts [first, stop)
+    its route picks (module docstring): one row a for a failing certificate
+    at a, the row a = 1 for a single-term core, [1, q) otherwise."""
     fld = f.field
     t = f.value_table()
-    first = 1
-    if _digit_degree(f) <= 3:
-        first = _first_singular_pair_shift(fld, t)
+    planar = mode == "planar"
+    first, stop = 1, fld.q
+    if _digit_degree(f) <= _CERTIFIED_DEGREE[mode]:
+        first = (_first_singular_shift if planar else _first_singular_pair_shift)(fld, t)
         if first is None:
             return None
-    elif _single_term(f, "alltop"):
-        d = polyfun._table_delta(fld, t, 1)
-        if (_perm_rows_ok(fld.q, polyfun._table_delta(fld, d, 1)[None]).all()
-                and _table_planar_witness(fld, d, 2) is None):
-            return None
-    return _table_alltop_witness(fld, t, first)
+        stop = first + 1
+    elif _single_term(f, mode):
+        stop = 2
+    return (_table_planar_witness if planar else _table_alltop_witness)(fld, t, first, stop)
 
 
 def is_alltop(f: Poly) -> bool:
@@ -361,7 +347,7 @@ def _single_term(f: Poly, mode: str) -> bool:
     if len(core) != 1:
         return False
     ((e, _),) = core
-    return sum(base_p_digits(e, f.field.p)) > (2 if mode == "planar" else 3)
+    return sum(base_p_digits(e, f.field.p)) > _CERTIFIED_DEGREE[mode]
 
 
 def monomial_verdicts(fld: FieldSpec, exponents, mode: str) -> np.ndarray:

@@ -113,8 +113,6 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
 
 
 def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
-    if r == 1:
-        return (0, 1)
     for enc in range(p**r):
         cand = base_p_digits(enc, p, r) + [1]
         if _is_irreducible(cand, p):
@@ -493,7 +491,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.field.r, self.enc))
+        return hash(self.enc)  # equal to the int it compares equal to
 
     def _coerce(self, other) -> int:
         return self.field.enc_of(other)

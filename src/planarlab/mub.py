@@ -709,7 +709,9 @@ def _csv_by_position(data: bytes, field: FieldSpec):
 
 
 def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None):
-    """A csv set's construction and polynomial: the planar square unless given."""
+    """A csv set's construction and polynomial, which csv does not record:
+    planar unless given, and x^2 for planar or x^3 for alltop unless
+    poly_text is given."""
     construction = construction or "planar"
     poly = parse_poly(poly_text or ("x^3" if construction == "alltop" else "x^2"), field)
     return construction, poly
@@ -780,7 +782,8 @@ def import_mubs(
     """Rebuild a MubSet from an exact export (json or csv).
 
     csv carries no field header, so `field` is required for it; construction
-    and generating polynomial default to the planar square when absent.  A
+    defaults to planar and the generating polynomial to x^2, or to x^3 for
+    an alltop construction, when absent (`_csv_kind`).  A
     json file must match `field` (FieldMismatch), `construction` and
     `poly_text` (ValueError) when they are given.  Values of the wrong type,
     count or shape, basis labels that are not q distinct elements of [0, q)

@@ -226,18 +226,18 @@ def _scan_monomials(field, family, mode, cosets, inverse):
     return hit_indices, [str(family.candidate(field, i)) for i in hit_indices], len(cosets)
 
 
-def _scan_shifted_cubics(field, family, mode, start, stop):
+def _scan_shifted_cubics(field, family, mode):
     """`_scan` for the shifted cubics: x^3 is classified once and its verdict
     holds for every (x + t)^3.  Hit texts come from the coefficient columns
     C(3, k) * t^(3 - k), all t at once."""
     predicate = classify.is_planar if mode == "planar" else classify.is_alltop
     if not predicate(family.candidate(field, 0)):
         return [], [], 1
-    ts = field.encodings[start:stop]
+    ts = field.encodings
     ks, bs = (a.tolist() for a in binom.expansion(3, field.p))
     coeffs = np.transpose([field.mul_vec(b, field.pow_vec(ts, 3 - k)) for k, b in zip(ks, bs)])
     texts = [str(Poly(field, dict(zip(ks, col)))) for col in coeffs.tolist()]
-    return list(range(start, stop)), texts, 1
+    return list(range(field.q)), texts, 1
 
 
 def _route(field, family, mode, n):
@@ -255,7 +255,7 @@ def _route(field, family, mode, n):
     if family.kind == "all-reduced":
         return n * per_scan, functools.partial(_scan_digits, field, family, mode, 0, n)
     if family.kind == "shifted-cubics":
-        return per_scan, functools.partial(_scan_shifted_cubics, field, family, mode, 0, n)
+        return per_scan, functools.partial(_scan_shifted_cubics, field, family, mode)
     idx = np.arange(n, dtype=np.int64)
     exps = idx + 2 if family.kind == "monomials" else field.p**idx + 1
     cosets, inverse = np.unique(_frobenius_cosets(field, exps), return_inverse=True)

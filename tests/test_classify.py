@@ -640,13 +640,14 @@ def _low_degree_polys(draw, field, degree):
 
 
 def _routes(monkeypatch, name):
-    """Record the `first` of every call of classify.<name>, the scan."""
+    """Record the shift range (first, stop) of every call of classify.<name>,
+    the scan."""
     calls = []
     scan = getattr(classify, name)
 
-    def recorded(fld, t, first=1):
-        calls.append(first)
-        return scan(fld, t, first)
+    def recorded(fld, t, first=1, stop=None):
+        calls.append((first, fld.q if stop is None else stop))
+        return scan(fld, t, first, stop)
 
     monkeypatch.setattr(classify, name, recorded)
     return scan, calls
@@ -669,8 +670,8 @@ def test_planar_certificate_matches_the_scan(p, r, data):
         scan, calls = _routes(m, "_table_planar_witness")
         w = planar_witness(f)
     assert w == scan(field, f.value_table()), str(f)
-    # the certificate decides: no scan for a planar f, one from its a otherwise
-    assert calls == ([] if w is None else [w[0]])
+    # the certificate decides: no scan for a planar f, else one of the row a
+    assert calls == ([] if w is None else [(w[0], w[0] + 1)])
 
 
 @pytest.mark.parametrize("p,r", ALLTOP_FIELDS)
@@ -684,7 +685,7 @@ def test_alltop_certificate_matches_the_scan(p, r, data):
         scan, calls = _routes(m, "_table_alltop_witness")
         w = alltop_witness(f)
     assert w == scan(field, f.value_table()), str(f)
-    assert calls == ([] if w is None else [w[0]])
+    assert calls == ([] if w is None else [(w[0], w[0] + 1)])
 
 
 @pytest.mark.parametrize("p,r", [(p, r) for p, r in PLANAR_FIELDS if r > 1])
@@ -722,7 +723,12 @@ def test_cubic_monomials_and_shifted_cubics_match_the_scan(p, r):
 def test_planar_first_failing_shift_above_one(text, p, r, witness):
     field = make_field(p, r)
     f = parse_poly(text, field)
-    assert planar_witness(f) == classify._table_planar_witness(field, f.value_table()) == witness
+    scan = classify._table_planar_witness
+    assert planar_witness(f) == scan(field, f.value_table()) == witness
+    # the scan reads the shifts [first, stop) and no others
+    a = witness[0]
+    assert scan(field, f.value_table(), 1, a) is None
+    assert scan(field, f.value_table(), a, a + 1) == witness
 
 
 @pytest.mark.parametrize("text,p,r,witness", [
@@ -733,7 +739,11 @@ def test_planar_first_failing_shift_above_one(text, p, r, witness):
 def test_alltop_first_failing_shift_above_one(text, p, r, witness):
     field = make_field(p, r)
     f = parse_poly(text, field)
-    assert alltop_witness(f) == classify._table_alltop_witness(field, f.value_table()) == witness
+    scan = classify._table_alltop_witness
+    assert alltop_witness(f) == scan(field, f.value_table()) == witness
+    a = witness[0]
+    assert scan(field, f.value_table(), 1, a) is None
+    assert scan(field, f.value_table(), a, a + 1) == witness
 
 
 def test_alltop_certificate_early_exit_across_chunks(monkeypatch):
@@ -758,6 +768,8 @@ def test_alltop_certificate_gf343_cubic():
 @pytest.mark.parametrize("text,p,r", [
     ("x^4", 5, 1), ("x^3 + x^2", 7, 1), ("x^5 + 3*x", 3, 2), ("x^8", 3, 2),
     ("x^12 + x^2", 5, 2), ("2*x^24 + x^6", 5, 2),
+    # the x^3 terms cancel: digit degree 3, but the core is x^6 alone
+    ("x^3 + 4*x^27 + x^6", 5, 2),
 ])
 def test_out_of_scope_takes_the_planar_scan(monkeypatch, text, p, r):
     field = make_field(p, r)
@@ -770,7 +782,10 @@ def test_out_of_scope_takes_the_planar_scan(monkeypatch, text, p, r):
     monkeypatch.setattr(classify, "_first_singular_shift", refuse)
     scan, calls = _routes(monkeypatch, "_table_planar_witness")
     assert planar_witness(f) == scan(field, f.value_table())
-    assert calls == [1]
+    # a single-term core is scanned at a = 1 alone, anything else over [1, q)
+    single = text in ("x^4", "x^5 + 3*x", "x^8")
+    assert classify._single_term(f, "planar") == single
+    assert calls == [(1, 2 if single else field.q)]
 
 
 @pytest.mark.parametrize("text,p,r", [
@@ -787,7 +802,9 @@ def test_out_of_scope_takes_the_alltop_scan(monkeypatch, text, p, r):
     monkeypatch.setattr(classify, "_first_singular_pair_shift", refuse)
     scan, calls = _routes(monkeypatch, "_table_alltop_witness")
     assert alltop_witness(f) == scan(field, f.value_table())
-    assert calls == [1]
+    single = text in ("x^4", "x^8")
+    assert classify._single_term(f, "alltop") == single
+    assert calls == [(1, 2 if single else field.q)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
@@ -902,15 +919,17 @@ def test_single_term_route_matches_the_scan(p, r, data):
             scan, calls = _routes(m, name)
             w = witness(f)
         assert w == scan(field, f.value_table()), (mode, str(f))
-        # a positive is decided at a = 1 alone, and a negative fails there
-        assert calls == ([] if w is None else [1]) and (w is None or w[0] == 1)
+        # one scan of the row a = 1 decides, and a negative fails there
+        assert calls == [(1, 2)] and (w is None or w[0] == 1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_coulter_matthews_monomials_take_one_row(monkeypatch, r):
     """x^((3^k + 1)/2) over GF(3^r), k odd in [3, 2r), is planar exactly when
     gcd(k, r) = 1 (Coulter-Matthews 1997), scaled and with affine terms
-    added; a positive reads no row past a = 1."""
+    added.  One scan of the row a = 1 decides each, except k = 2r - 1: that
+    exponent reduces to 2 * 3^(r - 1), a Frobenius twin of x^2, which the
+    certificate decides with no scan."""
     field = make_field(3, r)
     scan, calls = _routes(monkeypatch, "_table_planar_witness")
     free = Poly(field, {1: 2, 3**(r - 1): 1, 0: 5 % field.q})
@@ -921,7 +940,7 @@ def test_coulter_matthews_monomials_take_one_row(monkeypatch, r):
         calls.clear()
         w = planar_witness(f)
         assert w == scan(field, f.value_table()), (k, e)
-        assert calls == ([] if w is None else [1])
+        assert calls == ([] if k == 2 * r - 1 else [(1, 2)])
         if w is None:
             planar.append(k)
     assert planar == [k for k in range(3, 2 * r, 2) if math.gcd(k, r) == 1]

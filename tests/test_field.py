@@ -491,3 +491,17 @@ def test_element_misc():
     assert (a / a).enc == 1
     assert isinstance(a.inverse(), FieldElement)
     assert repr(a) == "F9(4)"
+
+
+def test_element_hash_agrees_with_equality():
+    """Elements and the ints they equal are one key in a dict or a set, and
+    elements of different fields with one encoding stay distinct."""
+    f, g = make_field(5, 2), make_field(7, 2)
+    assert f.element(3) == 3 and hash(f.element(3)) == hash(3)
+    assert {3: "v"}[f.element(3)] == "v"
+    assert {f.element(3): "v"}[3] == "v"
+    assert f.element(3) in {3} and 3 in {f.element(3)}
+    assert len({3, f.element(3), f.element(3)}) == 1
+    assert f.element(3) != g.element(3)
+    assert len({f.element(3), g.element(3)}) == 2
+    assert {e: e.enc for e in f}.keys() == set(range(f.q))

@@ -892,6 +892,21 @@ def test_canonical_and_checked_imports_agree(n, p, r):
     _same_set(fast, m)
 
 
+@pytest.mark.parametrize("construction, default", [(None, "x^2"), ("alltop", "x^3")])
+def test_csv_defaults_through_both_routes(construction, default):
+    """csv records no construction or polynomial: planar unless given, and
+    x^2 for planar or x^3 for alltop unless poly_text is given."""
+    field = make_field(7)
+    m = planar_set(7) if construction is None else build_alltop_mubs(field)
+    data = export_mubs(m, "csv")
+    for back in (_canonical_csv(data, field, construction, None),
+                 _import_checked(data, "csv", field, construction, None),
+                 import_mubs(data, "csv", field=field, construction=construction)):
+        assert back.construction == m.construction == (construction or "planar")
+        assert back.poly == m.poly == parse_poly(default, field)
+        _same_set(back, dataclasses.replace(m, standard=0))
+
+
 def test_import_logs_the_route(caplog):
     caplog.set_level(logging.INFO, logger="planarlab")
     m = planar_set(5, 2)
