@@ -15,6 +15,7 @@ with an ``error:`` line, never a traceback.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -226,21 +227,23 @@ def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path):
         return mub.import_mubs(data, in_fmt, field=fld, construction=construction,
                                poly_text=pi_text)
 
-    def write(data: bytes):
+    def write(m):
+        """Export m piece by piece, each written as it is rendered, so only
+        one phase basis is held at once."""
         if out_path is None:
             sys.stdout.flush()
-            sys.stdout.buffer.write(data)
-        else:
-            with open(out_path, "wb") as fh:
-                fh.write(data)
+        with (open(out_path, "wb") if out_path is not None
+              else contextlib.nullcontext(sys.stdout.buffer)) as fh:
+            for piece in mub._pieces(m, fmt):
+                fh.write(piece)  # one write a piece: click's CliRunner captures no writelines
 
     if action == "build":
-        write(mub.export_mubs(build(), fmt))
+        write(build())
         return
     if action == "export":
         if in_path is None:
             _fail("--action export needs --in")
-        write(mub.export_mubs(load(in_path), fmt))
+        write(load(in_path))
         return
     m = load(in_path) if in_path is not None else build()
     report = mub.verify_mub_set(m)

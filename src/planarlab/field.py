@@ -29,6 +29,7 @@ lookups.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -122,44 +123,33 @@ def _canonical_modulus(p: int, r: int) -> tuple[int, ...]:
 
 def _generator_powers(p: int, r: int, modulus: tuple[int, ...]) -> list[int]:
     """Encodings of g**0, ..., g**(q-2) for the smallest-encoding generator g
-    of GF(q)*: each candidate's powers are walked until they return to 1, and
-    the first candidate that needs q - 1 steps is a generator.  Candidates in
-    the cycle of an earlier candidate lie in a proper subgroup and are skipped."""
+    of GF(q)*.  Multiplication by a candidate g is one table over all
+    encodings: their digit vectors times sum(g_i * C**i) mod p, where C is
+    the companion matrix of the modulus (multiplication by x).  Each
+    candidate's powers are followed through its table from 1 until they
+    return to 1, and the first candidate that needs q - 1 steps is a
+    generator.  Candidates in the cycle of an earlier candidate lie in a
+    proper subgroup and are skipped."""
     q = p**r
-    if r == 1:  # residues: the walk multiplies integers
-        seen: set[int] = set()
-        for g in range(2, p):
-            if g in seen:
-                continue
-            powers = [1]
-            cur = g
-            while cur != 1:
-                powers.append(cur)
-                cur = cur * g % p
-            if len(powers) == p - 1:
-                return powers
-            seen.update(powers)
-        raise AssertionError(f"GF({p})* has no generator")  # pragma: no cover
-    weights = [p**i for i in range(r)]
-    mod = list(modulus)
-    seen = set()
+    weights = p ** np.arange(r, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // weights % p  # row e: e's coefficients
+    companion = np.eye(r, k=-1, dtype=np.int64)
+    companion[:, -1] = np.negative(modulus[:r]) % p
+    x_powers = [np.eye(r, dtype=np.int64)]  # C**0, ..., C**(r-1)
+    for _ in range(r - 1):
+        x_powers.append(companion @ x_powers[-1] % p)
+    seen: set[int] = set()
     for g in range(2, q):
         if g in seen:
             continue
-        gd = base_p_digits(g, p, r)
-        cur = base_p_digits(1, p, r)
+        times_g = sum(c * xp for c, xp in zip(digits[g].tolist(), x_powers)) % p
+        table = (digits @ times_g.T % p @ weights).tolist()
         powers = [1]
-        for _ in range(q - 2):
-            prod = [0] * (2 * r - 1)
-            for i, c in enumerate(cur):
-                for j, d in enumerate(gd):
-                    prod[i + j] += c * d
-            cur = [c % p for c in _poly_rem(prod, mod, p)]
-            enc = sum(c * w for c, w in zip(cur, weights))
-            if enc == 1:
-                break
-            powers.append(enc)
-        else:
+        cur = table[1]
+        while cur != 1:
+            powers.append(cur)
+            cur = table[cur]
+        if len(powers) == q - 1:
             return powers
         seen.update(powers)
     raise AssertionError(f"GF({q})* has no generator")  # pragma: no cover
@@ -246,7 +236,7 @@ class FieldSpec:
             if x.field != self:
                 raise FieldMismatch(f"element of {x.field} used in {self}")
             return x.enc
-        enc = int(x)
+        enc = operator.index(x)  # ints, np.integer and 0-d int arrays; never floats
         if not 0 <= enc < self.q:
             raise ValueError(f"encoding {enc} outside [0, {self.q})")
         return enc

@@ -34,16 +34,18 @@ exponent costs 0.09 s at q = 125 and 1.3 s at q = 343, against 1.2 s and
 46 s when its whole basis took the generic kernel.  Both kernels judge by
 cyclo's exact rule.
 
-Exports and imports go one phase basis at a time, by one of two routes
-chosen by the exponent texts.  When every exponent is one digit (exact json
-and csv with p <= 7) a basis has a fixed layout: it is rendered by digit
-arithmetic into a uint8 table, each entry's digit and "," written at once
-as one uint16, and read back by position.  Other texts (float-json, exact
-exports with p >= 11) are gathered into cells and joined, and read back as
-runs of ASCII digits.  An import is kept only if the set's export, rendered
-piece by piece, tiles the input byte for byte, so it is exact by
-construction; any other input goes to the checked parser, which reads every
-value and raises every import error.  At q = 125 json export takes about
+Exports go one phase basis at a time.  When every exponent is one digit
+(exact json and csv with p <= 7) a basis has a fixed layout and is rendered
+by digit arithmetic into a uint8 table, each entry's digit and "," written
+at once as one uint16; other texts (float-json, exact exports with p >= 11)
+are gathered into cells and joined.  An import walks its format once, one
+basis at a time: each label is read where the layout puts it, and each body
+by position when its exponents are one digit, else as its runs of ASCII
+digits, a json body's up to its closing "]]" and a csv basis's over its q
+lines.  An import is kept only if the set's export, rendered piece by
+piece, tiles the input byte for byte, so it is exact by construction; any
+other input goes to the checked parser, which reads every value and raises
+every import error.  At q = 125 json export takes about
 0.003 s, csv 0.005 s, and the canonical import 0.004 s (json) and 0.006 s
 (csv), its check included, against 0.33 and 0.45 s through the checked
 parser (CPU time, 2-core x86).
@@ -574,42 +576,24 @@ def _exponent_array(rows: list[list[int]], p: int, q: int) -> np.ndarray:
     return exps.reshape(q, q)
 
 
-def _digit_runs(chars: np.ndarray) -> np.ndarray | None:
-    """The values of the runs of ASCII digits in the uint8 array chars, in
-    order, or None when a run is longer than three digits.  The first digit
-    of every run is read at once, the second and third where runs have them."""
+def _runs_body(chars: np.ndarray, heads: int, out: np.ndarray) -> bool:
+    """Read into the (q, q) array out the exponents of a basis body, the
+    uint8 array chars, as its runs of ASCII digits: q rows of `heads` runs
+    and then q exponents.  False when the count of runs is not that or a run
+    is longer than three digits.  The first digit of every run is read at
+    once, the second and third where runs have them."""
+    q = len(out)
     digit = chars - np.uint8(48)  # wraps: every other byte becomes 10 or more
     edges = np.flatnonzero(np.diff(digit < 10, prepend=False, append=False))
     starts, lengths = edges[::2], edges[1::2] - edges[::2]
-    if lengths.size and lengths.max() > 3:
-        return None
+    if len(starts) != q * (q + heads) or lengths.max() > 3:
+        return False
     values = digit[starts].astype(np.int32)
     for j in (1, 2):
         more = lengths > j
         values[more] = values[more] * 10 + digit[starts[more] + j]
-    return values
-
-
-def _read_bases(chars: np.ndarray, bounds: list[int], field: FieldSpec, lead: int, heads: int):
-    """(labels, exponents) of the q phase bases chars[bounds[k]:bounds[k + 1]],
-    or None when they do not hold exponents in [0, p) in the expected shape.
-
-    A basis is `lead` digit runs, then q rows of `heads` runs and q exponents;
-    its first run is its label.  Only one basis is tokenised at a time.
-    """
-    p, q = field.p, field.q
-    labels = []
-    exps = np.empty((q, q, q), dtype=np.uint16)
-    for k in range(q):
-        runs = _digit_runs(chars[bounds[k] : bounds[k + 1]])
-        if runs is None or len(runs) != lead + q * (q + heads):
-            return None
-        rows = runs[lead:].reshape(q, q + heads)[:, heads:]
-        if rows.max() >= p:
-            return None
-        labels.append(int(runs[0]))
-        exps[k] = rows
-    return tuple(labels), exps
+    out[:] = values.reshape(q, q + heads)[:, heads:]
+    return True
 
 
 def _body_digits(chars: np.ndarray, at: int, width: int, runs, out: np.ndarray) -> int:
@@ -630,19 +614,21 @@ def _body_digits(chars: np.ndarray, at: int, width: int, runs, out: np.ndarray) 
     return at
 
 
-def _json_by_position(data: bytes, fld: FieldSpec, at: int):
-    """(labels, exponents, standard) of a one-digit json document whose
-    header starts at `at`, read by position, or None.
+def _json_bases(data: bytes, fld: FieldSpec, at: int):
+    """(labels, exponents, standard) of a json document whose header starts
+    at `at`, walked by position, or None.
 
     After `{"bases":[` each of the q + 1 bases is followed by one separator
     byte.  A phase basis is `{"a":`, its label, `,"vectors":`, a body of q
-    rows of 2q + 2 bytes (`[[` or `,[`, then q digits, each followed by
-    `,` or `]`) and `]}`.  Only the labels and digits are read here; the
-    caller compares every byte with the set's rendering.
+    rows (`[[` or `,[`, then q exponents, each followed by `,` or `]`) and
+    `]}`.  A one-digit body (_one_digit) has rows of 2q + 2 bytes and is
+    read by _body_digits; any other is read as its digit runs up to its
+    closing `]]`.  Only the labels and exponents are read here; the caller
+    compares every byte with the set's rendering.
     """
     p, q = fld.p, fld.q
     chars = np.frombuffer(data, np.uint8, count=at)
-    runs = _head_runs(_json_column(q))
+    runs = _head_runs(_json_column(q)) if _one_digit(_decimals(p)) else None
     labels, standard = [], None
     exps = np.empty((q, q, q), dtype=np.uint16)
     pos = len(b'{"bases":[')
@@ -655,7 +641,12 @@ def _json_by_position(data: bytes, fld: FieldSpec, at: int):
         if len(labels) == q or comma < 0:
             return None
         labels.append(int(data[pos + 5 : comma]))
-        pos = _body_digits(chars, comma + len(b',"vectors":'), 0, runs, exps[len(labels) - 1])
+        body, out = comma + len(b',"vectors":'), exps[len(labels) - 1]
+        if runs is None:
+            end = data.find(b"]]", body, at) + 1  # the last row's "]"
+            pos = end if end and _runs_body(chars[body:end], 0, out) else -1
+        else:
+            pos = _body_digits(chars, body, 0, runs, out)
         if pos < 0:
             return None
         pos += len(b"]},")
@@ -664,36 +655,25 @@ def _json_by_position(data: bytes, fld: FieldSpec, at: int):
     return tuple(labels), exps, standard
 
 
-def _json_by_runs(data: bytes, fld: FieldSpec, at: int):
-    """(labels, exponents, standard) of a json document of mixed-width
-    exponents whose header starts at `at`, or None: each phase basis, from
-    its `{"a":` to the next, is read as digit runs, its label, then its q^2
-    exponents."""
-    q = fld.q
-    starts = []
-    at_a = data.find(b'{"a":', 0, at)
-    while at_a >= 0 and len(starts) <= q:
-        starts.append(at_a)
-        at_a = data.find(b'{"a":', at_a + 1, at)
-    standard = data.find(b'{"standard":true}', 0, at)
-    if len(starts) != q or standard < 0:
-        return None
-    bases = _read_bases(np.frombuffer(data, np.uint8), starts + [at], fld, 1, 0)
-    if bases is None:
-        return None
-    return (*bases, sum(s < standard for s in starts))
+def _csv_bases(data: bytes, field: FieldSpec):
+    """(labels, exponents) of a csv document, walked by position, or None.
 
-
-def _csv_by_position(data: bytes, field: FieldSpec):
-    """(labels, exponents) of a one-digit csv document, read by position, or
-    None.  After the header line, line b of basis k is its label, b and 2q
-    bytes: q digits, each followed by "," or the line end.  Only the labels
-    and digits are read here; the caller compares every byte with the set's
-    rendering.
+    After the header line each phase basis is q lines: its label, b and q
+    exponents, each followed by "," or the line end.  A one-digit basis's
+    lines end in 2q bytes, q digits and their separators, and are read by
+    _body_digits; any other basis is read as the digit runs of its q lines.
+    Only the labels and exponents are read here; the caller compares every
+    byte with the set's rendering.
     """
     p, q = field.p, field.q
     chars = np.frombuffer(data, np.uint8)
-    runs = _head_runs(_csv_column(q))
+    if _one_digit(_decimals(p)):
+        runs = _head_runs(_csv_column(q))
+    else:
+        runs = None
+        line_ends = np.flatnonzero(chars == ord("\n"))
+        if len(line_ends) != q * q + 1:  # the header line, then q lines a basis
+            return None
     labels = []
     exps = np.empty((q, q, q), dtype=np.uint16)
     pos = data.find(b"\n") + 1
@@ -702,7 +682,11 @@ def _csv_by_position(data: bytes, field: FieldSpec):
         if comma < 0:
             return None
         labels.append(int(data[pos:comma]))
-        pos = _body_digits(chars, pos, comma + 1 - pos, runs, exps[k])
+        if runs is None:
+            end = line_ends[(k + 1) * q] + 1
+            pos = end if _runs_body(chars[pos:end], 2, exps[k]) else -1  # label and b lead
+        else:
+            pos = _body_digits(chars, pos, comma + 1 - pos, runs, exps[k])
         if pos < 0:
             return None
     return None if exps.max() >= p else (tuple(labels), exps)
@@ -717,58 +701,56 @@ def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None)
     return construction, poly
 
 
-def _canonical_json(data: bytes, field, construction, poly_text) -> MubSet | None:
-    """The set of a json document exactly as export_mubs writes it, else None.
-
-    The header after `],"construction":` is read with json, the bases by
-    position (one-digit exponents) or as digit runs.  The set is kept only
-    when its rendering, piece by piece, tiles `data` itself.
-    """
-    at = data.rfind(b'],"construction":')
-    if at < 0:
-        return None
-    header = json.loads(b"{" + data[at + 2 :])
-    fd = header["field"]
+def _json_header(obj: dict, field, construction, poly_text):
+    """(field, construction, poly) of the header keys of a json export,
+    parsed into obj.  A field other than `field` raises FieldMismatch, a set
+    above the size bound BudgetExceeded, and a modulus, construction or
+    polynomial other than the canonical modulus, `construction` and
+    `poly_text` ValueError."""
+    fd = _json_value(obj["field"], dict, "field")
     fld = make_field(_json_value(fd["p"], int, "field p"), _json_value(fd["r"], int, "field r"))
-    kind = _json_value(header["construction"], str, "construction")
-    poly = parse_poly(header["poly"], fld)
-    if (field is not None and field != fld or construction not in (None, kind)
-            or poly_text is not None and parse_poly(poly_text, fld) != poly):
-        return None
+    if field is not None and fld != field:
+        raise FieldMismatch(f"the export is over {fld!r}, not {field!r}")
     _check_size(fld)
-    read = _json_by_position if _one_digit(_decimals(fld.p)) else _json_by_runs
-    bases = read(data, fld, at)
+    if fld.modulus != tuple(_json_value(fd["modulus"], list, "field modulus")):
+        raise ValueError("modulus in file does not match the canonical field")
+    kind = _json_value(obj["construction"], str, "construction")
+    if construction is not None and kind != construction:
+        raise ValueError(f"the export holds a {kind} set, not a {construction} set")
+    poly = parse_poly(_json_value(obj["poly"], str, "poly"), fld)
+    if poly_text is not None and parse_poly(poly_text, fld) != poly:
+        raise ValueError(f"the export is generated by {poly}, not {poly_text}")
+    return fld, kind, poly
+
+
+def _canonical(data: bytes, fmt: str, field, construction, poly_text) -> MubSet | None:
+    """The set of a json or csv document exactly as export_mubs writes it,
+    else None or an error.
+
+    json's header, the text after `],"construction":`, is read with json and
+    checked by _json_header; csv records none, so its field must be given
+    and the rest comes from _csv_kind.  The bases are walked by the
+    format's walker, and the set is kept only when its rendering, piece by
+    piece, tiles `data` itself.
+    """
+    if fmt == "json":
+        at = data.rfind(b'],"construction":')
+        if at < 0:
+            return None
+        fld, kind, poly = _json_header(json.loads(b"{" + data[at + 2 :]), field,
+                                       construction, poly_text)
+        bases = _json_bases(data, fld, at)
+    elif fmt == "csv" and field is not None:
+        _check_size(field)
+        fld = field
+        kind, poly = _csv_kind(field, construction, poly_text)
+        bases = _csv_bases(data, field)
+    else:
+        return None
     if bases is None:
         return None
     m = MubSet(fld, kind, poly, *bases)
-    return m if _tiles(data, _pieces(m, "json")) else None
-
-
-def _canonical_csv(data: bytes, field, construction, poly_text) -> MubSet | None:
-    """The set of a csv document exactly as export_mubs writes it, else None.
-
-    After the header line each phase basis is q lines, read by position
-    (one-digit exponents) or as digit runs.  The set is kept only when its
-    rendering, piece by piece, tiles `data` itself.
-    """
-    if field is None:
-        return None
-    _check_size(field)
-    q = field.q
-    kind, poly = _csv_kind(field, construction, poly_text)
-    if _one_digit(_decimals(field.p)):
-        bases = _csv_by_position(data, field)
-    else:
-        chars = np.frombuffer(data, np.uint8)
-        line_ends = np.flatnonzero(chars == ord("\n"))
-        if len(line_ends) != q * q + 1:  # the header line, then q lines a basis
-            return None
-        # label, position b and q exponents a line
-        bases = _read_bases(chars, (line_ends[::q] + 1).tolist(), field, 0, 2)
-    if bases is None:
-        return None
-    m = MubSet(field, kind, poly, *bases)
-    return m if _tiles(data, _pieces(m, "csv")) else None
+    return m if _tiles(data, _pieces(m, fmt)) else None
 
 
 def import_mubs(
@@ -792,17 +774,14 @@ def import_mubs(
 
     Bytes exactly as export_mubs writes them take the canonical route, which
     keeps a set only when its export, rendered piece by piece, tiles the
-    input; everything else, and every error, comes from the checked parser.  Logs the route taken as one
-    INFO line on the "planarlab" logger.
+    input; everything else, and every error, comes from the checked parser.
+    Logs the route taken as one INFO line on the "planarlab" logger.
     """
-    m = None
-    canonical = {"json": _canonical_json, "csv": _canonical_csv}.get(fmt)
-    if canonical is not None:
-        try:
-            raw = data.encode() if isinstance(data, str) else data
-            m = canonical(raw, field, construction, poly_text)
-        except Exception:  # not a canonical export: the checked parser says why
-            m = None
+    try:
+        m = _canonical(data.encode() if isinstance(data, str) else data, fmt, field,
+                       construction, poly_text)
+    except Exception:  # not a canonical export: the checked parser says why
+        m = None
     route = "canonical"
     if m is None:
         m = _import_checked(data, fmt, field, construction, poly_text)
@@ -817,20 +796,7 @@ def _import_checked(data, fmt, field, construction, poly_text) -> MubSet:
     text = data.decode() if isinstance(data, bytes) else data
     if fmt == "json":
         obj = _json_value(json.loads(text), dict, "the export")
-        fd = _json_value(obj["field"], dict, "field")
-        fld = make_field(_json_value(fd["p"], int, "field p"),
-                         _json_value(fd["r"], int, "field r"))
-        if field is not None and fld != field:
-            raise FieldMismatch(f"the export is over {fld!r}, not {field!r}")
-        _check_size(fld)
-        if fld.modulus != tuple(_json_value(fd["modulus"], list, "field modulus")):
-            raise ValueError("modulus in file does not match the canonical field")
-        kind = _json_value(obj["construction"], str, "construction")
-        if construction is not None and kind != construction:
-            raise ValueError(f"the export holds a {kind} set, not a {construction} set")
-        poly = parse_poly(_json_value(obj["poly"], str, "poly"), fld)
-        if poly_text is not None and parse_poly(poly_text, fld) != poly:
-            raise ValueError(f"the export is generated by {poly}, not {poly_text}")
+        fld, kind, poly = _json_header(obj, field, construction, poly_text)
         bases = _json_value(obj["bases"], list, "bases")
         (std,) = _counted([i for i, b in enumerate(bases)
                            if _json_value(b, dict, "a basis").get("standard")],

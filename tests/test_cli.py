@@ -302,6 +302,36 @@ def test_cmd_mubs_build_writes_the_export_bytes_to_stdout(fmt):
     assert proc.stdout == export_mubs(build_planar_mubs(field, parse_poly("x^2", field)), fmt)
 
 
+def test_cmd_mubs_export_streams_its_pieces(tmp_path):
+    """A q = 125 float-json build, a 73 MB document, is written one piece at
+    a time: the CLI's peak RSS stays far below the 183 MB it took to hold
+    every basis and the joined document, and the file is export_mubs's.
+    The peak is the fresh interpreter's VmHWM: its ru_maxrss would carry
+    the peak of the test process it was started from."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = tmp_path / "m125.json"
+    code = ("import sys\n"
+            "from planarlab.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(next(ln.split()[1] for ln in open('/proc/self/status')\n"
+            "           if ln.startswith('VmHWM:')))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "mubs", "--p", "5", "--r", "3", "--construction", "planar",
+         "--action", "build", "--export-format", "float-json", "--out", str(out)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
+    assert peak_mb < 100, peak_mb
+    field = make_field(5, 3)
+    want = hashlib.sha256(export_mubs(build_planar_mubs(field, parse_poly("x^2", field)),
+                                      "float-json")).hexdigest()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 def test_cmd_mubs_out_into_missing_directory_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["mubs", "--p", "5", "--construction", "planar",
                                   "--action", "build", "--out", str(tmp_path / "no" / "m.json")])

@@ -21,6 +21,7 @@ from planarlab.errors import (
     NotPrime,
 )
 from planarlab.field import MAX_TABLE_ENTRIES, FieldElement, FieldSpec, make_field
+from planarlab.polyfun import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +103,35 @@ def test_is_prime_matches_sympy():
 
 
 def test_prime_field_generator_is_the_smallest_primitive_root():
-    # the residue walk of prime fields against sympy's smallest primitive root
+    # prime fields take the one table walk; against sympy's smallest primitive root
     for p in sympy.primerange(3, 2000):
         g = sympy.ntheory.primitive_root(p)
         assert field_module._generator_powers(p, 1, (0, 1)) == [
             pow(g, i, p) for i in range(p - 1)], p
+
+
+EXTENSION_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3), (13, 2), (3, 5),
+                    (7, 3), (3, 8)]
+
+
+@pytest.mark.parametrize("p,r", EXTENSION_FIELDS, ids=[f"GF({p}^{r})" for p, r in EXTENSION_FIELDS])
+def test_extension_field_generator_is_the_smallest_of_full_order(p, r):
+    # g is the smallest encoding whose order, by sympy's polynomial powers
+    # modulo the canonical modulus, is q - 1; its powers are the walk's
+    f = make_field(p, r)
+    q, modulus = f.q, list(f.modulus)[::-1]  # galoistools lists coefficients high-to-low
+    primes = sympy.primefactors(q - 1)
+
+    def power(enc, e):
+        digits = [int(c, 36) for c in np.base_repr(enc, p)]
+        return functools.reduce(lambda acc, c: acc * p + c,
+                                gf_pow_mod(digits, e, modulus, p, ZZ), 0)
+
+    g = next(e for e in range(2, q) if all(power(e, (q - 1) // ell) != 1 for ell in primes))
+    powers = field_module._generator_powers(p, r, f.modulus)
+    assert powers[1] == g and len(powers) == q - 1
+    ks = (0, 2, q // 3, q - 2)
+    assert [powers[k] for k in ks] == [power(g, k) for k in ks]
 
 
 def test_order_bound():
@@ -476,6 +501,21 @@ def test_element_encoding_range_checked():
         f.element(5)
     with pytest.raises(ValueError):
         f.element(-1)
+
+
+@pytest.mark.parametrize("value", [2.9, np.float64(3.0), "3"], ids=repr)
+def test_encodings_must_be_integers(value):
+    """Floats and strings are not encodings: nothing truncates or parses them,
+    whether as an element, a coefficient or an operand."""
+    f = make_field(5, 2)
+    with pytest.raises(TypeError):
+        f.element(value)
+    with pytest.raises(TypeError):
+        Poly(f, {2: value})
+    with pytest.raises(TypeError):
+        f.element(3) + value
+    for enc in (3, np.int32(3), np.int64(3), np.array(3)):
+        assert f.element(enc) == f.element(3) and Poly(f, {2: enc}) == Poly(f, {2: 3})
 
 
 def test_element_misc():

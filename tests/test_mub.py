@@ -18,8 +18,7 @@ from planarlab.field import make_field
 from planarlab.mub import (
     MAX_PHASE_ENTRIES,
     MubSet,
-    _canonical_csv,
-    _canonical_json,
+    _canonical,
     _import_checked,
     _certified_rows,
     _pair_violations,
@@ -705,11 +704,9 @@ def test_reader_is_chosen_by_token_width(monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger="planarlab")
     uniform = [planar_set(7, 2), build_alltop_mubs(make_field(5, 2)), planar_set(3, 3)]
     mixed = [planar_set(11), build_alltop_mubs(make_field(13, 1))]
-    for sets, refused in ((uniform, ["_read_bases"]),
-                          (mixed, ["_json_by_position", "_csv_by_position"])):
+    for sets, refused in ((uniform, "_runs_body"), (mixed, "_body_digits")):
         with monkeypatch.context() as patch:
-            for name in refused:
-                patch.setattr(mub, name, _refuse)
+            patch.setattr(mub, refused, _refuse)
             patch.setattr(mub, "_import_checked", _refuse)
             for m in sets:
                 _same_set(import_mubs(export_mubs(m, "json"), "json"), m)
@@ -880,11 +877,11 @@ def test_canonical_and_checked_imports_agree(n, p, r):
         m = dataclasses.replace(m, a=m.a[::-1], standard=m.field.q)
     if n % 2 == 0:
         data = export_mubs(m, "json")
-        fast = _canonical_json(data, None, None, None)
+        fast = _canonical(data, "json", None, None, None)
         slow = _import_checked(data, "json", None, None, None)
     else:
         data = export_mubs(m, "csv")
-        fast = _canonical_csv(data, m.field, m.construction, None)
+        fast = _canonical(data, "csv", m.field, m.construction, None)
         slow = _import_checked(data, "csv", m.field, m.construction, None)
         m = dataclasses.replace(m, standard=0)  # csv does not record it
     assert fast is not None
@@ -899,7 +896,7 @@ def test_csv_defaults_through_both_routes(construction, default):
     field = make_field(7)
     m = planar_set(7) if construction is None else build_alltop_mubs(field)
     data = export_mubs(m, "csv")
-    for back in (_canonical_csv(data, field, construction, None),
+    for back in (_canonical(data, "csv", field, construction, None),
                  _import_checked(data, "csv", field, construction, None),
                  import_mubs(data, "csv", field=field, construction=construction)):
         assert back.construction == m.construction == (construction or "planar")
@@ -942,9 +939,9 @@ def _exponent_digits(data):
 
 
 def _mutations(data, p, rng):
-    """Edits of a one-digit export: 40 one-byte substitutions, then byte
-    insertions and deletions, digits >= p and two-digit tokens in place of
-    one-digit ones, CRLF line ends and a missing final newline."""
+    """Edits of an export: 40 one-byte substitutions, then byte insertions
+    and deletions, values >= p and two-digit tokens in place of one-digit
+    ones, CRLF line ends and a missing final newline."""
     alphabet = list(b'0123456789,[]{}" \n-:at')
     for _ in range(40):
         pos = int(rng.integers(len(data)))
@@ -959,7 +956,7 @@ def _mutations(data, p, rng):
     for n in range(12):
         pos = digits[int(rng.integers(len(digits)))]
         d = chr(data[pos])
-        token = (str(int(rng.integers(p, 10))), "0" + d, d + d, "1" + d)[n % 4]
+        token = (str(int(rng.integers(p, max(p + 1, 10)))), "0" + d, d + d, "1" + d)[n % 4]
         yield data[:pos] + token.encode() + data[pos + 1 :]
     yield data.replace(b"\n", b"\r\n")
     yield data[:-1]
@@ -969,7 +966,8 @@ def _mutations(data, p, rng):
 def test_one_byte_mutations_import_as_the_checked_parser_does(fmt):
     rng = np.random.default_rng(2024)
     accepted = rejected = 0
-    for m in (build_alltop_mubs(make_field(5, 2)), planar_set(3, 3)):
+    for m in (build_alltop_mubs(make_field(5, 2)), planar_set(3, 3), planar_set(11),
+              build_alltop_mubs(make_field(13))):
         data = export_mubs(dataclasses.replace(m, standard=7), fmt)
         kwargs = {"field": m.field, "construction": m.construction} if fmt == "csv" else {}
         for n, mutated in enumerate(_mutations(data, m.field.p, rng)):
