@@ -9,9 +9,11 @@ the formal degree, which silent reduction would destroy.
 A value table is a read-only int32 array of length q, entry e = f(element
 with encoding e).  `_table_delta` is the one table difference
 T[x + a] - T[x], for one shift or a column of shifts; `delta_table`, the
-planar and Alltop scans in `classify` and its monomial sweeps call it.  `delta` and `shift_scale`
-expand each monomial binomially.  Like terms are summed in one place,
-`_combine`, which `+`, `reduce`, `parse_poly`, `delta` and `shift_scale`
+planar and Alltop scans in `classify` and its monomial sweeps call it.  `delta`,
+`double_delta` and `shift_scale` expand each monomial binomially, once per
+term: the two difference operators share `_expand`, which weights C(n, k) by
+a^k or by (a + b)^k - a^k - b^k.  Like terms are summed in one place,
+`_combine`, which `+`, `reduce`, `parse_poly`, `_expand` and `shift_scale`
 share; it adds coefficients only where an exponent repeats.
 
 Text grammar (whitespace ignored, output uses decreasing exponents):
@@ -233,14 +235,21 @@ def delta(f: Poly, a) -> Poly:
         )
         return Poly.zero(fld)
 
+    return _expand(f, lambda ks: fld.pow_elemwise(a_enc, ks))
+
+
+def _expand(f: Poly, weight) -> Poly:
+    """Sum of C(n, k) * weight(k) * c on x^(n - k) over the terms c*x^n of f
+    and the k >= 1 where C(n, k) is nonzero mod p; weight maps an array of
+    k to an array of encodings."""
+    fld = f.field
     pairs = []
     for n, c in f._terms.items():
         if n == 0:
             continue
         ks, bs = binom.expansion(n, fld.p)
         ks, bs = ks[1:], bs[1:]  # k = 0 reproduces f(x), which cancels
-        apow = fld.pow_elemwise(a_enc, ks)
-        coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), apow), np.int32(c))
+        coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), weight(ks)), np.int32(c))
         pairs += zip((n - ks).tolist(), coeffs.tolist())
     return _combine(fld, pairs)
 
@@ -261,8 +270,22 @@ def delta_table(f: Poly, a) -> np.ndarray:
 
 
 def double_delta(f: Poly, a, b) -> Poly:
-    """Second difference: delta(delta(f, a), b)."""
-    return delta(delta(f, a), b)
+    """Second difference delta(delta(f, a), b), in one expansion per term.
+
+    Since C(n, k) * C(n - k, j) = C(n, m) * C(m, k) with m = k + j, the
+    second difference of x^n is the sum over m >= 1 of
+    C(n, m) * ((a + b)^m - a^m - b^m) * x^(n - m).  A zero shift takes the
+    composition, which warns as delta does and yields zero.
+    """
+    fld = f.field
+    a_enc, b_enc = fld.enc_of(a), fld.enc_of(b)
+    if a_enc == 0 or b_enc == 0:
+        return delta(delta(f, a), b)
+    s_enc = fld.add(a_enc, b_enc)
+    return _expand(f, lambda ks: fld.sub_vec(
+        fld.sub_vec(fld.pow_elemwise(s_enc, ks), fld.pow_elemwise(a_enc, ks)),
+        fld.pow_elemwise(b_enc, ks),
+    ))
 
 
 def shift_scale(f: Poly, s, t) -> Poly:

@@ -176,10 +176,23 @@ def test_cmd_delta_double(runner):
     assert result.output.strip() == "6*x + 6"
 
 
+def test_cmd_delta_large_double_is_pinned(runner):
+    # sha256 of the stdout made by composing two first differences
+    result = invoke(runner, "delta", "--p", "5", "--poly", "x^3124", "--a", "1",
+                    "--b", "2", "--format", "json")
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "c83ac24373cdcec13586e678402356caebaf1f205fbc3d2c217f786750ebf851")
+
+
 def test_cmd_delta_bad_shift_exits_2(runner):
     result = runner.invoke(main, ["delta", "--p", "5", "--r", "1", "--poly", "x^2",
                                   "--a", "9"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["delta", "--p", "5", "--r", "2", "--poly", "x^3",
+                                  "--a", "1", "--b", "25"])
+    assert result.exit_code == 2
+    assert "error:" in result.output
 
 
 def test_cmd_delta_huge_exponent_exits_2(runner):

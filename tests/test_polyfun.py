@@ -1,6 +1,11 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from planarlab import binom
 from planarlab.errors import (
     BoundExceeded,
     CoefficientOutOfRange,
@@ -223,6 +228,8 @@ def test_huge_exponent_refused_before_expansion():
         delta(f, 1)
     with pytest.raises(BoundExceeded):
         shift_scale(f, 1, 1)
+    with pytest.raises(BoundExceeded):
+        double_delta(f, 1, 2)
 
 
 def test_double_delta_examples():
@@ -244,6 +251,58 @@ def test_double_delta_examples():
             int(t[x]),
         )
         assert dd(x).enc == expect
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (5, 3), (3, 6),
+                                 (7, 4), (11, 2)])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_double_delta_matches_composition_and_table_oracle(p, r, data):
+    field = make_field(p, r)
+    q = field.q
+    f = Poly(field, data.draw(st.dictionaries(st.integers(0, 3 * q), st.integers(1, q - 1),
+                                              max_size=5)))
+    a = data.draw(st.integers(1, q - 1))
+    b = data.draw(st.one_of(st.integers(1, q - 1), st.just(a), st.just(field.neg(a))))
+    dd = double_delta(f, a, b)
+    assert dd == delta(delta(f, a), b)
+    if q <= 125:
+        # T[x+a+b] - T[x+a] - T[x+b] + T[x], with no binomial in sight
+        t, xs = f.value_table(), field.encodings
+        ta, tb = t[field.add_vec(xs, a)], t[field.add_vec(xs, b)]
+        tab = t[field.add_vec(xs, field.add(a, b))]
+        expect = field.add_vec(field.sub_vec(field.sub_vec(tab, ta), tb), t)
+        assert np.array_equal(dd.value_table(), expect)
+
+
+@pytest.mark.parametrize("a,b,warned", [(0, 3, 1), (3, 0, 1), (0, 0, 2)])
+def test_double_delta_zero_shift_warns_per_zero(a, b, warned):
+    f = parse_poly("x^4 + 2*x^3 + x", make_field(5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dd = double_delta(f, a, b)
+    assert dd.is_zero()
+    assert [w.category for w in caught] == [ZeroShiftWarning] * warned
+
+
+def test_double_delta_refuses_foreign_shift():
+    f = parse_poly("x^3", make_field(5, 2))
+    other = make_field(5).element(1)
+    with pytest.raises(FieldMismatch):
+        double_delta(f, other, 1)
+    with pytest.raises(FieldMismatch):
+        double_delta(f, 1, other)
+
+
+def test_large_double_delta_is_one_expansion_per_term():
+    # the composition expands each of the 3124 terms of the first
+    # difference of x^3124 again
+    f = Poly.monomial(make_field(5), 3124)
+    binom.expansion.cache_clear()
+    t0 = time.process_time()
+    dd = double_delta(f, 1, 2)
+    assert time.process_time() - t0 < 0.5
+    assert len(dd.terms) == 2343
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3)])
