@@ -105,18 +105,11 @@ def field_info(p, r, mul_table, fmt):
             click.echo(" ".join(f"{v:>3}" for v in row))
 
 
-_WITNESS_KEYS = {
-    "permutation": ("x", "x2"),
-    "additive": ("x", "y"),
-    "planar": ("a", "x", "x2"),
-    "alltop": ("a", "b", "x", "x2"),
-}
-
-_WITNESS_FNS = {
-    "permutation": classify.permutation_witness,
-    "additive": classify.additive_witness,
-    "planar": classify.planar_witness,
-    "alltop": classify.alltop_witness,
+_WITNESSES = {  # mode -> (witness function, names of its entries)
+    "permutation": (classify.permutation_witness, ("x", "x2")),
+    "additive": (classify.additive_witness, ("x", "y")),
+    "planar": (classify.planar_witness, ("a", "x", "x2")),
+    "alltop": (classify.alltop_witness, ("a", "b", "x", "x2")),
 }
 
 
@@ -124,20 +117,21 @@ _WITNESS_FNS = {
 @click.option("--p", type=int, required=True)
 @click.option("--r", type=int, default=1, show_default=True)
 @click.option("--poly", "poly_text", required=True, help="polynomial in the text grammar")
-@click.option("--mode", type=click.Choice(sorted(_WITNESS_KEYS)), required=True)
+@click.option("--mode", type=click.Choice(sorted(_WITNESSES)), required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 def cmd_test(p, r, poly_text, mode, fmt):
     """Classify a polynomial function; the witness is the first violation found."""
     fld = make_field(p, r)
     f = parse_poly(poly_text, fld)
-    witness = _WITNESS_FNS[mode](f)
+    witness_fn, keys = _WITNESSES[mode]
+    witness = witness_fn(f)
     verdict = witness is None
     payload = {
         "field": fld.to_json_dict(),
         "poly": str(f),
         "mode": mode,
         "verdict": verdict,
-        "witness": None if verdict else dict(zip(_WITNESS_KEYS[mode], witness)),
+        "witness": None if verdict else dict(zip(keys, witness)),
     }
     if fmt == "json":
         _emit_json(payload)

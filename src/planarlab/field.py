@@ -17,7 +17,7 @@ Scalar arithmetic works on plain integers.  The ``*_vec`` methods operate on
 numpy arrays of encodings (any broadcastable shapes) and are the performance
 core used by the classification and search modules.  For r > 1 they are
 gathers into four O(q) int32 tables of the smallest-encoding generator g of
-GF(q)*, built once per field (see FieldSpec._log_exp): LOG and EXP give
+GF(q)*, built with the field (see _log_tables): LOG and EXP give
 products, powers and inverses, a Zech-logarithm table gives sums,
 g**i + g**j = g**(i + Z(j - i)) (Huber, IEEE Trans. IT 36(4), 1990), and NEG
 gives negatives.  LOG[0] puts zero operands in index ranges of their own, so
@@ -155,6 +155,45 @@ def _generator_powers(p: int, r: int, modulus: tuple[int, ...]) -> list[int]:
     raise AssertionError(f"GF({q})* has no generator")  # pragma: no cover
 
 
+def _log_tables(p: int, r: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only (LOG, EXP, ZECH, NEG) for the smallest-encoding generator g
+    of GF(q)*.  With m = q - 1:
+
+    - LOG[a] = k with g**k = a for a != 0, and LOG[0] = 2m.
+    - EXP has 4m + 1 entries: EXP[k] = g**(k mod m) for k < 2m and 0 from
+      there up, so EXP[LOG[a] + LOG[b]] is a*b even when a or b is 0.
+    - NEG[a] = LOG[-a], with NEG[0] = 2m, so EXP[NEG[a]] is -a.
+    - ZECH has 4m + 1 entries indexed by d = LOG[b] - LOG[a], negative d
+      counted from the end, and EXP[LOG[a] + ZECH[d]] is a + b.  Because
+      LOG[0] = 2m, d falls in three disjoint ranges, one per case:
+      [-(m-1), m-1] when a, b != 0, where ZECH[d] = LOG[1 + g**d]
+      (2m, into EXP's zero tail, when 1 + g**d = 0); [-2m, -m-1] when
+      a = 0, where ZECH[d] = d; [m+1, 2m] when b = 0, where ZECH[d] = 0.
+      For a = b = 0, d = 0 and LOG[a] + ZECH[0] = 2m + LOG[2] is in the
+      zero tail.  The entries at d = m and d = -m are never read.
+    """
+    m = p**r - 1
+    powers = np.array(_generator_powers(p, r, modulus), dtype=np.int32)
+    exp = np.zeros(4 * m + 1, dtype=np.int32)
+    exp[:m] = powers
+    exp[m : 2 * m] = powers
+    log = np.empty(m + 1, dtype=np.int32)
+    log[powers] = np.arange(m, dtype=np.int32)
+    log[0] = 2 * m
+    neg = np.empty(m + 1, dtype=np.int32)
+    neg[powers] = (np.arange(m, dtype=np.int32) + m // 2) % m  # -1 = g**(m/2)
+    neg[0] = 2 * m
+    # 1 + g**d: add 1 to the lowest base-p digit, wrapping p - 1 to 0
+    one_plus = powers + 1 - p * (powers % p == p - 1)
+    zech = np.zeros(4 * m + 1, dtype=np.int32)  # b = 0, d in [m+1, 2m]: 0
+    zech[:m] = log[one_plus]  # d in [0, m-1]
+    zech[3 * m + 2 :] = log[one_plus[1:]]  # d in [-(m-1), -1]
+    zech[2 * m + 1 : 3 * m + 1] = np.arange(-2 * m, -m, dtype=np.int32)  # a = 0
+    for tab in (log, exp, zech, neg):
+        tab.setflags(write=False)
+    return log, exp, zech, neg
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, r: int = 1, *, max_order: int = DEFAULT_MAX_ORDER) -> "FieldSpec":
     """The process's GF(p^r) with the canonical modulus, whatever max_order.
@@ -208,7 +247,7 @@ def _cached(key: str):
 class FieldSpec:
     """GF(p^r) with element encodings in [0, q); obtain instances via make_field."""
 
-    __slots__ = ("p", "r", "q", "modulus", "_cache")
+    __slots__ = ("p", "r", "q", "modulus", "_cache", "_log", "_exp", "_zech", "_neg")
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
         self.p = p
@@ -216,6 +255,7 @@ class FieldSpec:
         self.q = p**r
         self.modulus = modulus
         self._cache: dict[str, np.ndarray] = {}
+        self._log, self._exp, self._zech, self._neg = _log_tables(p, r, modulus)
 
     # -- identity ------------------------------------------------------
 
@@ -265,48 +305,6 @@ class FieldSpec:
     def encodings(self) -> np.ndarray:
         """arange(q) as int32."""
         return np.arange(self.q, dtype=np.int32)
-
-    @property
-    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
-        """(LOG, EXP) for the smallest-encoding generator g of GF(q)*; the same
-        pass puts ZECH and NEG in _cache next to them.  With m = q - 1:
-
-        - LOG[a] = k with g**k = a for a != 0, and LOG[0] = 2m.
-        - EXP has 4m + 1 entries: EXP[k] = g**(k mod m) for k < 2m and 0 from
-          there up, so EXP[LOG[a] + LOG[b]] is a*b even when a or b is 0.
-        - NEG[a] = LOG[-a], with NEG[0] = 2m, so EXP[NEG[a]] is -a.
-        - ZECH has 4m + 1 entries indexed by d = LOG[b] - LOG[a], negative d
-          counted from the end, and EXP[LOG[a] + ZECH[d]] is a + b.  Because
-          LOG[0] = 2m, d falls in three disjoint ranges, one per case:
-          [-(m-1), m-1] when a, b != 0, where ZECH[d] = LOG[1 + g**d]
-          (2m, into EXP's zero tail, when 1 + g**d = 0); [-2m, -m-1] when
-          a = 0, where ZECH[d] = d; [m+1, 2m] when b = 0, where ZECH[d] = 0.
-          For a = b = 0, d = 0 and LOG[a] + ZECH[0] = 2m + LOG[2] is in the
-          zero tail.  The entries at d = m and d = -m are never read.
-        """
-        log = self._cache.get("log")
-        if log is None:
-            p, m = self.p, self.q - 1
-            powers = np.array(_generator_powers(p, self.r, self.modulus), dtype=np.int32)
-            exp = np.zeros(4 * m + 1, dtype=np.int32)
-            exp[:m] = powers
-            exp[m : 2 * m] = powers
-            log = np.empty(self.q, dtype=np.int32)
-            log[powers] = np.arange(m, dtype=np.int32)
-            log[0] = 2 * m
-            neg = np.empty(self.q, dtype=np.int32)
-            neg[powers] = (np.arange(m, dtype=np.int32) + m // 2) % m  # -1 = g**(m/2)
-            neg[0] = 2 * m
-            # 1 + g**d: add 1 to the lowest base-p digit, wrapping p - 1 to 0
-            one_plus = powers + 1 - p * (powers % p == p - 1)
-            zech = np.zeros(4 * m + 1, dtype=np.int32)  # b = 0, d in [m+1, 2m]: 0
-            zech[:m] = log[one_plus]  # d in [0, m-1]
-            zech[3 * m + 2 :] = log[one_plus[1:]]  # d in [-(m-1), -1]
-            zech[2 * m + 1 : 3 * m + 1] = np.arange(-2 * m, -m, dtype=np.int32)  # a = 0
-            for name, tab in (("log", log), ("exp", exp), ("zech", zech), ("neg", neg)):
-                tab.setflags(write=False)
-                self._cache[name] = tab
-        return log, self._cache["exp"]
 
     @_cached("trace")
     def trace_table(self) -> np.ndarray:
@@ -358,33 +356,29 @@ class FieldSpec:
         b = np.asarray(b, dtype=np.int32)
         if self.r == 1:
             return (a + b) % self.p
-        log, exp = self._log_exp  # also fills _cache["zech"] and _cache["neg"]
-        la = log[a]
-        return exp[la + self._cache["zech"][log[b] - la]]
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def sub_vec(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
         if self.r == 1:
             return (a - b) % self.p
-        log, exp = self._log_exp
-        la = log[a]
-        return exp[la + self._cache["zech"][self._cache["neg"][b] - la]]
+        la = self._log[a]
+        return self._exp[la + self._zech[self._neg[b] - la]]
 
     def neg_vec(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int32)
         if self.r == 1:
             return (-a) % self.p
-        _, exp = self._log_exp
-        return exp[self._cache["neg"][a]]
+        return self._exp[self._neg[a]]
 
     def mul_vec(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int32)
         b = np.asarray(b, dtype=np.int32)
         if self.r == 1:
             return (a * b) % self.p
-        log, exp = self._log_exp
-        return exp[log[a] + log[b]]
+        return self._exp[self._log[a] + self._log[b]]
 
     def pow_vec(self, base, n: int) -> np.ndarray:
         """base**n elementwise for a single non-negative exponent; 0**0 = 1."""
@@ -393,9 +387,8 @@ class FieldSpec:
         base = np.asarray(base, dtype=np.int32)
         if n == 0:
             return np.ones(base.shape, dtype=np.int32)
-        log, exp = self._log_exp
-        k = log[base].astype(np.int64) * (n % (self.q - 1)) % (self.q - 1)
-        return np.where(base == 0, 0, exp[k])
+        k = self._log[base].astype(np.int64) * (n % (self.q - 1)) % (self.q - 1)
+        return np.where(base == 0, 0, self._exp[k])
 
     def pow_elemwise(self, base, exps) -> np.ndarray:
         """base[i]**exps[i] elementwise with per-entry exponents; 0**0 = 1."""
@@ -403,9 +396,8 @@ class FieldSpec:
         e = np.asarray(exps, dtype=np.int64)
         if (e < 0).any():
             raise ValueError("exponents must be non-negative")
-        log, exp = self._log_exp
-        k = log[base] * (e % (self.q - 1)) % (self.q - 1)
-        return np.where((base == 0) & (e > 0), 0, exp[k])
+        k = self._log[base] * (e % (self.q - 1)) % (self.q - 1)
+        return np.where((base == 0) & (e > 0), 0, self._exp[k])
 
     # -- scalar kernel (int encodings in, int encodings out) --------------
 
@@ -424,16 +416,14 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("zero has no multiplicative inverse")
-        log, exp = self._log_exp
-        return int(exp[self.q - 1 - log[a]])
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             raise ValueError("exponent must be non-negative")
         if a == 0:
             return int(n == 0)
-        log, exp = self._log_exp
-        return int(exp[int(log[a]) * n % (self.q - 1)])
+        return int(self._exp[int(self._log[a]) * n % (self.q - 1)])
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a**(p**k); k reduced mod r since the automorphism has order r."""

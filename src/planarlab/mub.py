@@ -146,14 +146,14 @@ def build_alltop_mubs(field: FieldSpec) -> MubSet:
         )
     q = field.q
     enc = field.encodings
-    cube = field.mul_vec(field.mul_vec(enc, enc), enc)
-    tr_cube = field.trace_table[cube]
+    cube = Poly.monomial(field, 3)
+    tr_cube = field.trace_table[cube.value_table()]
     tb = field.trace_bilinear
     exps = np.empty((q, q, q), dtype=np.uint16)
     for a in range(q):
         shifted = field.add_vec(np.int32(a), enc)
         exps[a] = (tr_cube[shifted][None, :] + tb[:, shifted]) % field.p
-    return MubSet(field, "alltop", Poly.monomial(field, 3), tuple(range(q)), exps)
+    return MubSet(field, "alltop", cube, tuple(range(q)), exps)
 
 
 class MubViolation(NamedTuple):
@@ -795,7 +795,10 @@ def _import_checked(data, fmt, field, construction, poly_text) -> MubSet:
     input and raises every import error."""
     text = data.decode() if isinstance(data, bytes) else data
     if fmt == "json":
-        obj = _json_value(json.loads(text), dict, "the export")
+        try:
+            obj = _json_value(json.loads(text), dict, "the export")
+        except RecursionError:
+            raise ValueError("the export is nested too deeply") from None
         fld, kind, poly = _json_header(obj, field, construction, poly_text)
         bases = _json_value(obj["bases"], list, "bases")
         (std,) = _counted([i for i, b in enumerate(bases)

@@ -346,16 +346,6 @@ class DeltaDegreeReport:
         default_factory=list
     )  # (n, a, got, expected)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "field": self.field.to_json_dict(),
-            "pairs_checked": self.pairs_checked,
-            "mismatches": [
-                {"n": n, "a": a, "got": got, "expected": want}
-                for n, a, got, want in self.mismatches
-            ],
-        }
-
 
 def _monomial_delta_degrees(field: FieldSpec, n: int, shifts: np.ndarray) -> np.ndarray:
     """deg delta(x^n, a) for each shift a, -1 where the difference is zero.
@@ -399,15 +389,6 @@ class CubicScopeReport:
     search: SearchReport
     hits_checked: int
     violations: list[tuple[str, list[str]]] = dataclass_field(default_factory=list)
-
-    def to_json_dict(self, canonical: bool = False) -> dict:
-        return {
-            "search": self.search.to_json_dict(canonical),
-            "hits_checked": self.hits_checked,
-            "violations": [
-                {"poly": text, "issues": issues} for text, issues in self.violations
-            ],
-        }
 
 
 def _stripped_degree(f: Poly) -> int | None:

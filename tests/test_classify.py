@@ -280,6 +280,8 @@ def test_transform_validation():
         apply_equiv_transform(f, 1, 0, 0, Poly.zero(f5), 0)
     with pytest.raises(NonAdditiveM):
         apply_equiv_transform(f, 1, 1, 0, parse_poly("x^2", f5), 0)
+    with pytest.raises(NonAdditiveM, match="different field"):
+        apply_equiv_transform(f, 1, 1, 0, Poly.monomial(make_field(7), 1), 0)
 
 
 @pytest.mark.parametrize("p,r", [(3, 2), (5, 2)])

@@ -151,6 +151,17 @@ def test_cmd_test_witness_planar(runner):
     assert obj["witness"] == {"a": 1, "x": 1, "x2": 2}
 
 
+def test_cmd_test_text(runner):
+    result = invoke(runner, "test", "--p", "5", "--poly", "x^2", "--mode", "planar",
+                    "--format", "text")
+    assert result.exit_code == 0 and result.output == "planar(x^2) over GF(5): True\n"
+    result = invoke(runner, "test", "--p", "5", "--poly", "x^4", "--mode", "planar",
+                    "--format", "text")
+    assert result.exit_code == 0
+    assert result.output == ("planar(x^4) over GF(5): False\n"
+                             "witness: {'a': 1, 'x': 1, 'x2': 2}\n")
+
+
 def test_cmd_test_parse_error_exits_2(runner):
     result = runner.invoke(main, ["test", "--p", "5", "--r", "1", "--poly", "x^-1",
                                   "--mode", "planar"])
@@ -475,6 +486,26 @@ def test_cmd_mubs_import_without_vectors_names_the_key(runner, tmp_path):
     assert "error: missing key 'vectors'" in result.output
 
 
+def test_cmd_mubs_deeply_nested_import_exits_2(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_bytes(b"[" * 1100 + b"]" * 1100)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarlab", "mubs", "--p", "5", "--construction", "planar",
+         "--action", "verify", "--in", str(path)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+def test_cmd_mubs_export_without_in_exits_2(runner):
+    result = runner.invoke(main, ["mubs", "--p", "5", "--construction", "planar",
+                                  "--action", "export"])
+    assert result.exit_code == 2, result.output
+    assert "error: --action export needs --in" in result.output
+
+
 @pytest.mark.parametrize("edit", STRUCTURAL_EDITS, ids=STRUCTURAL_IDS)
 def test_cmd_mubs_export_malformed_exits_2(runner, tmp_path, edit):
     # the array is built at import, so a malformed set is not written back
@@ -640,6 +671,9 @@ def test_cmd_charsum_examples(runner):
 def test_cmd_charsum_text(runner):
     result = invoke(runner, "charsum", "--p", "5", "--r", "1", "--poly", "x^2")
     assert "|S|^2 = 5" in result.output
+    result = invoke(runner, "charsum", "--p", "7", "--poly", "x^3")
+    assert result.exit_code == 0
+    assert result.output.splitlines()[-1] == "|S|^2 is not a rational integer"
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +703,12 @@ def test_cmd_binom_modulus_not_prime_exits_2(runner, p):
     result = runner.invoke(main, ["binom", "--n", "5", "--k", "2", "--p", p])
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+def test_cmd_binom_negative_n_exits_2(runner):
+    result = runner.invoke(main, ["binom", "--n", "-1", "--k", "0", "--p", "5"])
+    assert result.exit_code == 2, result.output
+    assert "error: n and k must be non-negative" in result.output
 
 
 @pytest.mark.parametrize("p", ["1000003", "1000000000000000003"])

@@ -395,6 +395,20 @@ def test_cached_tables_are_read_only_and_built_once(name, key):
     assert np.array_equal(tab, getattr(make_field(5, 2), name))
 
 
+@pytest.mark.parametrize("p,r", [(7, 1), (5, 2), (3, 3)])
+def test_log_tables_are_built_with_the_field_and_read_only(p, r):
+    f = FieldSpec(p, r, make_field(p, r).modulus)
+    assert not f._cache
+    for name in ("_log", "_exp", "_zech", "_neg"):
+        tab = getattr(f, name)
+        assert not tab.flags.writeable, name
+        with pytest.raises(ValueError):
+            tab[0] = 1
+    enc = f.encodings
+    assert np.array_equal(f._exp[f._log[enc]], enc)  # LOG[0] = 2m lands in the zero tail
+    assert np.array_equal(f.add_vec(enc, f.neg_vec(enc)), np.zeros(f.q, dtype=np.int32))
+
+
 # ---------------------------------------------------------------------------
 # kernel against polynomial arithmetic modulo the canonical modulus
 # ---------------------------------------------------------------------------

@@ -1044,3 +1044,21 @@ def test_builds_are_deterministic():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         export_mubs(planar_set(5), "xml")
+
+
+def test_import_refuses_unknown_format_and_csv_without_field():
+    m = planar_set(5)
+    with pytest.raises(ValueError, match="unknown import format 'xml'"):
+        import_mubs(export_mubs(m, "json"), "xml")
+    with pytest.raises(ValueError, match="csv import needs the field"):
+        import_mubs(export_mubs(m, "csv"), "csv")
+
+
+@pytest.mark.parametrize("depth", [900, 1100, 100_000])
+def test_deeply_nested_json_import_raises_value_error(depth):
+    nested = b"[" * depth + b"]" * depth
+    with pytest.raises(ValueError):
+        import_mubs(nested, "json")
+    data = export_mubs(planar_set(5), "json")  # canonical bases, then a deep header tail
+    with pytest.raises(ValueError):
+        import_mubs(data.replace(b'"planar"', nested), "json")
