@@ -8,7 +8,10 @@ at least 5) uses tr((x + a)^3 + b * (x + a)).  Together with the standard
 basis these give q + 1 bases.  A set keeps all q^3 exponents in one
 read-only (q, q, q) uint16 array, indexed [phase basis, vector, entry];
 sets with q^3 > 2^26 entries (q > 406) raise BudgetExceeded before any
-table is built.
+table is built.  The builders and the row certificate work in uint16 on
+about _VERIFY_CHUNK exponents at once, folding a sum s in [0, 2p) into
+[0, p) as min(s, s - p) (_fold); the cubic build takes basis a as the
+columns at x + a of one table tr(y^3 + b * y).
 
 For two phase vectors the squared inner product times q^2 equals the squared
 magnitude of the phase-difference histogram, so unbiasedness is the exact
@@ -24,15 +27,16 @@ certify every row (the cubic one with the constants tr(a * b)), and such a
 clean basis costs one O(q^2) check against row 0.  Between certified
 vectors u and v of two bases the autocorrelation is row v - u + s of one
 table per pair class: the difference of the bases' reference rows less its
-affine part tr(s * x) + c, and whether the two bases are one.  Both
-constructions have q classes of q histograms, so a clean set costs O(q^3):
-0.06 s at q = 125 and 1.0 s at q = 343 (CPU time, 2-core x86).  Each
-uncertified vector, such as one with a flipped exponent in a corrupted
-import, takes the generic kernel against every vector of every basis, one
-histogram per vector pair: O(q^3) more per bad vector.  One flipped
-exponent costs 0.09 s at q = 125 and 1.3 s at q = 343, against 1.2 s and
-46 s when its whole basis took the generic kernel.  Both kernels judge by
-cyclo's exact rule.
+affine part tr(s * x) + c, and whether the two bases are one; a chunk of
+basis pairs finds its classes by one sort.  Both constructions have q
+classes of q histograms, so a clean set costs O(q^3): 0.02 s at q = 125
+and 0.3 s at q = 343 (CPU time, 2-core x86).  Each uncertified vector,
+such as one with a flipped exponent in a corrupted import, takes the
+generic kernel against every vector of every basis, one histogram per
+vector pair: O(q^3) more per bad vector.  One flipped exponent costs
+0.06 s at q = 125 and 0.75 s at q = 343, against 1.2 s and 46 s when its
+whole basis took the generic kernel.  Both kernels judge by cyclo's exact
+rule.
 
 Exports go one phase basis at a time.  When every exponent is one digit
 (exact json and csv with p <= 7) a basis has a fixed layout and is rendered
@@ -120,6 +124,12 @@ class MubSet:
         return self.exponents[k].astype(np.int64)
 
 
+def _fold(s: np.ndarray, p: int) -> np.ndarray:
+    """s mod p, in place, for a uint16 array s with entries in [0, 2p): below
+    p, s - p wraps above s and the minimum keeps s."""
+    return np.minimum(s, s - np.uint16(p), out=s)
+
+
 def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
     """Bases V_a with exponents tr(a * pi(x) + b * x) for all a, plus standard."""
     _check_size(field)
@@ -128,12 +138,12 @@ def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
     if not classify.is_planar(pi):
         raise NotPlanar(f"{pi} is not planar over {field!r}")
     q = field.q
-    values = pi.value_table()
-    tb = field.trace_bilinear  # tb[b, x] = tr(b * x)
+    tb = field.trace_bilinear.astype(np.uint16)  # tb[b, x] = tr(b * x)
+    ta = tb[:, pi.value_table()]  # ta[a, x] = tr(a * pi(x))
     exps = np.empty((q, q, q), dtype=np.uint16)
-    for a in range(q):
-        ta = field.trace_table[field.mul_vec(np.int32(a), values)]
-        exps[a] = (ta[None, :] + tb) % field.p
+    step = max(1, _VERIFY_CHUNK // (q * q))  # all bases for q <= 63, 2 at q = 343
+    for a0 in range(0, q, step):
+        _fold(np.add(ta[a0 : a0 + step, None, :], tb, out=exps[a0 : a0 + step]), field.p)
     return MubSet(field, "planar", pi, tuple(range(q)), exps)
 
 
@@ -147,12 +157,13 @@ def build_alltop_mubs(field: FieldSpec) -> MubSet:
     q = field.q
     enc = field.encodings
     cube = Poly.monomial(field, 3)
-    tr_cube = field.trace_table[cube.value_table()]
-    tb = field.trace_bilinear
+    table = field.trace_bilinear.astype(np.uint16)
+    table += field.trace_table[cube.value_table()].astype(np.uint16)
+    _fold(table, field.p)  # table[b, y] = tr(y^3 + b * y)
+    shifted = field.add_vec(enc[:, None], enc)  # shifted[a, x] = x + a
     exps = np.empty((q, q, q), dtype=np.uint16)
     for a in range(q):
-        shifted = field.add_vec(np.int32(a), enc)
-        exps[a] = (tr_cube[shifted][None, :] + tb[:, shifted]) % field.p
+        np.take(table, shifted[a], axis=1, out=exps[a])
     return MubSet(field, "alltop", cube, tuple(range(q)), exps)
 
 
@@ -268,91 +279,96 @@ def _certified_rows(m):
     Row b is normalised to row b - tr(b * x), taken up to a constant.  The
     certified rows are the largest group of rows that agree after that, ties
     going to the group of the smallest b, and ref[k] is their normalised row.
-    A basis is grouped only when some row disagrees with row 0, so a clean
-    basis costs one O(q^2) check.
+    A chunk of bases is normalised against their rows 0 at once, and a basis
+    is grouped only when some row disagrees, so a clean basis costs O(q^2).
     """
     p, q = m.field.p, m.field.q
-    tb = m.field.trace_bilinear
-    ref = np.empty((q, q), dtype=np.int64)
+    neg_tb = p - m.field.trace_bilinear.astype(np.uint16)  # in [1, p]
+    ref = m.exponents[:, 0].copy()
     good = np.ones((q, q), dtype=bool)
-    for k in range(q):
-        mat = m.exponent_matrix(k)
-        rest = (mat - mat[0] - tb) % p  # row b normalised, less row 0
-        if (rest == rest[:, :1]).all():
-            ref[k] = mat[0]
-            continue
-        rest = (rest - rest[:, :1]) % p
-        _, first, group, size = np.unique(rest, axis=0, return_index=True,
-                                          return_inverse=True, return_counts=True)
-        best = np.lexsort((first, -size))[0]  # the largest group, then the smallest b
-        ref[k] = (mat[0] + rest[first[best]]) % p
-        good[k] = group.ravel() == best
+    step = max(1, _VERIFY_CHUNK // (q * q))
+    for k0 in range(0, q, step):
+        block = m.exponents[k0 : k0 + step]
+        rest = _fold(block + (p - block[:, :1]), p)  # row b less row 0
+        _fold(np.add(rest, neg_tb, out=rest), p)  # ... less tr(b x)
+        for k in np.flatnonzero(~(rest == rest[:, :, :1]).all(axis=(1, 2))).tolist():
+            norm = _fold(rest[k] + (p - rest[k, :, :1]), p)  # ... less its value at 0
+            _, first, group, size = np.unique(norm, axis=0, return_index=True,
+                                              return_inverse=True, return_counts=True)
+            best = np.lexsort((first, -size))[0]  # the largest group, then the smallest b
+            ref[k0 + k] = _fold(block[k, 0] + norm[first[best]], p)
+            good[k0 + k] = group.ravel() == best
     return ref, good
 
 
 def _verify_pairs(m, pairs, ref, good):
-    """(report rows, vector pairs histogrammed) of the pairs (k, l) of phase
-    bases k <= l of m, whose reference rows and certified rows are ref and
-    good (_certified_rows).
+    """(report rows, vector pairs histogrammed, pair classes, failing classes)
+    of the pairs (k, l) of phase bases k <= l of m, in the given order, whose
+    reference rows and certified rows are ref and good (_certified_rows).
 
     A certified row b of basis k is ref[k] + tr(b x) plus a constant.  A
     pair's D = ref[l] - ref[k] is R + tr(s x) + D(0), R vanishing at 0 and at
     the polynomial basis e_i (encoding p^i).  Certified vector v of basis l
     minus certified vector u of basis k is R + tr((v - u + s) x) plus a
     constant, so its autocorrelation is row v - u + s of the table of the
-    class (R, k == l).  A vector pair with an uncertified vector takes a
-    direct histogram; the others are expanded only when their class fails.
+    class (R, k == l).  A chunk of pairs finds its distinct rows (R, k == l)
+    by one sort, and each meets the class dict once.  A vector pair with an
+    uncertified vector takes a direct histogram; the others are expanded
+    only when their class fails.
     """
     fld = m.field
     p, q = fld.p, fld.q
-    tb = fld.trace_bilinear
+    tb = fld.trace_bilinear.astype(np.uint16)
+    neg_tb = p - tb  # in [1, p]
     powers = p ** np.arange(fld.r)  # the encodings of e_i
     s_of = np.argsort(tb[:, powers] @ powers)  # s from (tr(s e_i))_i read in base p
-    chunk = max(1, _VERIFY_CHUNK // (q * q))
-    classes, tables, of_pair = {}, [], {}  # key -> class; class -> table when failing
-    for k, group in groupby(sorted((k, l, n) for n, (k, l) in enumerate(pairs)),
-                            key=lambda pair: pair[0]):
-        group = list(group)
-        d = (ref[[l for _, l, _ in group]] - ref[k]) % p
-        s = s_of[((d[:, powers] - d[:, :1]) % p) @ powers]
-        fresh = []  # (R, k == l) of classes first met here
-        for (_, l, n), res, s_kl in zip(group, (d - d[:, :1] - tb[s]) % p, s.tolist()):
-            key = (res.tobytes(), k == l)
-            if key not in classes:
-                classes[key] = len(classes)
-                fresh.append((res, k == l))
-            of_pair[n] = classes[key], s_kl
+    ks, ls = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    cls, shift = np.empty_like(ks), np.empty_like(ks)  # each pair's class and s
+    classes, tables = {}, []  # key row -> class; class -> table when failing
+    step, chunk = max(1, _VERIFY_CHUNK // q), max(1, _VERIFY_CHUNK // (q * q))
+    for n0 in range(0, len(ks), step):
+        k, l = ks[n0 : n0 + step], ls[n0 : n0 + step]
+        d = _fold(ref[l] + (p - ref[k]), p)  # D
+        d = _fold(d + (p - d[:, :1]), p)  # D - D(0)
+        s = s_of[d[:, powers].astype(np.intp) @ powers]
+        rows = np.empty((len(k), q + 1), dtype=np.uint16)
+        _fold(np.add(d, neg_tb[s], out=rows[:, :q]), p)  # R
+        rows[:, q] = k == l
+        _, first, inverse = np.unique(rows.view(np.dtype((np.void, 2 * q + 2))).ravel(),
+                                      return_index=True, return_inverse=True)
+        known = len(classes)  # classes met in earlier chunks
+        of_row = np.array([classes.setdefault(row.tobytes(), len(classes))
+                           for row in rows[first]], dtype=np.intp)
+        fresh = first[of_row >= known]  # in the order of their class numbers
+        cls[n0 : n0 + step], shift[n0 : n0 + step] = of_row[inverse.ravel()], s
         for c0 in range(0, len(fresh), chunk):
-            batch = fresh[c0 : c0 + chunk]
+            batch = rows[fresh[c0 : c0 + chunk]]
             # a class's table: the autocorrelations of R + tr(t x) for every t
-            keys = (np.stack([res for res, _ in batch])[:, None, :] + tb) % p
+            keys = _fold(batch[:, None, :q] + tb, p).astype(np.intp)
             keys += p * np.arange(len(batch) * q).reshape(-1, q, 1)
             counts = np.bincount(keys.ravel(), minlength=len(batch) * q * p)
             found = cyclo.autocorrelation(counts.reshape(-1, q, p))
-            within = np.array([within for _, within in batch])[:, None]
-            failing = _judge(q, found, 0, fld.encodings, within)[3].any(axis=1)
+            failing = _judge(q, found, 0, fld.encodings, batch[:, q:] == 1)[3].any(axis=1)
             tables += [table if fails else None for table, fails in zip(found, failing)]
     delta = fld.sub_vec(fld.encodings[None, :], fld.encodings[:, None])  # v - u
     idx = m.phase_bases()
     bad = ~good
-    clean = good.all(axis=1).tolist()
+    clean = good.all(axis=1)
+    failing = np.array([table is not None for table in tables], dtype=bool)
     violations, direct = [], 0
     pending = []  # (k, l, us, vs): direct vector pairs of passing classes, judged at once
 
     def flush():
         if pending:
-            ks, ls, us, vs = zip(*pending)
+            k, l, us, vs = zip(*pending)
             sizes = [len(u) for u in us]
-            violations.extend(_pair_violations(m, np.repeat(ks, sizes), np.concatenate(us),
-                                               np.repeat(ls, sizes), np.concatenate(vs)))
+            violations.extend(_pair_violations(m, np.repeat(k, sizes), np.concatenate(us),
+                                               np.repeat(l, sizes), np.concatenate(vs)))
             pending.clear()
 
-    for n, (k, l) in enumerate(pairs):
-        c, s_kl = of_pair[n]
-        table = tables[c]
+    for n in np.flatnonzero(failing[cls] | ~(clean[ks] & clean[ls])).tolist():
+        k, l, table, s_kl = int(ks[n]), int(ls[n]), tables[cls[n]], int(shift[n])
         if clean[k] and clean[l]:
-            if table is None:
-                continue
             us = ()
         else:
             hist = bad[k][:, None] | bad[l]  # the pairs with an uncertified vector
@@ -371,7 +387,7 @@ def _verify_pairs(m, pairs, ref, good):
             violations += _violations(q, d, idx[k], np.arange(u0, u0 + len(d))[:, None],
                                       idx[l], np.arange(q))
     flush()
-    return violations, direct
+    return violations, direct, len(tables), int(failing.sum())
 
 
 def verify_mub_set(m: MubSet) -> MubVerification:
@@ -383,17 +399,21 @@ def verify_mub_set(m: MubSet) -> MubVerification:
     the set; each uncertified vector takes one direct histogram against
     every vector of every basis, O(q^3) more.  Logs one INFO line on the
     "planarlab" logger: the bases that pass the translation certificate, the
-    uncertified vectors and the vector pairs that took direct histograms.
+    uncertified vectors, the vector pairs that took direct histograms and
+    the pair classes that fail.
     """
     q = m.field.q
     ref, good = _certified_rows(m)
-    pairs = [(k, k) for k in range(q)] + [(k, l) for k in range(q) for l in range(k + 1, q)]
-    violations, direct = _verify_pairs(m, pairs, ref, good)
+    pairs = np.concatenate([np.arange(q).repeat(2).reshape(-1, 2),  # (k, k), then k < l
+                            np.transpose(np.triu_indices(q, 1))])
+    violations, direct, classes, failing = _verify_pairs(m, pairs, ref, good)
     report = MubVerification(q, violations)
     _log.info(
         "verify GF(%d): %d of %d phase bases pass the translation certificate; "
-        "%d of %d phase vectors uncertified, %d of %d vector pairs by direct histograms",
+        "%d of %d phase vectors uncertified, %d of %d vector pairs by direct histograms; "
+        "%d of %d pair classes fail",
         q, good.all(axis=1).sum(), q, q * q - good.sum(), q * q, direct, report.pairs_checked,
+        failing, classes,
     )
     return report
 

@@ -647,7 +647,7 @@ def test_verbose_logs_to_stderr_only(runner, args):
         assert loud.stderr_bytes.decode() == (
             "INFO planarlab: verify GF(25): 25 of 25 phase bases pass the translation "
             "certificate; 0 of 625 phase vectors uncertified, 0 of 195625 vector pairs "
-            "by direct histograms\n"
+            "by direct histograms; 0 of 25 pair classes fail\n"
         )
     assert invoke(runner, *args).stderr_bytes == b""  # the handler left with -v
 

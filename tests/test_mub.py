@@ -110,6 +110,32 @@ def test_alltop_exponents_definition():
                 assert m.exponents[k, b, x] == want
 
 
+# x^4 = x^(3+1) and x^10 = x^(9+1) are planar over GF(27); GF(257) has an
+# exponent, 256, that a uint8 table would wrap to 0
+ORACLE_SETS = [("planar", 3, 3, "x^2"), ("planar", 3, 3, "x^4"), ("planar", 3, 3, "x^10"),
+               ("planar", 5, 2, "x^2"), ("planar", 7, 2, "x^2"), ("planar", 11, 1, "x^2"),
+               ("planar", 257, 1, "x^2"), ("alltop", 5, 2, "x^3"), ("alltop", 7, 2, "x^3"),
+               ("alltop", 11, 1, "x^3")]
+
+
+@pytest.mark.parametrize("construction, p, r, pi_text", ORACLE_SETS,
+                         ids=[f"{c}-{pi}-{p**r}" for c, p, r, pi in ORACLE_SETS])
+def test_builders_match_the_scalar_formula(construction, p, r, pi_text):
+    field = make_field(p, r)
+    pi = parse_poly(pi_text, field)
+    m = build_planar_mubs(field, pi) if construction == "planar" else build_alltop_mubs(field)
+    assert m.exponents.dtype == np.uint16 and not m.exponents.flags.writeable
+    assert m.exponents.max() == p - 1
+    q, mul, add = field.q, field.mul, field.add
+    for a, b, x in np.random.default_rng(q).integers(0, q, (300, 3)).tolist():
+        if construction == "planar":
+            want = field.trace(add(mul(a, pi(x).enc), mul(b, x)))
+        else:
+            y = add(x, a)
+            want = field.trace(add(mul(mul(y, y), y), mul(b, y)))
+        assert m.exponents[a, b, x] == want, (a, b, x)
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -265,7 +291,7 @@ def test_pair_classes_match_generic_on_shuffled_gf49_x5():
             pairs.append((min(k, l2), max(k, l2)))
     want = generic_violations(m, pairs)
     assert want
-    assert _verify_pairs(m, pairs, *_certified_rows(m)) == (want, 0)
+    assert _verify_pairs(m, pairs, *_certified_rows(m))[:2] == (want, 0)
 
 
 def test_report_rows_hold_no_tracked_containers():
@@ -363,14 +389,22 @@ def test_verify_logs_the_kernel_split(caplog):
     m = planar_set(5, 2)
     verify_mub_set(m)
     verify_mub_set(corrupt(m, k=3, b=1, x=1))
-    assert [r.name for r in caplog.records] == ["planarlab", "planarlab"]
-    assert [r.levelno for r in caplog.records] == [logging.INFO] * 2
+    verify_mub_set(unchecked_planar_set(5, 2, "x^3"))
+    assert [r.name for r in caplog.records] == ["planarlab"] * 3
+    assert [r.levelno for r in caplog.records] == [logging.INFO] * 3
     assert [r.getMessage() for r in caplog.records] == [
+        # the diagonal pairs share one class, the cross pairs one per a_l - a_k
         "verify GF(25): 25 of 25 phase bases pass the translation certificate; "
-        "0 of 625 phase vectors uncertified, 0 of 195625 vector pairs by direct histograms",
+        "0 of 625 phase vectors uncertified, 0 of 195625 vector pairs by direct histograms; "
+        "0 of 25 pair classes fail",
         # vector 1 of basis 3 against each of the 625 vectors, itself once
         "verify GF(25): 24 of 25 phase bases pass the translation certificate; "
-        "1 of 625 phase vectors uncertified, 625 of 195625 vector pairs by direct histograms",
+        "1 of 625 phase vectors uncertified, 625 of 195625 vector pairs by direct histograms; "
+        "0 of 25 pair classes fail",
+        # x^3 is not planar: only the diagonal class passes
+        "verify GF(25): 25 of 25 phase bases pass the translation certificate; "
+        "0 of 625 phase vectors uncertified, 0 of 195625 vector pairs by direct histograms; "
+        "24 of 25 pair classes fail",
     ]
 
 
@@ -462,6 +496,67 @@ def test_bad_rows_with_standard_basis_last_and_shuffled_labels(build):
     assert m.phase_bases() == list(range(m.field.q))
     assert sorted(uncertified_rows(m).values()) == [[0, 2], [8]]
     assert_kernels_agree(m)
+
+
+def chunk_run(build, pairs):
+    """(exponents, (ref, good), _verify_pairs result, report violations) of
+    build()."""
+    m = build()
+    cert = _certified_rows(m)
+    return m.exponents, cert, _verify_pairs(m, pairs, *cert), report_violations(m)
+
+
+def assert_small_chunks_agree(build, q, pairs, monkeypatch):
+    """chunk_run with _VERIFY_CHUNK = 2 q^2 (two phase bases a step in the
+    build and the certificate, 2q basis pairs a chunk of keys, two classes a
+    batch of class tables) equals the default run; returns the latter."""
+    default = chunk_run(build, pairs)
+    monkeypatch.setattr(mub, "_VERIFY_CHUNK", 2 * q * q)
+    small = chunk_run(build, pairs)
+    assert np.array_equal(default[0], small[0])
+    assert all(np.array_equal(a, b) for a, b in zip(default[1], small[1]))
+    assert default[2:] == small[2:]
+    return default
+
+
+# each set with the phase bases it flips: bases 4 and 5 open and close a chunk
+# of two, and 24 and 26 are alone in the last one
+CHUNK_SETS = {
+    "planar-25": (lambda: planar_set(5, 2), []),
+    "planar-x4-27": (lambda: planar_set(3, 3, "x^4"), []),
+    "alltop-25": (lambda: build_alltop_mubs(make_field(5, 2)), []),
+    "planar-25-flipped": (lambda: flipped(planar_set(5, 2), (4, 0, 3, 1), (5, 7, 0, 2),
+                                          (24, 3, 11, 4)), [4, 5, 24]),
+    "alltop-25-flipped": (lambda: flipped(build_alltop_mubs(make_field(5, 2)),
+                                          (4, 9, 2, 1), (5, 0, 0, 3)), [4, 5]),
+    "planar-27-flipped": (lambda: flipped(planar_set(3, 3), (4, 26, 5, 1), (5, 1, 1, 2),
+                                          (26, 0, 2, 1)), [4, 5, 26]),
+}
+
+
+@pytest.mark.parametrize("build, bad", CHUNK_SETS.values(), ids=CHUNK_SETS)
+def test_small_chunks_match_the_default_chunk(build, bad, monkeypatch):
+    m = build()
+    q = m.field.q
+    assert sorted(uncertified_rows(m)) == bad
+    # the set was clean: only the pairs with a flipped basis hold violations
+    pairs = [(k, l) for k, l in all_pairs(q) if k in bad or l in bad]
+    want = generic_violations(m, pairs) if pairs else []
+    assert bool(want) == bool(bad)
+    _, _, (violations, *_), report = assert_small_chunks_agree(build, q, all_pairs(q),
+                                                               monkeypatch)
+    assert violations == report == want
+
+
+@pytest.mark.parametrize("p, r", [(5, 2), (3, 3)])
+def test_small_chunks_match_on_an_unsorted_pair_list(p, r, monkeypatch):
+    # a non-planar set, its bases shuffled, 80 basis pairs in a seeded order
+    # and one flipped exponent
+    q = p**r
+    pairs = [all_pairs(q)[n] for n in np.random.default_rng(p).permutation(len(all_pairs(q)))[:80]]
+    build = lambda: flipped(shuffled(unchecked_planar_set(p, r, "x^3")), (3, 2, 1, 1))
+    want = generic_violations(build(), pairs)
+    assert assert_small_chunks_agree(build, q, pairs, monkeypatch)[2][0] == want
 
 
 ROW_FIELDS = [("planar", 7, 1), ("planar", 3, 2), ("planar", 5, 2), ("planar", 3, 3),
