@@ -420,8 +420,8 @@ def _seeded_polys(field, rng, n):
 
 def _witnesses_against_oracles(p, r):
     """Every reduced polynomial over GF(5); elsewhere the monomials, additive
-    maps with and without a constant, and seeded polynomials.  Returns the
-    witnesses found, by check."""
+    maps with and without a constant, (x^p - x)^2 and seeded polynomials.
+    Returns the witnesses found, by check."""
     field = make_field(p, r)
     q = field.q
     if q == 5:
@@ -431,6 +431,8 @@ def _witnesses_against_oracles(p, r):
         pool = [Poly.monomial(field, n) for n in range(q)]
         for d in range(5):
             pool.append(random_additive(field, rng) + Poly.constant(field, d))
+        # constant along GF(p), so over GF(p^r) its first additivity witness is x = p
+        pool.append(Poly(field, {2 * p: 1, p + 1: p - 2, 2: 1}))
         pool += _seeded_polys(field, rng, 60)
     checks = [
         ("permutation", permutation_witness, _collision_oracle),
@@ -476,19 +478,15 @@ def test_alltop_witness_matches_literal_loop(p, r):
     _alltop_witnesses_against_oracle(p, r)
 
 
-def _one_row_then_four(monkeypatch, q):
-    """Scan chunks of 1, 2, 4, 4, ... rows, every polynomial taking the scan
-    route rather than a certificate; returns a list that collects, for each
-    scan, its chunks' row counts."""
-    monkeypatch.setattr(classify, "_digit_degree", lambda f: math.inf)
-    monkeypatch.setattr(classify, "_FIRST_CHUNK_ENTRIES", 1)
-    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 4 * q)
+def _rows_read(monkeypatch):
+    """Returns a list that collects, for each call of `_row_chunks`, the row
+    counts of the chunks its caller read."""
     scans = []
     chunks = classify._row_chunks
 
-    def recorded(start, stop, q):
+    def recorded(*args):
         scans.append([])
-        for rows in chunks(start, stop, q):
+        for rows in chunks(*args):
             scans[-1].append(len(rows))
             yield rows
 
@@ -496,13 +494,23 @@ def _one_row_then_four(monkeypatch, q):
     return scans
 
 
+def _one_row_then_four(monkeypatch, q):
+    """Scan chunks of 1, 2, 4, 4, ... rows, every polynomial taking the scan
+    route rather than a certificate; returns `_rows_read`'s list."""
+    monkeypatch.setattr(classify, "_digit_degree", lambda f: math.inf)
+    monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 4 * q)
+    return _rows_read(monkeypatch)
+
+
 @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2)])
 def test_witnesses_match_literal_loops_across_chunks(monkeypatch, p, r):
     scans = _one_row_then_four(monkeypatch, p**r)
     found = _witnesses_against_oracles(p, r)
     assert max(map(max, scans)) <= 4 and max(map(len, scans)) >= 3
-    # the first chunk is row x = 0 for additivity and shift a = 1 for planarity
-    assert any(w is not None and w[0] >= 1 for w in found["additive"])
+    # the first chunk is row x = 1 for additivity and shift a = 1 for planarity;
+    # over GF(p), f(x + 1) = f(x) + f(1) makes f additive, so only r > 1 has
+    # an additivity witness past row 1
+    assert any(w is not None and w[0] >= 2 for w in found["additive"]) == (r > 1)
     assert any(w is not None and w[0] >= 2 for w in found["planar"])
 
 
@@ -516,16 +524,94 @@ def test_alltop_witness_matches_literal_loop_across_chunks(monkeypatch, p, r):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 49, 127, 128, 129, 2401, 3**9])
 def test_row_chunks_cover_rows_in_order(q):
-    chunks = list(classify._row_chunks(1, q, q))
-    rows = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
-    assert np.array_equal(rows, np.arange(1, q))
-    assert all(c.dtype == np.int32 for c in chunks)
-    if q <= 128:
-        assert len(chunks) <= 1
-    sizes = [len(c) for c in chunks]
+    """A scan's first chunk is one row, and the Alltop certificate's is the
+    batch it passes; each later chunk doubles up to the cap."""
     cap = max(1, classify._CHUNK_ENTRIES // q)
-    assert all(b == min(2 * a, cap) for a, b in zip(sizes, sizes[1:-1]))
-    assert sizes[0] == min(q - 1, max(1, classify._FIRST_CHUNK_ENTRIES // q))
+    batch = max(1, classify._FIRST_CHUNK_ENTRIES // q)
+    for first, chunks in [(1, classify._row_chunks(1, q, q)),
+                          (batch, classify._row_chunks(1, q, q, batch))]:
+        chunks = list(chunks)
+        rows = np.concatenate(chunks)
+        assert np.array_equal(rows, np.arange(1, q))
+        assert all(c.dtype == np.int32 for c in chunks)
+        sizes = [len(c) for c in chunks]
+        assert sizes[0] == min(q - 1, first)
+        assert all(b == min(2 * a, cap) for a, b in zip(sizes, sizes[1:-1]))
+        assert sizes[-1] <= (min(2 * sizes[-2], cap) if len(sizes) > 1 else first)
+
+
+@pytest.mark.parametrize("p,r,mode,text,witness", [
+    (5, 3, "planar", "114*x^81 + 118*x^60 + 30*x^55", (1, 1, 3)),
+    (5, 3, "alltop", "41*x^35 + 79*x^14", (1, 1, 1, 11)),
+    (5, 3, "additive", "30*x^85 + 102*x^81 + 117*x^24", (1, 1)),
+    (7, 4, "planar", "100*x^228 + 319*x^151", (1, 1, 2)),
+    (7, 4, "alltop", "1025*x^2250 + 1353*x^1844", (1, 1, 1, 2)),
+    (7, 4, "additive", "1304*x^1227 + 1834*x^162", (1, 1)),
+])
+def test_a_first_row_negative_reads_one_row(monkeypatch, p, r, mode, text, witness):
+    """Sparse polynomials of high digit degree, scanned over every shift:
+    the witness is in the first row, and that row is all the scan reads."""
+    field = make_field(p, r)
+    f = parse_poly(text, field)
+    scans = _rows_read(monkeypatch)
+    assert getattr(classify, f"{mode}_witness")(f) == witness
+    assert scans == [[1]]
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_a_scanned_positive_reads_every_row_in_doubling_chunks(monkeypatch, r):
+    """The Coulter-Matthews x^14, planar over GF(3^4) and GF(3^5), shifted
+    and with affine terms added: no certificate or single row decides, so
+    the scan reads [1, q), in O(log q) chunks as the cap exceeds q here."""
+    field = make_field(3, r)
+    f = shift_scale(Poly.monomial(field, 14), 2, 1) + parse_poly("x^3 + 2*x + 1", field)
+    assert classify._digit_degree(f) > 2 and not classify._single_term(f, "planar")
+    scans = _rows_read(monkeypatch)
+    assert planar_witness(f) is None
+    (sizes,) = scans
+    assert sum(sizes) == field.q - 1 and len(sizes) == (field.q - 1).bit_length()
+
+
+@pytest.mark.parametrize("p,r,batches", [(5, 3, [31]), (7, 3, [31, 26])])
+def test_the_alltop_certificate_starts_with_a_batch(monkeypatch, p, r, batches):
+    """x^3 is Alltop, so its certificate reads every point a: in a first
+    batch of about _FIRST_CHUNK_ENTRIES matrix entries, then doubling."""
+    field = make_field(p, r)
+    scans = _rows_read(monkeypatch)
+    assert alltop_witness(Poly.monomial(field, 3)) is None
+    assert scans == [batches]
+
+
+@st.composite
+def _sparse_polys(draw, field):
+    """One to four terms of any reduced exponent, a constant included or not."""
+    exps = draw(st.lists(st.integers(0, field.q - 1), min_size=1, max_size=4, unique=True))
+    return Poly(field, {e: draw(st.integers(1, field.q - 1)) for e in exps})
+
+
+def _one_chunk(start, stop, q, size=1):
+    yield np.arange(start, stop, dtype=np.int32)
+
+
+@pytest.mark.parametrize("p,r", [(5, 3), (7, 3), (3, 6), (7, 4)])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_doubling_scans_match_one_chunk(p, r, data):
+    """Every mode's witness from chunks that start at one row equals the one
+    from a single chunk over the whole range, and for q <= 125 the literal
+    loop's."""
+    field = make_field(p, r)
+    oracles = {"planar": _planar_oracle, "alltop": _alltop_oracle,
+               "additive": _additive_oracle}
+    for mode, oracle in oracles.items():
+        f = data.draw(_sparse_polys(field))
+        witness = getattr(classify, f"{mode}_witness")
+        w = witness(f)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(classify, "_row_chunks", _one_chunk)
+            assert witness(f) == w, (mode, str(f))
+        if field.q <= 125:
+            assert w == oracle(field, _literal_values(f)), (mode, str(f))
 
 
 # ---------------------------------------------------------------------------
