@@ -13,45 +13,52 @@ in chunks that start at one row and double up to 2^20 entries
 positive O(log q) chunks more than one chunk would.  Nearly every negative
 fails in the first row and reads that row alone: 0.09 ms at q = 125 and
 0.3 ms at q = 2401, against 0.4 and 0.6 ms when a first chunk of about 2^14
-entries read 124 and 6 rows (CPU time, 2-core x86).  The Alltop certificate
-keeps that first batch, since its positives read every pair of points.  An
+entries read 124 and 6 rows (CPU time, 2-core x86).  The certificate
+keeps that first batch, since its positives read every point.  An
 additive positive costs O(terms): a function is additive exactly when its
 reduced polynomial is linearized, sum c_i x^(p^i), so that case needs no
 table at all, and neither does a reduced polynomial with a nonzero
 constant, whose witness is (0, 0).
 
-Certificates.  Let the digit degree of f be the largest base-p digit sum of
-its reduced exponents (`_digit_degree`): its degree as a polynomial in the
+Certificates.  The digit degree of f is the largest base-p digit sum of the
+exponents of its reduced polynomial: its degree as a polynomial in the
 GF(p) coordinates of x.  By Lucas, each difference lowers it, so at digit
-degree <= 2 every Delta_a f is x -> B(a, x) plus a constant, and at digit
-degree <= 3 every Delta_a Delta_b f is x -> D(a, b, x) plus a constant, with
-B bilinear and D trilinear over GF(p).  Such a difference permutes exactly
-when its r x r matrix over GF(p) is invertible.  B and D are read from the
-table at the basis vectors e_i = p^i, 4 and 8 entries per value
-(`_basis_form`), and scaling a or b scales the matrix, so one point per
-line through 0 decides (`_projective_points`).  A batched elimination mod p
-(`_singular`) then decides planarity at digit degree <= 2 from
-(q - 1)/(p - 1) matrices, and the Alltop property at digit degree <= 3 from
-about ((q - 1)/(p - 1))^2 / 2, in any odd characteristic: x^2 over GF(2401)
-in 0.7 ms and x^3 over GF(343) in 1.6 ms against 0.18 s and 0.60 s by scan,
-and x^3 over GF(2401) in 0.12 s (CPU time, 2-core x86).
+degree <= m every (m - 1)-fold difference of f is x -> F(a, ..., x) plus a
+constant, with F an m-linear form over GF(p): m = 2 for planarity, which
+asks it of every Delta_a f, and m = 3 for the Alltop property, which asks
+it of every Delta_a Delta_b f.  Such a difference permutes exactly when its
+r x r matrix over GF(p) is invertible.  F is read from the table at the
+basis vectors e_i = p^i, 2^m entries per value (`_basis_form`), and scaling
+a shift scales the matrix, so one point per line through 0 decides
+(`_projective_points`).  One certificate of order m (`_first_singular`)
+then decides by a batched elimination mod p (`_singular`) over
+(q - 1)/(p - 1) matrices for m = 2 and about ((q - 1)/(p - 1))^2 / 2 for
+m = 3, in any odd characteristic: x^2 over GF(2401) in 0.37 ms and x^3
+over GF(343) in 0.84 ms against 0.14 s and 0.51 s by scan, and x^3 over
+GF(2401) in 0.08 s (CPU time, 2-core x86; 0.36, 0.80 and 79 ms when the
+two orders had a certificate each, medians of 5 alternated sessions).
 
 Routes.  Every witness comes from one scan (`_table_planar_witness`,
 `_table_alltop_witness`) over a range of shifts [first, stop), and a route
-only picks that range (`_witness`).  A passing certificate answers None
-with no scan.  A failing one names the smallest failing shift a, a point
-of smallest encoding on its line, and the scan reads the one row a.  Let
-f be c * x^e plus terms of the mode's free exponents (`_free_exponents`:
-affine terms, and for Alltop Dembowski-Ostrom terms too), with e beyond
-the certificate's digit degree (`_single_term`).  Homogeneity,
-Delta_a x^e(x) = a^e * Delta_1 x^e(x / a), makes every shift a behave like
-a = 1, so the scan reads the one row a = 1: such an f is planar exactly
-when that row permutes, and Alltop exactly when Delta_1 f is planar.  A
-positive of higher digit degree, such as the Coulter-Matthews
+only picks that range (`_witness`) from the core of f (`_core`): its
+reduced terms, like terms combined, less those of the mode's free
+exponents (`_free_exponents`: affine terms, and for Alltop
+Dembowski-Ostrom terms too).  Free exponents have digit sum at most 2, so
+f has digit degree at most the mode's m exactly when every core exponent
+has, and then the certificate decides.  A pass answers None with no scan.
+A failure names the smallest failing shift a, a point of smallest encoding
+on its line, and the scan reads the one row a.  Reduction and cancellation
+count: over GF(25), x^3 + 4*x^27 + x^6 has the core x^6, since x^27 is x^3
+there, so the planar certificate decides it.  A core of one term c * x^e
+with digit sum beyond m is decided by homogeneity,
+Delta_a x^e(x) = a^e * Delta_1 x^e(x / a), which makes every shift a behave
+like a = 1, so the scan reads the one row a = 1: such an f is planar
+exactly when that row permutes, and Alltop exactly when Delta_1 f is
+planar.  A positive of higher digit degree, such as the Coulter-Matthews
 x^((3^k+1)/2) over GF(3^r), then costs O(q) reads for planar and O(q^2)
-for Alltop.  Any other f of higher digit degree is scanned over [1, q).
-`monomial_verdicts` decides many exponents at once from the same facts.
-In every case the witness is the first violation of the whole scan.
+for Alltop.  Any other core is scanned over [1, q).  `monomial_verdicts`
+decides many exponents at once from the same facts.  In every case the
+witness is the first violation of the whole scan.
 
 One table, `_p_power_exponents` = {p^i: i}, gives the exponent classes: its
 keys are the linearized exponents, and x^e is the quadratic monomial
@@ -72,10 +79,10 @@ from .errors import NonAdditiveM, NotAlltop, ZeroScale
 from .field import FieldElement, FieldSpec, _require_prime, base_p_digits
 from .polyfun import Poly
 
-_FIRST_CHUNK_ENTRIES = 1 << 14  # entries in the Alltop certificate's first batch
+_FIRST_CHUNK_ENTRIES = 1 << 14  # entries in a certificate's first batch
 _CHUNK_ENTRIES = 1 << 20
 _BATCH_ENTRIES = 1 << 16  # difference entries per batch in monomial_verdicts
-_CERTIFIED_DEGREE = {"planar": 2, "alltop": 3}  # the certificates' digit degrees
+_CERTIFIED_DEGREE = {"planar": 2, "alltop": 3}  # the certificate's order m per mode
 
 
 def _row_chunks(start: int, stop: int, q: int, size: int = 1):
@@ -190,14 +197,6 @@ def _table_alltop_witness(
     return None
 
 
-def _digit_degree(f: Poly) -> int:
-    """The largest base-p digit sum of f's reduced exponents, 0 for f = 0:
-    the degree of f as a polynomial in the GF(p) coordinates of x."""
-    p, q = f.field.p, f.field.q
-    return max((sum(base_p_digits(polyfun._reduced_exponent(e, q), p)) for e in f.terms),
-               default=0)
-
-
 def _digits(enc: np.ndarray, fld: FieldSpec) -> np.ndarray:
     """Base-p digits of encodings, as int64 along a new last axis."""
     return enc.astype(np.int64)[..., None] // fld.p ** np.arange(fld.r) % fld.p
@@ -268,20 +267,36 @@ def _projective_points(fld: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _first_singular_shift(fld: FieldSpec, t: np.ndarray) -> int | None:
-    """Planar certificate for a table of digit degree at most 2: the smallest
-    a != 0 whose difference is not a permutation, None when there is none.
+def _first_singular(fld: FieldSpec, t: np.ndarray, m: int) -> int | None:
+    """The certificate of order m for a table of digit degree at most m: the
+    smallest a != 0 whose difference fails, None when there is none.  For
+    m = 2 a fails when Delta_a f is not a permutation, for m = 3 when some
+    Delta_a Delta_b f with b != 0 is not.
 
-    Delta_a f is x -> B(a, x) plus a constant, with B = `_basis_form`(2)
-    bilinear, so it permutes exactly when the r x r matrix of B(a, .) is
-    invertible, and B(c * a, .) = c * B(a, .).  One point per line decides
-    its line, and that point is the line's smallest encoding.
+    That difference is x -> F(a, x), or F(a, b, x), plus a constant, with
+    F = `_basis_form`(m) symmetric and GF(p)-multilinear, so it permutes
+    exactly when the r x r matrix of F(a, .) or F(a, b, .) is invertible.
+    Scaling a or b scales that matrix, so one point per line decides, the
+    line's smallest encoding.  Points a are taken in ascending chunks, for
+    m = 3 each against every b from the chunk's first on.  The first chunk
+    with a singular matrix holds the answer, its first failing row: a pair
+    (a, b) with b < a also fails as (b, a), in an earlier row.  A positive
+    reads every point, so the first chunk holds about _FIRST_CHUNK_ENTRIES
+    matrix entries, not one row.
     """
+    p, r = fld.p, fld.r
     pts, digits = _projective_points(fld)
-    r = fld.r
-    form = _basis_form(fld, t, 2).reshape(r, r * r)
-    bad = _singular((digits @ form % fld.p).reshape(-1, r, r), fld.p)
-    return int(pts[bad.argmax()]) if bad.any() else None
+    form = _basis_form(fld, t, m).reshape(r, -1)
+    n = len(pts)
+    width = n ** (m - 2) * r * r
+    for rows in _row_chunks(0, n, width, max(1, _FIRST_CHUNK_ENTRIES // width)):
+        mats = digits[rows] @ form % p  # [a, x * r + digit], or [a, (b * r + x) * r + digit]
+        if m == 3:
+            mats = digits[rows[0] :] @ mats.reshape(len(rows), r, r * r) % p  # [a, b, ...]
+        bad = _singular(mats.reshape(-1, r, r), p).reshape(len(rows), -1).any(axis=1)
+        if bad.any():
+            return int(pts[rows[bad.argmax()]])
+    return None
 
 
 def planar_witness(f: Poly) -> tuple[int, int, int] | None:
@@ -293,34 +308,6 @@ def is_planar(f: Poly) -> bool:
     return planar_witness(f) is None
 
 
-def _first_singular_pair_shift(fld: FieldSpec, t: np.ndarray) -> int | None:
-    """Alltop certificate for a table of digit degree at most 3: the smallest
-    a != 0 with some b != 0 whose second difference is not a permutation,
-    None when there is none.
-
-    Delta_a Delta_b f is x -> D(a, b, x) plus a constant, with D =
-    `_basis_form`(3) symmetric and trilinear, so one point per line of a
-    and of b decides.  Points a are taken in ascending chunks against every
-    b from the chunk's first on.  The first chunk with a singular pair holds
-    the answer, its first failing row: a pair (a, b) with b < a also fails
-    as (b, a), in an earlier row.  A positive reads every pair, so the first
-    chunk holds about _FIRST_CHUNK_ENTRIES matrix entries, not one row.
-    """
-    p, r = fld.p, fld.r
-    pts, digits = _projective_points(fld)
-    form = _basis_form(fld, t, 3).reshape(r, r**3)
-    n = len(pts)
-    width = n * r * r
-    for rows in _row_chunks(0, n, width, max(1, _FIRST_CHUNK_ENTRIES // width)):
-        a0 = int(rows[0])
-        by_a = (digits[rows] @ form % p).reshape(len(rows), r, r * r)
-        mats = digits[a0:] @ by_a % p  # [a, b, x * r + digit]
-        bad = _singular(mats.reshape(-1, r, r), p).reshape(len(rows), n - a0)
-        if bad.any():
-            return int(pts[rows[bad.any(axis=1).argmax()]])
-    return None
-
-
 def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
     """None when every difference of f is planar, else the first (a, b, x, x2)."""
     return _witness(f, "alltop")
@@ -328,34 +315,28 @@ def alltop_witness(f: Poly) -> tuple[int, int, int, int] | None:
 
 def _witness(f: Poly, mode: str):
     """The mode's witness for f from one scan over the shifts [first, stop)
-    its route picks (module docstring): one row a for a failing certificate
-    at a, the row a = 1 for a single-term core, [1, q) otherwise."""
+    its route picks from f's core (module docstring), m being the mode's
+    certified order: one row a for a failing certificate at a when every
+    core exponent has digit sum <= m, the row a = 1 for any other
+    single-term core, [1, q) otherwise."""
     fld = f.field
     t = f.value_table()
-    planar = mode == "planar"
+    m = _CERTIFIED_DEGREE[mode]
+    core = _core(f, _free_exponents(fld, mode))
     first, stop = 1, fld.q
-    if _digit_degree(f) <= _CERTIFIED_DEGREE[mode]:
-        first = (_first_singular_shift if planar else _first_singular_pair_shift)(fld, t)
+    if max((sum(base_p_digits(e, fld.p)) for e, _ in core), default=0) <= m:
+        first = _first_singular(fld, t, m)
         if first is None:
             return None
         stop = first + 1
-    elif _single_term(f, mode):
+    elif len(core) == 1:
         stop = 2
-    return (_table_planar_witness if planar else _table_alltop_witness)(fld, t, first, stop)
+    scan = _table_planar_witness if mode == "planar" else _table_alltop_witness
+    return scan(fld, t, first, stop)
 
 
 def is_alltop(f: Poly) -> bool:
     return alltop_witness(f) is None
-
-
-def _single_term(f: Poly, mode: str) -> bool:
-    """Is f one term c * x^e once the mode's free terms are dropped, with e
-    beyond the certificate's digit degree (2 for planar, 3 for Alltop)?"""
-    core = _core(f, _free_exponents(f.field, mode))
-    if len(core) != 1:
-        return False
-    ((e, _),) = core
-    return sum(base_p_digits(e, f.field.p)) > _CERTIFIED_DEGREE[mode]
 
 
 def monomial_verdicts(fld: FieldSpec, exponents, mode: str) -> np.ndarray:

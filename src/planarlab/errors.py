@@ -61,5 +61,9 @@ class BudgetExceeded(PlanarLabError, RuntimeError):
     """An enumeration campaign exceeds the configured budget."""
 
 
+class MislabelledImport(PlanarLabError, ValueError):
+    """An imported MUB set's vectors are not those its labels name."""
+
+
 class LengthMismatch(PlanarLabError, ValueError):
     """Phase tables of unequal length were combined."""

@@ -49,10 +49,13 @@ digits, a json body's up to its closing "]]" and a csv basis's over its q
 lines.  An import is kept only if the set's export, rendered piece by
 piece, tiles the input byte for byte, so it is exact by construction; any
 other input goes to the checked parser, which reads every value and raises
-every import error.  At q = 125 json export takes about
-0.003 s, csv 0.005 s, and the canonical import 0.004 s (json) and 0.006 s
-(csv), its check included, against 0.33 and 0.45 s through the checked
-parser (CPU time, 2-core x86).
+every import error.  After either route the labels are checked
+(_check_labels): each phase basis's reference row must be its label's row
+up to a constant, else MislabelledImport.  At q = 125 json export takes
+about 0.003 s, csv 0.005 s, and the canonical import 0.006 s (json) and
+0.007 s (csv), its checks included, the label check 0.002 s of it, against
+0.33 and 0.45 s through the checked parser (CPU time, 2-core x86).  At
+q = 343 the label check takes 0.04 s of a 0.12 s import.
 """
 
 from __future__ import annotations
@@ -61,14 +64,20 @@ import json
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import chain, groupby
 from typing import NamedTuple
 
 import numpy as np
 
 from . import classify, cyclo
-from .errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
+from .errors import (
+    BudgetExceeded,
+    CharacteristicTooSmall,
+    FieldMismatch,
+    MislabelledImport,
+    NotPlanar,
+)
 from .field import FieldSpec, make_field
 from .polyfun import Poly, parse_poly
 
@@ -112,6 +121,8 @@ class MubSet:
             raise ValueError(f"the standard basis position must be in [0, {q}]")
         if self.construction not in ("planar", "alltop"):
             raise ValueError(f"unknown construction {self.construction!r}")
+        if exps.max() >= self.field.p:
+            raise ValueError(f"phase exponents must be integers in [0, {self.field.p})")
         exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
 
@@ -130,6 +141,17 @@ def _fold(s: np.ndarray, p: int) -> np.ndarray:
     return np.minimum(s, s - np.uint16(p), out=s)
 
 
+def _label_rows(field: FieldSpec, construction: str, poly: Poly) -> np.ndarray:
+    """Row a of the uint16 (q, q) result is the reference row of the phase
+    basis labelled a, row b = 0 of its construction: tr(a * poly(x)) for
+    planar, and tr(poly(x + a)) for alltop."""
+    values = poly.value_table()
+    if construction == "planar":
+        return field.trace_bilinear.astype(np.uint16)[:, values]
+    enc = field.encodings
+    return field.trace_table[values[field.add_vec(enc[:, None], enc)]].astype(np.uint16)
+
+
 def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
     """Bases V_a with exponents tr(a * pi(x) + b * x) for all a, plus standard."""
     _check_size(field)
@@ -139,7 +161,7 @@ def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
         raise NotPlanar(f"{pi} is not planar over {field!r}")
     q = field.q
     tb = field.trace_bilinear.astype(np.uint16)  # tb[b, x] = tr(b * x)
-    ta = tb[:, pi.value_table()]  # ta[a, x] = tr(a * pi(x))
+    ta = _label_rows(field, "planar", pi)  # ta[a, x] = tr(a * pi(x))
     exps = np.empty((q, q, q), dtype=np.uint16)
     step = max(1, _VERIFY_CHUNK // (q * q))  # all bases for q <= 63, 2 at q = 343
     for a0 in range(0, q, step):
@@ -670,7 +692,7 @@ def _json_bases(data: bytes, fld: FieldSpec, at: int):
         if pos < 0:
             return None
         pos += len(b"]},")
-    if standard is None or exps.max() >= p:
+    if standard is None:
         return None
     return tuple(labels), exps, standard
 
@@ -709,13 +731,14 @@ def _csv_bases(data: bytes, field: FieldSpec):
             pos = _body_digits(chars, pos, comma + 1 - pos, runs, exps[k])
         if pos < 0:
             return None
-    return None if exps.max() >= p else (tuple(labels), exps)
+    return tuple(labels), exps
 
 
 def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None):
     """A csv set's construction and polynomial, which csv does not record:
     planar unless given, and x^2 for planar or x^3 for alltop unless
-    poly_text is given."""
+    poly_text is given.  When neither is given, _check_labels may relabel
+    the set as alltop x^3."""
     construction = construction or "planar"
     poly = parse_poly(poly_text or ("x^3" if construction == "alltop" else "x^2"), field)
     return construction, poly
@@ -785,9 +808,11 @@ def import_mubs(
 
     csv carries no field header, so `field` is required for it; construction
     defaults to planar and the generating polynomial to x^2, or to x^3 for
-    an alltop construction, when absent (`_csv_kind`).  A
-    json file must match `field` (FieldMismatch), `construction` and
-    `poly_text` (ValueError) when they are given.  Values of the wrong type,
+    an alltop construction, when absent (`_csv_kind`), and with neither
+    given the set is planar x^2 or alltop x^3, whichever its vectors match.
+    A json file must match `field` (FieldMismatch), `construction` and
+    `poly_text` (ValueError) when they are given.  A set whose vectors are
+    not those its labels name raises MislabelledImport (`_check_labels`).  Values of the wrong type,
     count or shape, basis labels that are not q distinct elements of [0, q)
     and csv rows whose b is not their position in the basis raise ValueError;
     a set above the size bound, BudgetExceeded.
@@ -806,8 +831,32 @@ def import_mubs(
     if m is None:
         m = _import_checked(data, fmt, field, construction, poly_text)
         route = "checked"
+    m = _check_labels(m, fmt == "csv" and construction is None and poly_text is None)
     _log.info("import %s GF(%d): %s route", fmt, m.field.q, route)
     return m
+
+
+def _check_labels(m: MubSet, guess: bool) -> MubSet:
+    """m when the reference row of each phase basis (_certified_rows) is its
+    label's row (_label_rows) up to a constant; with `guess`, m as the
+    planar set of x^2 or the alltop set of x^3, whichever its vectors match.
+    Otherwise MislabelledImport names the first phase basis that disagrees.
+    The reference row is that of the basis's largest group of agreeing rows,
+    so a few corrupted vectors do not change it."""
+    fld = m.field
+    ref = _certified_rows(m)[0]
+    labels = np.asarray(m.a)
+    kinds = [(m.construction, m.poly)]
+    if guess:
+        kinds.append(("alltop", Poly.monomial(fld, 3)))
+    wrong = []
+    for kind, poly in kinds:
+        d = _fold(ref + (fld.p - _label_rows(fld, kind, poly)[labels]), fld.p)
+        bad = np.flatnonzero((d != d[:, :1]).any(axis=1))
+        if not len(bad):
+            return m if kind == m.construction else replace(m, construction=kind, poly=poly)
+        wrong.append(f"phase basis {bad[0]} is not the {kind} basis a = {m.a[bad[0]]} of {poly}")
+    raise MislabelledImport("; ".join(wrong))
 
 
 def _import_checked(data, fmt, field, construction, poly_text) -> MubSet:

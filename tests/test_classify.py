@@ -496,8 +496,11 @@ def _rows_read(monkeypatch):
 
 def _one_row_then_four(monkeypatch, q):
     """Scan chunks of 1, 2, 4, 4, ... rows, every polynomial taking the scan
-    route rather than a certificate; returns `_rows_read`'s list."""
-    monkeypatch.setattr(classify, "_digit_degree", lambda f: math.inf)
+    over [1, q) rather than a certificate or the row a = 1; returns
+    `_rows_read`'s list.  No core exponent has digit sum <= -1, so the
+    certificates are off, and an empty core is not one term."""
+    monkeypatch.setattr(classify, "_CERTIFIED_DEGREE", {"planar": -1, "alltop": -1})
+    monkeypatch.setattr(classify, "_core", lambda f, free: frozenset())
     monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 4 * q)
     return _rows_read(monkeypatch)
 
@@ -565,7 +568,8 @@ def test_a_scanned_positive_reads_every_row_in_doubling_chunks(monkeypatch, r):
     the scan reads [1, q), in O(log q) chunks as the cap exceeds q here."""
     field = make_field(3, r)
     f = shift_scale(Poly.monomial(field, 14), 2, 1) + parse_poly("x^3 + 2*x + 1", field)
-    assert classify._digit_degree(f) > 2 and not classify._single_term(f, "planar")
+    sums = _core_digit_sums(f, "planar")
+    assert max(sums) > 2 and len(sums) > 1
     scans = _rows_read(monkeypatch)
     assert planar_witness(f) is None
     (sizes,) = scans
@@ -580,6 +584,18 @@ def test_the_alltop_certificate_starts_with_a_batch(monkeypatch, p, r, batches):
     scans = _rows_read(monkeypatch)
     assert alltop_witness(Poly.monomial(field, 3)) is None
     assert scans == [batches]
+
+
+def test_the_planar_certificate_reads_its_points_in_batches(monkeypatch):
+    """x^2 is planar, so its certificate reads every point a, r^2 matrix
+    entries each: in one batch over every field with r <= 6, and over
+    GF(3^7) in a first batch of _FIRST_CHUNK_ENTRIES // 49 = 334 of its
+    1093 points, then doubling."""
+    scans = _rows_read(monkeypatch)
+    for p, r, batches in [(3, 6, [364]), (7, 4, [400]), (5, 3, [31]), (3, 7, [334, 668, 91])]:
+        scans.clear()
+        assert planar_witness(Poly.monomial(make_field(p, r), 2)) is None
+        assert scans == [batches], (p, r)
 
 
 @st.composite
@@ -753,7 +769,7 @@ ALLTOP_FIELDS = [(p, r) for p, r in PLANAR_FIELDS if p**r <= 125]
 def test_planar_certificate_matches_the_scan(p, r, data):
     field = make_field(p, r)
     f = data.draw(_low_degree_polys(field, 2))
-    assert classify._digit_degree(f) <= 2
+    assert max(_core_digit_sums(f, "planar"), default=0) <= 2
     with pytest.MonkeyPatch.context() as m:
         scan, calls = _routes(m, "_table_planar_witness")
         w = planar_witness(f)
@@ -768,7 +784,7 @@ def test_planar_certificate_matches_the_scan(p, r, data):
 def test_alltop_certificate_matches_the_scan(p, r, data):
     field = make_field(p, r)
     f = data.draw(_low_degree_polys(field, 3))
-    assert classify._digit_degree(f) <= 3
+    assert max(_core_digit_sums(f, "alltop"), default=0) <= 3
     with pytest.MonkeyPatch.context() as m:
         scan, calls = _routes(m, "_table_alltop_witness")
         w = alltop_witness(f)
@@ -835,8 +851,10 @@ def test_alltop_first_failing_shift_above_one(text, p, r, witness):
 
 
 def test_alltop_certificate_early_exit_across_chunks(monkeypatch):
-    """Points a in chunks of one row: the certificate stops at the first
-    chunk with a singular pair and still names the scan's first a."""
+    """Points a in chunks of one row: the certificate of either order stops
+    at the first chunk with a singular matrix and still names the scan's
+    first a.  Over GF(3^7) the planar one takes several chunks by default
+    too (test_the_planar_certificate_reads_its_points_in_batches)."""
     monkeypatch.setattr(classify, "_FIRST_CHUNK_ENTRIES", 1)
     monkeypatch.setattr(classify, "_CHUNK_ENTRIES", 1)
     for text, p, r in [("5*x^11 + x^3", 5, 2), ("x^3", 5, 2), ("x^9 + x^3", 7, 2),
@@ -844,6 +862,16 @@ def test_alltop_certificate_early_exit_across_chunks(monkeypatch):
         field = make_field(p, r)
         f = parse_poly(text, field)
         assert alltop_witness(f) == classify._table_alltop_witness(field, f.value_table())
+    for text, p, r, witness in [
+        ("x^2", 3, 7, None), ("x^2 + 57*x^82", 3, 7, (12, 76, 81)),  # a DO sum
+        ("x^4 + x^2", 3, 2, (3, 0, 3)), ("6*x^4 + x^2", 3, 2, (4, 2, 3)),
+        ("2*x^6 + x^2", 5, 2, (7, 2, 5)), ("5*x^4 + x^2", 3, 3, (3, 0, 9)),
+    ]:
+        field = make_field(p, r)
+        f = parse_poly(text, field)
+        assert max(_core_digit_sums(f, "planar"), default=0) <= 2
+        assert planar_witness(f) == classify._table_planar_witness(
+            field, f.value_table()) == witness, text
 
 
 def test_alltop_certificate_gf343_cubic():
@@ -853,27 +881,51 @@ def test_alltop_certificate_gf343_cubic():
     assert classify._table_alltop_witness(field, f.value_table()) is None
 
 
+def _refuse_the_certificate(monkeypatch):
+    def refuse(fld, t, m):
+        raise AssertionError("certificate used out of its scope")
+
+    monkeypatch.setattr(classify, "_first_singular", refuse)
+
+
 @pytest.mark.parametrize("text,p,r", [
     ("x^4", 5, 1), ("x^3 + x^2", 7, 1), ("x^5 + 3*x", 3, 2), ("x^8", 3, 2),
     ("x^12 + x^2", 5, 2), ("2*x^24 + x^6", 5, 2),
-    # the x^3 terms cancel: digit degree 3, but the core is x^6 alone
-    ("x^3 + 4*x^27 + x^6", 5, 2),
 ])
 def test_out_of_scope_takes_the_planar_scan(monkeypatch, text, p, r):
     field = make_field(p, r)
     f = parse_poly(text, field)
-    assert classify._digit_degree(f) > 2
-
-    def refuse(fld, t):
-        raise AssertionError("certificate used out of its scope")
-
-    monkeypatch.setattr(classify, "_first_singular_shift", refuse)
+    sums = _core_digit_sums(f, "planar")
+    assert max(sums) > 2
+    _refuse_the_certificate(monkeypatch)
     scan, calls = _routes(monkeypatch, "_table_planar_witness")
     assert planar_witness(f) == scan(field, f.value_table())
     # a single-term core is scanned at a = 1 alone, anything else over [1, q)
     single = text in ("x^4", "x^5 + 3*x", "x^8")
-    assert classify._single_term(f, "planar") == single
+    assert (len(sums) == 1) == single
     assert calls == [(1, 2 if single else field.q)]
+
+
+@pytest.mark.parametrize("text,p,r,mode,witness", [
+    # x^27 is x^3 over GF(25) and the x^3 terms cancel: the core is x^6 alone
+    ("x^3 + 4*x^27 + x^6", 5, 2, "planar", (1, 0, 5)),
+    # x^28 is x^4 over GF(25) and cancels, leaving x^3
+    ("x^3 + x^4 + 4*x^28", 5, 2, "alltop", None),
+    # x^80 is x^8 over GF(25) and cancels; x^6 = x^(1 + 5) is a free DO term
+    ("x^80 + 4*x^8 + x^6 + x^3", 5, 2, "alltop", None),
+])
+def test_a_core_lowered_by_reduction_takes_the_certificate(monkeypatch, text, p, r, mode,
+                                                           witness):
+    """Formal terms of digit sum beyond m that reduce or cancel away leave a
+    core the certificate covers: it decides, and the witness is the scan's."""
+    field = make_field(p, r)
+    f = parse_poly(text, field)
+    m = classify._CERTIFIED_DEGREE[mode]
+    assert max(sum(base_p_digits(e, p)) for e in f.terms) > m
+    assert max(_core_digit_sums(f, mode), default=0) <= m
+    scan, calls = _routes(monkeypatch, f"_table_{mode}_witness")
+    assert getattr(classify, f"{mode}_witness")(f) == scan(field, f.value_table()) == witness
+    assert calls == ([] if witness is None else [(witness[0], witness[0] + 1)])
 
 
 @pytest.mark.parametrize("text,p,r", [
@@ -882,16 +934,13 @@ def test_out_of_scope_takes_the_planar_scan(monkeypatch, text, p, r):
 def test_out_of_scope_takes_the_alltop_scan(monkeypatch, text, p, r):
     field = make_field(p, r)
     f = parse_poly(text, field)
-    assert classify._digit_degree(f) > 3
-
-    def refuse(fld, t):
-        raise AssertionError("certificate used out of its scope")
-
-    monkeypatch.setattr(classify, "_first_singular_pair_shift", refuse)
+    sums = _core_digit_sums(f, "alltop")
+    assert max(sums) > 3
+    _refuse_the_certificate(monkeypatch)
     scan, calls = _routes(monkeypatch, "_table_alltop_witness")
     assert alltop_witness(f) == scan(field, f.value_table())
     single = text in ("x^4", "x^8")
-    assert classify._single_term(f, "alltop") == single
+    assert (len(sums) == 1) == single
     assert calls == [(1, 2 if single else field.q)]
 
 
@@ -913,12 +962,38 @@ def test_singular_matches_the_determinant(p):
         assert any(want) and not all(want)
 
 
+def _core_digit_sums(f, mode=None):
+    """The base-p digit sums of the exponents of f's core in the mode, sorted;
+    with no mode, of every reduced term, like terms combined."""
+    free = frozenset() if mode is None else classify._free_exponents(f.field, mode)
+    return sorted(sum(base_p_digits(e, f.field.p)) for e, _ in classify._core(f, free))
+
+
 @pytest.mark.parametrize("text,p,r,degree", [
     ("0", 5, 1, 0), ("3", 5, 1, 0), ("x^5", 5, 1, 1), ("x^25 + x", 5, 1, 1),
     ("x^2 + x^6", 5, 2, 2), ("x^7", 5, 2, 3), ("x^24", 5, 2, 8), ("x^13", 3, 3, 3),
+    # x^27 is x^3 over GF(25), and 1 + 4 = 0
+    ("x^3 + 4*x^27 + x^6", 5, 2, 2),
 ])
 def test_digit_degree_reads_reduced_exponents(text, p, r, degree):
-    assert classify._digit_degree(parse_poly(text, make_field(p, r))) == degree
+    """The digit degree of f, the largest digit sum of its reduced
+    polynomial's exponents, from the core with nothing left out."""
+    f = parse_poly(text, make_field(p, r))
+    assert max(_core_digit_sums(f), default=0) == degree
+
+
+@pytest.mark.parametrize("text,p,r,planar,alltop", [
+    ("0", 5, 1, [], []), ("3", 5, 1, [], []), ("x^5", 5, 1, [], []),
+    ("x^25 + x", 5, 1, [], []), ("x^2 + x^6", 5, 2, [2, 2], []), ("x^7", 5, 2, [3], [3]),
+    ("x^24", 5, 2, [8], [8]), ("x^13", 3, 3, [3], [3]),
+    # reduced, then like terms combined: x^27 is x^3 here, and 1 + 4 = 0
+    ("x^3 + 4*x^27 + x^6", 5, 2, [2], []), ("x^3 + x^27 + x^6", 5, 2, [2, 3], [3]),
+    ("x^29 + x^10", 5, 2, [2], []),  # x^29 is x^5, free, and x^10 = x^(5 + 5)
+])
+def test_core_digit_sums_read_reduced_combined_exponents(text, p, r, planar, alltop):
+    f = parse_poly(text, make_field(p, r))
+    assert _core_digit_sums(f, "planar") == planar
+    assert _core_digit_sums(f, "alltop") == alltop
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +1077,8 @@ def test_single_term_route_matches_the_scan(p, r, data):
     for mode, witness, name in [("planar", planar_witness, "_table_planar_witness"),
                                 ("alltop", alltop_witness, "_table_alltop_witness")]:
         f = data.draw(_single_term_polys(field, mode))
-        assert classify._single_term(f, mode)
+        (digit_sum,) = _core_digit_sums(f, mode)
+        assert digit_sum > classify._CERTIFIED_DEGREE[mode]
         with pytest.MonkeyPatch.context() as m:
             scan, calls = _routes(m, name)
             w = witness(f)

@@ -476,6 +476,32 @@ def test_cmd_mubs_unknown_construction_exits_2(runner, tmp_path, action):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("built,args,message", [
+    ("alltop", ["--construction", "planar"], "phase basis 0 is not the planar basis a = 0 of x^2"),
+    ("planar", ["--construction", "alltop"], "phase basis 0 is not the alltop basis a = 0 of x^3"),
+    ("planar", ["--construction", "planar", "--pi", "2*x^2"],
+     "phase basis 1 is not the planar basis a = 1 of 2*x^2"),
+], ids=["alltop-as-planar", "planar-as-alltop", "other-pi"])
+@pytest.mark.parametrize("action", ["verify", "export"])
+def test_cmd_mubs_mislabelled_csv_exits_2(runner, tmp_path, built, args, message, action):
+    """csv records no construction: the one given must be the vectors'."""
+    out = tmp_path / "a7.csv"
+    invoke(runner, "mubs", "--p", "7", "--construction", built, "--action", "build",
+           "--export-format", "csv", "--out", str(out))
+    result = runner.invoke(main, ["mubs", "--p", "7", *args, "--action", action,
+                                  "--in", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("action", ["verify", "export"])
+def test_cmd_mubs_relabelled_json_header_exits_2(runner, tmp_path, action):
+    result = _mubs_on_edited_export(
+        runner, tmp_path, lambda obj: _replaced(obj, ("poly",), "2*x^2"), action)
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: phase basis 1 is not the planar basis a = 1 of 2*x^2\n"
+
+
 def test_cmd_mubs_import_without_vectors_names_the_key(runner, tmp_path):
     def drop_vectors(obj):
         del obj["bases"][1]["vectors"]

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import logging
+import re
 import time
 from unittest import mock
 
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 from planarlab import mub
 from planarlab.classify import is_planar
 from planarlab.cyclo import mag_sq, phase_inner_counts
-from planarlab.errors import BudgetExceeded, CharacteristicTooSmall, FieldMismatch, NotPlanar
+from planarlab.errors import (
+    BudgetExceeded,
+    CharacteristicTooSmall,
+    FieldMismatch,
+    MislabelledImport,
+    NotPlanar,
+)
 from planarlab.field import make_field
 from planarlab.mub import (
     MAX_PHASE_ENTRIES,
@@ -1092,10 +1099,116 @@ def test_one_digit_tables_render_as_the_join_and_import_by_position(field, seed,
     data = export_mubs(m, fmt)
     with mock.patch.object(mub, "_rows_table", mub._rows_join):
         assert export_mubs(m, fmt) == data
-    kwargs = {"field": fld} if fmt == "csv" else {}
-    with mock.patch.object(mub, "_import_checked", _refuse):  # the canonical route only
-        back = import_mubs(data, fmt, **kwargs)
+    # the canonical route itself: import_mubs would refuse these labels
+    back = _canonical(data, fmt, fld if fmt == "csv" else None, None, None)
     _same_set(back, m if fmt == "json" else dataclasses.replace(m, standard=0))
+    with pytest.raises(MislabelledImport):
+        import_mubs(data, fmt, **({"field": fld} if fmt == "csv" else {}))
+
+
+@pytest.mark.parametrize("value", [5, 60000])
+def test_mub_set_refuses_exponents_outside_zp(value):
+    """An exponent of p or more would export a token no import reads, or
+    overrun the histograms' 2p bins a pair."""
+    m = planar_set(5)
+    exps = m.exponents.copy()
+    exps[2, 3, 1] = value
+    with pytest.raises(ValueError, match=r"in \[0, 5\)"):
+        dataclasses.replace(m, exponents=exps)
+
+
+def _json_bytes(obj, canonical):
+    """The document as export_mubs writes it, or indented so that only the
+    checked parser reads it."""
+    if canonical:
+        return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return json.dumps(obj, indent=1).encode()
+
+
+def _swap_labels(obj):
+    obj["bases"][1]["a"], obj["bases"][2]["a"] = obj["bases"][2]["a"], obj["bases"][1]["a"]
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("alltop,edit,message", [
+    (False, {"construction": "alltop", "poly": "x^3"},
+     "phase basis 0 is not the alltop basis a = 0 of x^3"),
+    (True, {"construction": "planar", "poly": "x^2"},
+     "phase basis 0 is not the planar basis a = 0 of x^2"),
+    (False, {"poly": "2*x^2"}, "phase basis 1 is not the planar basis a = 1 of 2*x^2"),
+    (False, _swap_labels, "phase basis 0 is not the planar basis a = 1 of x^2"),
+], ids=["planar-as-alltop", "alltop-as-planar", "other-pi", "swapped-labels"])
+def test_a_relabelled_json_export_is_refused(alltop, edit, message, canonical):
+    m = build_alltop_mubs(make_field(7)) if alltop else planar_set(7)
+    obj = json.loads(export_mubs(m, "json"))
+    if callable(edit):
+        edit(obj)
+    else:
+        obj.update(edit)
+    with pytest.raises(MislabelledImport, match=f"^{re.escape(message)}$"):
+        import_mubs(_json_bytes(obj, canonical), "json")
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+def test_csv_imports_take_the_construction_their_vectors_match(crlf):
+    """With no construction given, a csv set is planar x^2 or alltop x^3,
+    whichever its vectors match; a construction or pi given must match.
+    CRLF line ends take the checked parser."""
+    fld = make_field(7)
+    planar, alltop = planar_set(7), build_alltop_mubs(fld)
+
+    def csv(m):
+        data = export_mubs(m, "csv")
+        return data.replace(b"\n", b"\r\n") if crlf else data
+
+    for m, other in [(planar, "alltop"), (alltop, "planar")]:
+        _same_set(import_mubs(csv(m), "csv", field=fld), m)
+        _same_set(import_mubs(csv(m), "csv", field=fld, construction=m.construction), m)
+        with pytest.raises(MislabelledImport, match=f"not the {other} basis"):
+            import_mubs(csv(m), "csv", field=fld, construction=other)
+    with pytest.raises(MislabelledImport, match="^phase basis 1 is not the planar basis a = 1 "
+                                                "of 2\\*x\\^2$"):
+        import_mubs(csv(planar), "csv", field=fld, construction="planar", poly_text="2*x^2")
+    swapped = dataclasses.replace(planar, a=(1, 0, *range(2, 7)))
+    with pytest.raises(MislabelledImport, match="^phase basis 0 is not the planar basis a = 1 "
+                                                "of x\\^2; phase basis 0 is not the alltop "):
+        import_mubs(csv(swapped), "csv", field=fld)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(field=st.sampled_from([(p, r) for p in (3, 5, 7, 11) for r in (1, 2) if p**r <= 49]),
+       data=st.data())
+def test_builder_output_passes_the_label_check(field, data):
+    """Planar sets of c * x^(p^k + 1) plus affine terms, for every planar k,
+    and the alltop set: their labels hold, through json and csv alike."""
+    fld = make_field(*field)
+    p, r = field
+    planar_k = [k for k in range(r) if mub.classify.is_do_monomial_planar(p, r, k)]
+    k = data.draw(st.sampled_from(planar_k))
+    coeffs = st.integers(0, fld.q - 1)
+    pi = Poly(fld, {p**k + 1: data.draw(st.integers(1, fld.q - 1)), 1: data.draw(coeffs),
+                    0: data.draw(coeffs)})
+    sets = [build_planar_mubs(fld, pi)] + ([build_alltop_mubs(fld)] if p >= 5 else [])
+    for m in sets:
+        assert mub._check_labels(m, False) is m
+        _same_set(import_mubs(export_mubs(m, "json"), "json"), m)
+        _same_set(import_mubs(export_mubs(m, "csv"), "csv", field=fld,
+                              construction=m.construction, poly_text=str(m.poly)), m)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("alltop", [False, True])
+def test_a_corrupted_row_0_still_imports_and_fails_verification(fmt, alltop):
+    """A basis's reference row comes from its largest group of rows, so a
+    flipped exponent in row 0 neither hides the label nor passes verify."""
+    fld = make_field(7)
+    m = corrupt(build_alltop_mubs(fld) if alltop else planar_set(7), k=3, b=0, x=2)
+    back = import_mubs(export_mubs(m, fmt), fmt, **({"field": fld} if fmt == "csv" else {}))
+    _same_set(back, m)
+    report = verify_mub_set(back)
+    assert not report.passed
+    assert all((4, 0) in ((v.basis_i, v.vector_i), (v.basis_j, v.vector_j))
+               for v in report.violations)
 
 
 def _standard_last(m):

@@ -1,0 +1,54 @@
+"""The benchmark harness under perfbench/ binds names of the package: the
+tracer wraps kernels, tables, methods and `classify._perm_rows_ok`, and the
+worker touches each workload's tables and sums `FieldSpec._cache`.  A
+change that drops one of those names fails here, not in a benchmark run."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import planarlab
+from planarlab.field import FieldSpec, make_field
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import tracer
+    import workloads
+
+    return tracer, workloads
+
+
+def test_the_tracer_installs_and_restores_every_hook(harness):
+    tracer, _ = harness
+    before = {mod: dict(vars(mod)) for mod in (planarlab.classify, planarlab.mub)}
+    t = tracer.Tracer(planarlab)
+    try:
+        t.install()  # inside the try: a failed install leaves no patch behind
+        assert planarlab.classify._perm_rows_ok is not before[planarlab.classify]["_perm_rows_ok"]
+        field = make_field(5, 2)
+        for name in tracer.TABLES:  # the traced properties read FieldSpec._cache
+            getattr(field, name)
+        assert planarlab.classify.is_planar(planarlab.parse_poly("x^2", field))
+    finally:
+        t.uninstall()
+    assert t.calls["field.table_hit"] + t.calls["field.table_build"] == len(tracer.TABLES)
+    assert t.counts["classify.rows_checked"] == 0  # the certificate decides x^2
+    for mod, attrs in before.items():
+        assert dict(vars(mod)) == attrs
+
+
+def test_every_workload_table_is_a_field_attribute(harness):
+    _, workloads = harness
+    field = make_field(5, 2)
+    for names in workloads.TABLES.values():
+        for name in names:
+            assert isinstance(getattr(FieldSpec, name), property), name
+            getattr(field, name)
+    assert sum(arr.nbytes for arr in field._cache.values()) > 0
