@@ -190,9 +190,10 @@ def cmd_search(p, r, family, max_deg, mode, budget, canonical):
 @main.command("mubs")
 @click.option("--p", type=int, required=True)
 @click.option("--r", type=int, default=1, show_default=True)
-@click.option("--construction", type=click.Choice(["planar", "alltop"]), required=True)
+@click.option("--construction", type=click.Choice(list(mub.CONSTRUCTIONS)), required=True)
 @click.option("--pi", "pi_text", default=None,
-              help="generating planar polynomial (planar construction; default x^2)")
+              help="generating polynomial: planar for the planar construction (default "
+                   "x^2), Alltop for the alltop one (default x^3)")
 @click.option("--action", type=click.Choice(["build", "verify", "export"]), required=True)
 @click.option("--export-format", "fmt", type=click.Choice(["json", "csv", "float-json"]),
               default="json", show_default=True)
@@ -206,13 +207,10 @@ def cmd_search(p, r, family, max_deg, mode, budget, canonical):
 def cmd_mubs(p, r, construction, pi_text, action, fmt, out_path, in_path):
     """Build, verify, or convert a complete MUB set."""
     fld = make_field(p, r)
-    if construction == "alltop" and pi_text is not None:
-        _fail("--pi applies to the planar construction only")
 
     def build():
-        if construction == "planar":
-            return mub.build_planar_mubs(fld, parse_poly(pi_text or "x^2", fld))
-        return mub.build_alltop_mubs(fld)
+        return mub._build(fld, construction,
+                          parse_poly(pi_text or mub.CONSTRUCTIONS[construction], fld))
 
     def load(path):
         with open(path, "rb") as fh:

@@ -2,16 +2,19 @@
 
 Vectors are stored as tables of phase exponents in Z_p with an implicit
 amplitude 1/sqrt(q) on every entry, so all verification is exact integer
-arithmetic.  The planar construction assigns the vector indexed (a, b) the
-exponent table tr(a * Pi(x) + b * x); the cubic construction (characteristic
-at least 5) uses tr((x + a)^3 + b * (x + a)).  Together with the standard
-basis these give q + 1 bases.  A set keeps all q^3 exponents in one
-read-only (q, q, q) uint16 array, indexed [phase basis, vector, entry];
-sets with q^3 > 2^26 entries (q > 406) raise BudgetExceeded before any
-table is built.  The builders and the row certificate work in uint16 on
+arithmetic.  The planar construction of a planar Pi assigns the vector
+indexed (a, b) the exponent table tr(a * Pi(x) + b * x); the Alltop
+construction of an Alltop f (characteristic at least 5; x^3 by default)
+uses tr(f(x + a) + b * (x + a)).  Together with the standard basis these
+give q + 1 bases.  CONSTRUCTIONS names both with their default polynomials.
+A set keeps all q^3 exponents in one read-only (q, q, q) uint16 array,
+indexed [phase basis, vector, entry]; sets with q^3 > 2^26 entries
+(q > 406) raise BudgetExceeded before any table is built.  Both builders
+share one kernel (_build): basis a is its label row (_label_rows),
+tr(a * Pi(x)) or tr(f(x + a)), plus tr(b * x), and for Alltop plus the
+constant tr(a * b).  The kernel and the row certificate work in uint16 on
 about _VERIFY_CHUNK exponents at once, folding a sum s in [0, 2p) into
-[0, p) as min(s, s - p) (_fold); the cubic build takes basis a as the
-columns at x + a of one table tr(y^3 + b * y).
+[0, p) as min(s, s - p) (_fold).
 
 For two phase vectors the squared inner product times q^2 equals the squared
 magnitude of the phase-difference histogram, so unbiasedness is the exact
@@ -65,6 +68,7 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from itertools import chain, groupby
 from typing import NamedTuple
 
@@ -76,6 +80,7 @@ from .errors import (
     CharacteristicTooSmall,
     FieldMismatch,
     MislabelledImport,
+    NotAlltop,
     NotPlanar,
 )
 from .field import FieldSpec, make_field
@@ -86,11 +91,29 @@ MAX_PHASE_ENTRIES = 1 << 26  # q^3 bound of a MUB set: q <= 406
 _log = logging.getLogger("planarlab")
 
 
+CONSTRUCTIONS = {"planar": "x^2", "alltop": "x^3"}  # construction -> default polynomial
+
+
 def _check_size(field: FieldSpec) -> None:
     if field.q**3 > MAX_PHASE_ENTRIES:
         raise BudgetExceeded(
             f"a MUB set over GF({field.q}) has {field.q**3} phase entries, "
             f"more than the bound {MAX_PHASE_ENTRIES}"
+        )
+
+
+def _constructions(field: FieldSpec) -> list[str]:
+    """The constructions that exist over field: no Alltop function exists in
+    characteristic 3."""
+    return [kind for kind in CONSTRUCTIONS if kind == "planar" or field.p >= 5]
+
+
+def _check_construction(field: FieldSpec, construction: str) -> None:
+    if construction not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {construction!r}")
+    if construction not in _constructions(field):
+        raise CharacteristicTooSmall(
+            f"the {construction} construction needs characteristic >= 5, got {field.p}"
         )
 
 
@@ -101,10 +124,14 @@ class MubSet:
     exponents[k, b, x] is entry x of vector b in phase basis k, whose label
     is a[k] (the labels are the q elements of [0, q) in some order);
     `standard` is the position of the standard basis among the q + 1 bases.
+    The set takes ownership of the exponent array: an array that owns its
+    memory is made read-only in place, so the caller's handle cannot change
+    the set; a view is copied unless it views a read-only array that owns
+    its memory.
     """
 
     field: FieldSpec
-    construction: str  # "planar" | "alltop"
+    construction: str  # a key of CONSTRUCTIONS
     poly: Poly
     a: tuple[int, ...]
     exponents: np.ndarray
@@ -112,17 +139,20 @@ class MubSet:
 
     def __post_init__(self):
         q = self.field.q
-        exps = self.exponents.view()
+        exps = self.exponents
         if exps.dtype != np.uint16 or exps.shape != (q, q, q):
             raise ValueError(f"expected {q} phase bases of {q} vectors of length {q}")
         if sorted(self.a) != list(range(q)):
             raise ValueError(f"the basis labels must be {q} distinct elements of [0, {q})")
         if not 0 <= self.standard <= q:
             raise ValueError(f"the standard basis position must be in [0, {q}]")
-        if self.construction not in ("planar", "alltop"):
-            raise ValueError(f"unknown construction {self.construction!r}")
+        _check_construction(self.field, self.construction)
         if exps.max() >= self.field.p:
             raise ValueError(f"phase exponents must be integers in [0, {self.field.p})")
+        base = exps.base
+        if base is not None and not (isinstance(base, np.ndarray) and base.flags.owndata
+                                     and not base.flags.writeable):
+            exps = exps.copy()
         exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
 
@@ -133,6 +163,14 @@ class MubSet:
     def exponent_matrix(self, k: int) -> np.ndarray:
         """Phase basis k as int64: differences of uint16 entries would wrap."""
         return self.exponents[k].astype(np.int64)
+
+    @cached_property
+    def certificate(self) -> tuple[np.ndarray, np.ndarray]:
+        """_certified_rows of the set, computed once: the exponents are read-only."""
+        cert = _certified_rows(self)
+        for arr in cert:
+            arr.setflags(write=False)
+        return cert
 
 
 def _fold(s: np.ndarray, p: int) -> np.ndarray:
@@ -152,41 +190,38 @@ def _label_rows(field: FieldSpec, construction: str, poly: Poly) -> np.ndarray:
     return field.trace_table[values[field.add_vec(enc[:, None], enc)]].astype(np.uint16)
 
 
-def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
-    """Bases V_a with exponents tr(a * pi(x) + b * x) for all a, plus standard."""
+def _build(field: FieldSpec, construction: str, poly: Poly) -> MubSet:
+    """The set of `construction` from poly: basis a is label row a
+    (_label_rows) plus tr(b * x) in row b, plus tr(a * b) for alltop.  Size,
+    characteristic, field and poly are checked in that order."""
     _check_size(field)
-    if pi.field != field:
+    _check_construction(field, construction)
+    if poly.field != field:
         raise FieldMismatch("generating polynomial belongs to a different field")
-    if not classify.is_planar(pi):
-        raise NotPlanar(f"{pi} is not planar over {field!r}")
-    q = field.q
+    planar = construction == "planar"
+    if not (classify.is_planar if planar else classify.is_alltop)(poly):
+        raise (NotPlanar if planar else NotAlltop)(f"{poly} is not {construction} over {field!r}")
+    p, q = field.p, field.q
     tb = field.trace_bilinear.astype(np.uint16)  # tb[b, x] = tr(b * x)
-    ta = _label_rows(field, "planar", pi)  # ta[a, x] = tr(a * pi(x))
+    rows = _label_rows(field, construction, poly)  # tr(a * pi(x)) or tr(f(x + a))
     exps = np.empty((q, q, q), dtype=np.uint16)
     step = max(1, _VERIFY_CHUNK // (q * q))  # all bases for q <= 63, 2 at q = 343
     for a0 in range(0, q, step):
-        _fold(np.add(ta[a0 : a0 + step, None, :], tb, out=exps[a0 : a0 + step]), field.p)
-    return MubSet(field, "planar", pi, tuple(range(q)), exps)
+        block = _fold(np.add(rows[a0 : a0 + step, None, :], tb, out=exps[a0 : a0 + step]), p)
+        if not planar:  # plus tr(a * b)
+            _fold(np.add(block, tb[a0 : a0 + step, :, None], out=block), p)
+    return MubSet(field, construction, poly, tuple(range(q)), exps)
 
 
-def build_alltop_mubs(field: FieldSpec) -> MubSet:
-    """Bases with exponents tr((x+a)^3 + b*(x+a)); needs characteristic >= 5."""
-    _check_size(field)
-    if field.p < 5:
-        raise CharacteristicTooSmall(
-            f"cubic phase construction needs characteristic >= 5, got {field.p}"
-        )
-    q = field.q
-    enc = field.encodings
-    cube = Poly.monomial(field, 3)
-    table = field.trace_bilinear.astype(np.uint16)
-    table += field.trace_table[cube.value_table()].astype(np.uint16)
-    _fold(table, field.p)  # table[b, y] = tr(y^3 + b * y)
-    shifted = field.add_vec(enc[:, None], enc)  # shifted[a, x] = x + a
-    exps = np.empty((q, q, q), dtype=np.uint16)
-    for a in range(q):
-        np.take(table, shifted[a], axis=1, out=exps[a])
-    return MubSet(field, "alltop", cube, tuple(range(q)), exps)
+def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
+    """Bases V_a with exponents tr(a * pi(x) + b * x) for all a, plus standard."""
+    return _build(field, "planar", pi)
+
+
+def build_alltop_mubs(field: FieldSpec, f: Poly | None = None) -> MubSet:
+    """Bases with exponents tr(f(x + a) + b * (x + a)) for an Alltop f, x^3
+    unless given; needs characteristic >= 5."""
+    return _build(field, "alltop", parse_poly(CONSTRUCTIONS["alltop"], field) if f is None else f)
 
 
 class MubViolation(NamedTuple):
@@ -425,7 +460,7 @@ def verify_mub_set(m: MubSet) -> MubVerification:
     the pair classes that fail.
     """
     q = m.field.q
-    ref, good = _certified_rows(m)
+    ref, good = m.certificate
     pairs = np.concatenate([np.arange(q).repeat(2).reshape(-1, 2),  # (k, k), then k < l
                             np.transpose(np.triu_indices(q, 1))])
     violations, direct, classes, failing = _verify_pairs(m, pairs, ref, good)
@@ -736,12 +771,12 @@ def _csv_bases(data: bytes, field: FieldSpec):
 
 def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None):
     """A csv set's construction and polynomial, which csv does not record:
-    planar unless given, and x^2 for planar or x^3 for alltop unless
-    poly_text is given.  When neither is given, _check_labels may relabel
-    the set as alltop x^3."""
+    planar unless given, and the construction's default (CONSTRUCTIONS)
+    unless poly_text is given.  When neither is given, _check_labels may
+    relabel the set as another construction of its default polynomial."""
     construction = construction or "planar"
-    poly = parse_poly(poly_text or ("x^3" if construction == "alltop" else "x^2"), field)
-    return construction, poly
+    _check_construction(field, construction)
+    return construction, parse_poly(poly_text or CONSTRUCTIONS[construction], field)
 
 
 def _json_header(obj: dict, field, construction, poly_text):
@@ -758,6 +793,7 @@ def _json_header(obj: dict, field, construction, poly_text):
     if fld.modulus != tuple(_json_value(fd["modulus"], list, "field modulus")):
         raise ValueError("modulus in file does not match the canonical field")
     kind = _json_value(obj["construction"], str, "construction")
+    _check_construction(fld, kind)
     if construction is not None and kind != construction:
         raise ValueError(f"the export holds a {kind} set, not a {construction} set")
     poly = parse_poly(_json_value(obj["poly"], str, "poly"), fld)
@@ -807,9 +843,11 @@ def import_mubs(
     """Rebuild a MubSet from an exact export (json or csv).
 
     csv carries no field header, so `field` is required for it; construction
-    defaults to planar and the generating polynomial to x^2, or to x^3 for
-    an alltop construction, when absent (`_csv_kind`), and with neither
-    given the set is planar x^2 or alltop x^3, whichever its vectors match.
+    defaults to planar and the generating polynomial to the construction's
+    default in CONSTRUCTIONS when absent (`_csv_kind`), and with neither
+    given the set is whichever construction of its default its vectors
+    match, among those that exist over the field.  An alltop set below
+    characteristic 5 raises CharacteristicTooSmall.
     A json file must match `field` (FieldMismatch), `construction` and
     `poly_text` (ValueError) when they are given.  A set whose vectors are
     not those its labels name raises MislabelledImport (`_check_labels`).  Values of the wrong type,
@@ -837,24 +875,29 @@ def import_mubs(
 
 
 def _check_labels(m: MubSet, guess: bool) -> MubSet:
-    """m when the reference row of each phase basis (_certified_rows) is its
-    label's row (_label_rows) up to a constant; with `guess`, m as the
-    planar set of x^2 or the alltop set of x^3, whichever its vectors match.
-    Otherwise MislabelledImport names the first phase basis that disagrees.
-    The reference row is that of the basis's largest group of agreeing rows,
-    so a few corrupted vectors do not change it."""
+    """m when the reference row of each phase basis (m.certificate) is its
+    label's row (_label_rows) up to a constant; with `guess`, m as whichever
+    construction over m's field, each of its CONSTRUCTIONS default, its
+    vectors match.  Otherwise MislabelledImport names the first phase basis
+    that disagrees.  The reference row is that of the basis's largest group
+    of agreeing rows, so a few corrupted vectors do not change it."""
     fld = m.field
-    ref = _certified_rows(m)[0]
+    ref = m.certificate[0]
     labels = np.asarray(m.a)
     kinds = [(m.construction, m.poly)]
     if guess:
-        kinds.append(("alltop", Poly.monomial(fld, 3)))
+        kinds += [(kind, parse_poly(CONSTRUCTIONS[kind], fld))
+                  for kind in _constructions(fld) if kind != m.construction]
     wrong = []
     for kind, poly in kinds:
         d = _fold(ref + (fld.p - _label_rows(fld, kind, poly)[labels]), fld.p)
         bad = np.flatnonzero((d != d[:, :1]).any(axis=1))
         if not len(bad):
-            return m if kind == m.construction else replace(m, construction=kind, poly=poly)
+            if kind == m.construction:
+                return m
+            out = replace(m, construction=kind, poly=poly)
+            out.__dict__["certificate"] = m.certificate  # the same exponents
+            return out
         wrong.append(f"phase basis {bad[0]} is not the {kind} basis a = {m.a[bad[0]]} of {poly}")
     raise MislabelledImport("; ".join(wrong))
 
@@ -897,6 +940,7 @@ def _import_checked(data, fmt, field, construction, poly_text) -> MubSet:
         if field is None:
             raise ValueError("csv import needs the field")
         _check_size(field)
+        construction, poly = _csv_kind(field, construction, poly_text)
         q, p = field.q, field.p
         groups: dict[int, list[list[int]]] = {}
         lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -910,7 +954,6 @@ def _import_checked(data, fmt, field, construction, poly_text) -> MubSet:
         exps = np.empty((q, q, q), dtype=np.uint16)
         for k, vecs in enumerate(groups.values()):
             exps[k] = _exponent_array(_counted(vecs, q, "vectors"), p, q)
-        construction, poly = _csv_kind(field, construction, poly_text)
         return MubSet(
             field=field,
             construction=construction,

@@ -634,10 +634,38 @@ def test_cmd_mubs_above_size_bound_exits_3(runner, p, r):
         assert "error:" in result.output
 
 
-def test_cmd_mubs_pi_with_alltop_rejected(runner):
-    result = runner.invoke(main, ["mubs", "--p", "7", "--r", "1", "--construction",
-                                  "alltop", "--pi", "x^3", "--action", "build"])
-    assert result.exit_code == 2
+def test_cmd_mubs_alltop_takes_pi(runner):
+    """--pi passes an Alltop f to the alltop construction: x^3 is the
+    default, a planar x^2 is refused, and x^9 = x^(Q+2) over GF(49) verifies."""
+    base = ["mubs", "--p", "7", "--r", "1", "--construction", "alltop", "--action", "build"]
+    default = invoke(runner, *base)
+    assert default.exit_code == 0, default.output
+    assert invoke(runner, *base, "--pi", "x^3").stdout_bytes == default.stdout_bytes
+    result = runner.invoke(main, [*base, "--pi", "x^2"])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and "x^2 is not alltop" in result.output
+    verified = invoke(runner, "mubs", "--p", "7", "--r", "2", "--construction", "alltop",
+                      "--pi", "x^9", "--action", "verify")
+    assert verified.exit_code == 0, verified.output
+    assert json.loads(verified.output)["passed"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cmd_mubs_alltop_in_characteristic_3_exits_2(runner, tmp_path, fmt):
+    """No Alltop function exists in characteristic 3: building an alltop set
+    over GF(9), or verifying an import as one, exits 2."""
+    base = ["mubs", "--p", "3", "--r", "2", "--construction"]
+    built = runner.invoke(main, [*base, "alltop", "--action", "build"])
+    assert built.exit_code == 2 and "characteristic >= 5" in built.output
+    path = tmp_path / f"g9.{fmt}"
+    invoke(runner, *base, "planar", "--action", "build", "--export-format", fmt,
+           "--out", str(path))
+    if fmt == "json":  # a header that says alltop x^3
+        path.write_bytes(path.read_bytes().replace(b'"planar"', b'"alltop"')
+                         .replace(b'"x^2"', b'"x^3"'))
+    result = runner.invoke(main, [*base, "alltop", "--action", "verify", "--in", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and "characteristic >= 5" in result.output
 
 
 def test_cmd_mubs_non_planar_pi_exits_2(runner):

@@ -19,6 +19,7 @@ from planarlab.errors import (
     CharacteristicTooSmall,
     FieldMismatch,
     MislabelledImport,
+    NotAlltop,
     NotPlanar,
 )
 from planarlab.field import make_field
@@ -122,7 +123,7 @@ def test_alltop_exponents_definition():
 ORACLE_SETS = [("planar", 3, 3, "x^2"), ("planar", 3, 3, "x^4"), ("planar", 3, 3, "x^10"),
                ("planar", 5, 2, "x^2"), ("planar", 7, 2, "x^2"), ("planar", 11, 1, "x^2"),
                ("planar", 257, 1, "x^2"), ("alltop", 5, 2, "x^3"), ("alltop", 7, 2, "x^3"),
-               ("alltop", 11, 1, "x^3")]
+               ("alltop", 11, 1, "x^3"), ("alltop", 7, 2, "x^9")]
 
 
 @pytest.mark.parametrize("construction, p, r, pi_text", ORACLE_SETS,
@@ -130,7 +131,7 @@ ORACLE_SETS = [("planar", 3, 3, "x^2"), ("planar", 3, 3, "x^4"), ("planar", 3, 3
 def test_builders_match_the_scalar_formula(construction, p, r, pi_text):
     field = make_field(p, r)
     pi = parse_poly(pi_text, field)
-    m = build_planar_mubs(field, pi) if construction == "planar" else build_alltop_mubs(field)
+    m = build_planar_mubs(field, pi) if construction == "planar" else build_alltop_mubs(field, pi)
     assert m.exponents.dtype == np.uint16 and not m.exponents.flags.writeable
     assert m.exponents.max() == p - 1
     q, mul, add = field.q, field.mul, field.add
@@ -139,8 +140,32 @@ def test_builders_match_the_scalar_formula(construction, p, r, pi_text):
             want = field.trace(add(mul(a, pi(x).enc), mul(b, x)))
         else:
             y = add(x, a)
-            want = field.trace(add(mul(mul(y, y), y), mul(b, y)))
+            want = field.trace(add(pi(y).enc, mul(b, y)))
         assert m.exponents[a, b, x] == want, (a, b, x)
+
+
+@pytest.mark.parametrize("p, f_text", [(7, "x^9"), (13, "x^15")])
+def test_alltop_sets_of_x_q_plus_2(p, f_text):
+    """x^(Q+2) over GF(Q^2) is Alltop for Q = 7 and 13: its set verifies and
+    round-trips through json and csv with its labels checked."""
+    field = make_field(p, 2)
+    f = parse_poly(f_text, field)
+    m = build_alltop_mubs(field, f)
+    assert (m.construction, m.poly) == ("alltop", f)
+    assert verify_mub_set(m).passed
+    _same_set(import_mubs(export_mubs(m, "json"), "json"), m)
+    _same_set(import_mubs(export_mubs(m, "csv"), "csv", field=field, construction="alltop",
+                          poly_text=f_text), m)
+
+
+def test_alltop_builder_refuses_other_functions():
+    field = make_field(7)
+    with pytest.raises(NotAlltop, match="x\\^2 is not alltop"):
+        build_alltop_mubs(field, parse_poly("x^2", field))
+    with pytest.raises(FieldMismatch):
+        build_alltop_mubs(field, parse_poly("x^3", make_field(5)))
+    with pytest.raises(CharacteristicTooSmall):  # the characteristic is checked first
+        build_alltop_mubs(make_field(3), parse_poly("x^3", make_field(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +227,47 @@ def test_exponents_are_read_only():
     m2 = dataclasses.replace(m, exponents=exps)
     with pytest.raises(ValueError):
         m2.exponents[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("at, value", [((1, 2, 3), None), ((0, 0, 0), 99)])
+def test_the_callers_array_cannot_change_a_set(at, value):
+    """A set takes ownership of its exponents: the caller's handle on an
+    array that owns its memory becomes read-only, and a writable view is
+    copied.  Neither an in-range nor an out-of-range write reaches the set."""
+    m = planar_set(5)
+    e = m.exponents.copy()
+    s = dataclasses.replace(m, exponents=e)
+    assert np.shares_memory(s.exponents, e)  # taken over, not copied
+    with pytest.raises(ValueError):
+        e[at] = (e[at] + 1) % 5 if value is None else value
+    whole = np.empty((6, 5, 5), dtype=np.uint16)
+    whole[1:] = m.exponents
+    view = whole[1:]
+    v = dataclasses.replace(m, exponents=view)
+    view[at] = (view[at] + 1) % 5 if value is None else value
+    assert not np.shares_memory(v.exponents, whole)
+    for t in (s, v):
+        assert np.array_equal(t.exponents, m.exponents)
+        assert verify_mub_set(t).passed
+    assert export_mubs(v, "json") == export_mubs(m, "json")
+    frozen = dataclasses.replace(m, exponents=m.exponents[::-1])  # views a read-only owner
+    assert np.shares_memory(frozen.exponents, m.exponents)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("alltop", [False, True])
+def test_an_import_and_its_verify_certify_the_set_once(fmt, alltop):
+    """The certificate is computed once per set: the import's label check
+    and verify_mub_set read the same one, also for a csv relabelled alltop."""
+    fld = make_field(5, 2)
+    m = build_alltop_mubs(fld) if alltop else planar_set(5, 2)
+    data = export_mubs(m, fmt)
+    with mock.patch.object(mub, "_certified_rows", wraps=mub._certified_rows) as spy:
+        back = import_mubs(data, fmt, **({"field": fld} if fmt == "csv" else {}))
+        assert verify_mub_set(back).passed
+        assert verify_mub_set(back).passed
+    _same_set(back, m)
+    assert spy.call_count == 1
 
 
 def all_pairs(q):
@@ -1173,6 +1239,38 @@ def test_csv_imports_take_the_construction_their_vectors_match(crlf):
     with pytest.raises(MislabelledImport, match="^phase basis 0 is not the planar basis a = 1 "
                                                 "of x\\^2; phase basis 0 is not the alltop "):
         import_mubs(csv(swapped), "csv", field=fld)
+
+
+def _alltop_shape_9():
+    """The GF(9) set whose basis a is tr((x + a)^3 + b * (x + a)), labelled
+    planar x^2.  x^3 is additive over GF(9), so every basis is basis 0 up to
+    phases: no Alltop set exists in characteristic 3."""
+    fld = make_field(3, 2)
+    enc = fld.encodings
+    y = fld.add_vec(enc[None, None, :], enc[:, None, None])  # x + a
+    exps = fld.trace_table[fld.add_vec(fld.pow_vec(y, 3), fld.mul_vec(enc[None, :, None], y))]
+    return MubSet(fld, "planar", parse_poly("x^2", fld), tuple(range(9)), exps.astype(np.uint16))
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_no_route_makes_an_alltop_set_in_characteristic_3(canonical):
+    m = _alltop_shape_9()
+    fld = m.field
+    assert not verify_mub_set(m).passed
+    csv = export_mubs(m, "csv") if canonical else export_mubs(m, "csv").replace(b"\n", b"\r\n")
+    with pytest.raises(MislabelledImport, match="^phase basis 0 is not the planar basis a = 0 "
+                                                "of x\\^2$"):  # the guess skips alltop
+        import_mubs(csv, "csv", field=fld)
+    with pytest.raises(CharacteristicTooSmall):
+        import_mubs(csv, "csv", field=fld, construction="alltop")
+    obj = json.loads(export_mubs(m, "json"))
+    obj.update(construction="alltop", poly="x^3")
+    with pytest.raises(CharacteristicTooSmall):
+        import_mubs(_json_bytes(obj, canonical), "json")
+    with pytest.raises(CharacteristicTooSmall):
+        dataclasses.replace(m, construction="alltop", poly=parse_poly("x^3", fld))
+    with pytest.raises(CharacteristicTooSmall):
+        build_alltop_mubs(fld)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

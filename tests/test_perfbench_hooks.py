@@ -52,3 +52,21 @@ def test_every_workload_table_is_a_field_attribute(harness):
             assert isinstance(getattr(FieldSpec, name), property), name
             getattr(field, name)
     assert sum(arr.nbytes for arr in field._cache.values()) > 0
+
+
+def test_both_builders_keep_their_own_spans(harness):
+    """The worker's mub.build_s sums the self time of the two public
+    builders, so the kernel they share must not take a span of its own."""
+    tracer, _ = harness
+    t = tracer.Tracer(planarlab)
+    field = make_field(5, 2)
+    try:
+        t.install()
+        planarlab.build_planar_mubs(field, planarlab.parse_poly("x^2", field))
+        planarlab.build_alltop_mubs(field)
+    finally:
+        t.uninstall()
+    builders = {"mub.build_planar_mubs", "mub.build_alltop_mubs"}
+    assert {name for name in t.calls if name.startswith("mub.")} == builders
+    for name in builders:
+        assert t.calls[name] == 1 and t.self_s[name] > 0, name
