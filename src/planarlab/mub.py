@@ -45,24 +45,25 @@ Exports go one phase basis at a time.  When every exponent is one digit
 (exact json and csv with p <= 7) a basis has a fixed layout and is rendered
 by digit arithmetic into a uint8 table, each entry's digit and "," written
 at once as one uint16; other texts (float-json, exact exports with p >= 11)
-are gathered into cells and joined.  An import walks its format once, one
-basis at a time: each label is read where the layout puts it, and each body
-by position when its exponents are one digit, else as its runs of ASCII
-digits, a json body's up to its closing "]]" and a csv basis's over its q
-lines.  An import is kept only if the set's export, rendered piece by
-piece, tiles the input byte for byte, so it is exact by construction; any
-other input goes to the checked parser, which reads every value and raises
-every import error.  After either route the labels are checked
-(_check_labels): each phase basis's reference row must be its label's row
-up to a constant, else MislabelledImport.  At q = 125 json export takes
-about 0.003 s, csv 0.005 s, and the canonical import 0.006 s (json) and
-0.007 s (csv), its checks included, the label check 0.002 s of it, against
-0.33 and 0.45 s through the checked parser (CPU time, 2-core x86).  At
-q = 343 the label check takes 0.04 s of a 0.12 s import.
+are gathered into cells and joined.  An import judges its header once,
+before any basis, then walks its format once, one basis at a time: each
+label is read where the layout puts it, and each body by position when its
+exponents are one digit, else as its runs of ASCII digits.  The set is kept
+only if its export, rendered piece by piece, tiles the input byte for byte,
+so it is exact by construction; any other body goes to the checked body
+reader, which reads every value and raises every body error.  After either
+route the labels are checked (_check_labels): each phase basis's reference
+row must be its label's row up to a constant, else MislabelledImport.  At
+q = 125 json export takes about 0.003 s, csv 0.005 s, and the canonical
+import 0.006 s (json) and 0.007 s (csv), its checks included, the label
+check 0.002 s of it, against 0.33 and 0.45 s through the checked body
+reader (CPU time, 2-core x86).  At q = 343 the label check takes 0.04 s of
+a 0.12 s import.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -124,10 +125,10 @@ class MubSet:
     exponents[k, b, x] is entry x of vector b in phase basis k, whose label
     is a[k] (the labels are the q elements of [0, q) in some order);
     `standard` is the position of the standard basis among the q + 1 bases.
-    The set takes ownership of the exponent array: an array that owns its
-    memory is made read-only in place, so the caller's handle cannot change
-    the set; a view is copied unless it views a read-only array that owns
-    its memory.
+    The set keeps a read-only exponent array that owns its memory or views
+    a read-only owner, and copies any other, so writes through the caller's
+    array or its views do not reach the set; a caller who freezes an array
+    but keeps a writable view of it, or unfreezes it, still can.
     """
 
     field: FieldSpec
@@ -149,11 +150,11 @@ class MubSet:
         _check_construction(self.field, self.construction)
         if exps.max() >= self.field.p:
             raise ValueError(f"phase exponents must be integers in [0, {self.field.p})")
-        base = exps.base
-        if base is not None and not (isinstance(base, np.ndarray) and base.flags.owndata
-                                     and not base.flags.writeable):
+        owner = exps if exps.base is None else exps.base
+        if exps.flags.writeable or not (isinstance(owner, np.ndarray) and owner.flags.owndata
+                                        and not owner.flags.writeable):
             exps = exps.copy()
-        exps.setflags(write=False)
+            exps.setflags(write=False)
         object.__setattr__(self, "exponents", exps)
 
     def phase_bases(self) -> list[int]:
@@ -210,6 +211,7 @@ def _build(field: FieldSpec, construction: str, poly: Poly) -> MubSet:
         block = _fold(np.add(rows[a0 : a0 + step, None, :], tb, out=exps[a0 : a0 + step]), p)
         if not planar:  # plus tr(a * b)
             _fold(np.add(block, tb[a0 : a0 + step, :, None], out=block), p)
+    exps.setflags(write=False)  # frozen, so the set keeps it without a copy
     return MubSet(field, construction, poly, tuple(range(q)), exps)
 
 
@@ -612,8 +614,11 @@ def _pieces(m: MubSet, fmt: str) -> Iterator:
 
 
 def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
-    """Serialize a MubSet: 'json' and 'csv' are exact, 'float-json' is lossy."""
-    return b"".join(_pieces(m, fmt))
+    """Serialize a MubSet: 'json' and 'csv' are exact, 'float-json' is lossy.
+    The pieces go into one buffer, whose bytes are returned without a copy."""
+    out = io.BytesIO()
+    out.writelines(_pieces(m, fmt))
+    return out.getvalue()
 
 
 def _tiles(data: bytes, pieces) -> bool:
@@ -691,9 +696,9 @@ def _body_digits(chars: np.ndarray, at: int, width: int, runs, out: np.ndarray) 
     return at
 
 
-def _json_bases(data: bytes, fld: FieldSpec, at: int):
-    """(labels, exponents, standard) of a json document whose header starts
-    at `at`, walked by position, or None.
+def _json_bases(data: bytes, fld: FieldSpec):
+    """(labels, exponents, standard) of a json document, walked by position,
+    or None.
 
     After `{"bases":[` each of the q + 1 bases is followed by one separator
     byte.  A phase basis is `{"a":`, its label, `,"vectors":`, a body of q
@@ -704,7 +709,7 @@ def _json_bases(data: bytes, fld: FieldSpec, at: int):
     compares every byte with the set's rendering.
     """
     p, q = fld.p, fld.q
-    chars = np.frombuffer(data, np.uint8, count=at)
+    chars = np.frombuffer(data, np.uint8)
     runs = _head_runs(_json_column(q)) if _one_digit(_decimals(p)) else None
     labels, standard = [], None
     exps = np.empty((q, q, q), dtype=np.uint16)
@@ -720,7 +725,7 @@ def _json_bases(data: bytes, fld: FieldSpec, at: int):
         labels.append(int(data[pos + 5 : comma]))
         body, out = comma + len(b',"vectors":'), exps[len(labels) - 1]
         if runs is None:
-            end = data.find(b"]]", body, at) + 1  # the last row's "]"
+            end = data.find(b"]]", body) + 1  # the last row's "]"
             pos = end if end and _runs_body(chars[body:end], 0, out) else -1
         else:
             pos = _body_digits(chars, body, 0, runs, out)
@@ -802,33 +807,19 @@ def _json_header(obj: dict, field, construction, poly_text):
     return fld, kind, poly
 
 
-def _canonical(data: bytes, fmt: str, field, construction, poly_text) -> MubSet | None:
-    """The set of a json or csv document exactly as export_mubs writes it,
-    else None or an error.
-
-    json's header, the text after `],"construction":`, is read with json and
-    checked by _json_header; csv records none, so its field must be given
-    and the rest comes from _csv_kind.  The bases are walked by the
-    format's walker, and the set is kept only when its rendering, piece by
-    piece, tiles `data` itself.
-    """
-    if fmt == "json":
-        at = data.rfind(b'],"construction":')
-        if at < 0:
+def _canonical(data: bytes, fmt: str, fld: FieldSpec, kind: str, poly: Poly) -> MubSet | None:
+    """The set of a json or csv document exactly as export_mubs writes the
+    set of the header (fld, kind, poly), else None.  The format's walker
+    reads the bases, and the set is kept only when its rendering, piece by
+    piece, tiles `data` itself."""
+    try:
+        bases = _json_bases(data, fld) if fmt == "json" else _csv_bases(data, fld)
+        if bases is None:
             return None
-        fld, kind, poly = _json_header(json.loads(b"{" + data[at + 2 :]), field,
-                                       construction, poly_text)
-        bases = _json_bases(data, fld, at)
-    elif fmt == "csv" and field is not None:
-        _check_size(field)
-        fld = field
-        kind, poly = _csv_kind(field, construction, poly_text)
-        bases = _csv_bases(data, field)
-    else:
+        bases[1].setflags(write=False)  # fresh, so the set keeps it without a copy
+        m = MubSet(fld, kind, poly, *bases)
+    except ValueError:  # labels or exponents the layout cannot hold
         return None
-    if bases is None:
-        return None
-    m = MubSet(fld, kind, poly, *bases)
     return m if _tiles(data, _pieces(m, fmt)) else None
 
 
@@ -855,19 +846,41 @@ def import_mubs(
     and csv rows whose b is not their position in the basis raise ValueError;
     a set above the size bound, BudgetExceeded.
 
-    Bytes exactly as export_mubs writes them take the canonical route, which
-    keeps a set only when its export, rendered piece by piece, tiles the
-    input; everything else, and every error, comes from the checked parser.
-    Logs the route taken as one INFO line on the "planarlab" logger.
+    The header is judged first, once: json's is the text after
+    `],"construction":` when that parses with construction, field and poly,
+    else the whole document's.  Then bytes exactly as export_mubs writes
+    them take the canonical route, kept only when the set's export, rendered
+    piece by piece, tiles the input; the checked body reader reads any other
+    body and raises every body error.  Logs the route taken as one INFO line
+    on the "planarlab" logger.
     """
-    try:
-        m = _canonical(data.encode() if isinstance(data, str) else data, fmt, field,
-                       construction, poly_text)
-    except Exception:  # not a canonical export: the checked parser says why
-        m = None
+    # a lone surrogate in a str fails the canonical route, not the import
+    raw = data.encode(errors="surrogatepass") if isinstance(data, str) else data
+    doc = None  # a json document parsed whole
+    if fmt == "json":
+        at = raw.rfind(b'],"construction":')
+        try:
+            header = json.loads(b"{" + raw[at + 2 :]) if at >= 0 else {}
+        except (ValueError, RecursionError):  # not the header export_mubs writes
+            header = {}
+        if not {"construction", "field", "poly"} <= header.keys():
+            header = doc = _json_document(data)
+        fld, kind, poly = _json_header(header, field, construction, poly_text)
+    elif fmt == "csv":
+        if field is None:
+            raise ValueError("csv import needs the field")
+        _check_size(field)
+        fld = field
+        kind, poly = _csv_kind(field, construction, poly_text)
+    else:
+        raise ValueError(f"unknown import format {fmt!r}")
+    m = _canonical(raw, fmt, fld, kind, poly) if doc is None else None
     route = "canonical"
     if m is None:
-        m = _import_checked(data, fmt, field, construction, poly_text)
+        bases = (_csv_checked(data, fld) if fmt == "csv"
+                 else _json_checked(_json_document(data) if doc is None else doc, fld))
+        bases[1].setflags(write=False)
+        m = MubSet(fld, kind, poly, *bases)
         route = "checked"
     m = _check_labels(m, fmt == "csv" and construction is None and poly_text is None)
     _log.info("import %s GF(%d): %s route", fmt, m.field.q, route)
@@ -902,63 +915,54 @@ def _check_labels(m: MubSet, guess: bool) -> MubSet:
     raise MislabelledImport("; ".join(wrong))
 
 
-def _import_checked(data, fmt, field, construction, poly_text) -> MubSet:
-    """The checked parser behind import_mubs: it reads every value of any
-    input and raises every import error."""
+def _json_document(data) -> dict:
+    """A json export parsed whole, for the checked body reader, and for its
+    header when that is not where export_mubs puts it."""
+    try:
+        return _json_value(json.loads(data.decode() if isinstance(data, bytes) else data),
+                           dict, "the export")
+    except RecursionError:
+        raise ValueError("the export is nested too deeply") from None
+
+
+def _json_checked(obj: dict, fld: FieldSpec):
+    """(labels, exponents, standard) of a json export parsed whole (obj):
+    the checked body reader, which reads every value of any input and
+    raises every body error."""
+    bases = _json_value(obj["bases"], list, "bases")
+    (std,) = _counted([i for i, b in enumerate(bases)
+                       if _json_value(b, dict, "a basis").get("standard")],
+                      1, "standard basis")
+    q, p = fld.q, fld.p
+    phase = _counted(bases[:std] + bases[std + 1 :], q, "phase bases")
+    exps = np.empty((q, q, q), dtype=np.uint16)
+    for k, b in enumerate(phase):
+        rows = _counted(_json_value(b["vectors"], list, "basis vectors"), q, "vectors")
+        for row in rows:
+            _counted(_json_value(row, list, "a phase vector"), q, "entries in a phase vector")
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds != {int}:
+            names = ", ".join(sorted(t.__name__ for t in kinds - {int}))
+            raise ValueError(f"phase exponents must be integers, not {names}")
+        exps[k] = _exponent_array(rows, p, q)
+    return tuple(_json_value(b["a"], int, "basis a") for b in phase), exps, std
+
+
+def _csv_checked(data, field: FieldSpec):
+    """(labels, exponents) of a csv export: the checked body reader, which
+    reads every cell with int() and raises every body error."""
     text = data.decode() if isinstance(data, bytes) else data
-    if fmt == "json":
-        try:
-            obj = _json_value(json.loads(text), dict, "the export")
-        except RecursionError:
-            raise ValueError("the export is nested too deeply") from None
-        fld, kind, poly = _json_header(obj, field, construction, poly_text)
-        bases = _json_value(obj["bases"], list, "bases")
-        (std,) = _counted([i for i, b in enumerate(bases)
-                           if _json_value(b, dict, "a basis").get("standard")],
-                          1, "standard basis")
-        q, p = fld.q, fld.p
-        phase = _counted(bases[:std] + bases[std + 1 :], q, "phase bases")
-        exps = np.empty((q, q, q), dtype=np.uint16)
-        for k, b in enumerate(phase):
-            rows = _counted(_json_value(b["vectors"], list, "basis vectors"), q, "vectors")
-            for row in rows:
-                _counted(_json_value(row, list, "a phase vector"), q, "entries in a phase vector")
-            kinds = set(map(type, chain.from_iterable(rows)))
-            if kinds != {int}:
-                names = ", ".join(sorted(t.__name__ for t in kinds - {int}))
-                raise ValueError(f"phase exponents must be integers, not {names}")
-            exps[k] = _exponent_array(rows, p, q)
-        return MubSet(
-            field=fld,
-            construction=kind,
-            poly=poly,
-            a=tuple(_json_value(b["a"], int, "basis a") for b in phase),
-            exponents=exps,
-            standard=std,
-        )
-    if fmt == "csv":
-        if field is None:
-            raise ValueError("csv import needs the field")
-        _check_size(field)
-        construction, poly = _csv_kind(field, construction, poly_text)
-        q, p = field.q, field.p
-        groups: dict[int, list[list[int]]] = {}
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        for a, b, *cells in (ln.split(",") for ln in lines[1:]):
-            vecs = groups.setdefault(int(a), [])
-            if int(b) != len(vecs):
-                raise ValueError(f"row b = {b} of basis {a} is at position {len(vecs)}")
-            _counted(cells, q, "entries in a phase vector")
-            vecs.append(list(map(int, cells)))
-        _counted(list(groups), q, "phase bases")
-        exps = np.empty((q, q, q), dtype=np.uint16)
-        for k, vecs in enumerate(groups.values()):
-            exps[k] = _exponent_array(_counted(vecs, q, "vectors"), p, q)
-        return MubSet(
-            field=field,
-            construction=construction,
-            poly=poly,
-            a=tuple(groups),
-            exponents=exps,
-        )
-    raise ValueError(f"unknown import format {fmt!r}")
+    q, p = field.q, field.p
+    groups: dict[int, list[list[int]]] = {}
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    for a, b, *cells in (ln.split(",") for ln in lines[1:]):
+        vecs = groups.setdefault(int(a), [])
+        if int(b) != len(vecs):
+            raise ValueError(f"row b = {b} of basis {a} is at position {len(vecs)}")
+        _counted(cells, q, "entries in a phase vector")
+        vecs.append(list(map(int, cells)))
+    _counted(list(groups), q, "phase bases")
+    exps = np.empty((q, q, q), dtype=np.uint16)
+    for k, vecs in enumerate(groups.values()):
+        exps[k] = _exponent_array(_counted(vecs, q, "vectors"), p, q)
+    return tuple(groups), exps

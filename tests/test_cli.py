@@ -668,6 +668,18 @@ def test_cmd_mubs_alltop_in_characteristic_3_exits_2(runner, tmp_path, fmt):
     assert "error:" in result.output and "characteristic >= 5" in result.output
 
 
+def test_cmd_mubs_alltop_verify_of_a_planar_gf243_export_exits_2(runner, tmp_path):
+    """The header of the GF(243) planar export (28.8 MB) is refused before
+    any basis is read."""
+    path = tmp_path / "g243.json"
+    fld = make_field(3, 5)
+    path.write_bytes(export_mubs(build_planar_mubs(fld, parse_poly("x^2", fld)), "json"))
+    result = runner.invoke(main, ["mubs", "--p", "3", "--r", "5", "--construction", "alltop",
+                                  "--action", "verify", "--in", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: the export holds a planar set, not a alltop set\n"
+
+
 def test_cmd_mubs_non_planar_pi_exits_2(runner):
     result = runner.invoke(main, ["mubs", "--p", "5", "--r", "1", "--construction",
                                   "planar", "--pi", "x^3", "--action", "build"])

@@ -5,6 +5,7 @@ import json
 import logging
 import re
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,14 +22,18 @@ from planarlab.errors import (
     MislabelledImport,
     NotAlltop,
     NotPlanar,
+    PolySyntaxError,
 )
 from planarlab.field import make_field
 from planarlab.mub import (
     MAX_PHASE_ENTRIES,
     MubSet,
     _canonical,
-    _import_checked,
     _certified_rows,
+    _csv_checked,
+    _csv_kind,
+    _json_checked,
+    _json_header,
     _pair_violations,
     _verify_pairs,
     build_alltop_mubs,
@@ -231,15 +236,16 @@ def test_exponents_are_read_only():
 
 @pytest.mark.parametrize("at, value", [((1, 2, 3), None), ((0, 0, 0), 99)])
 def test_the_callers_array_cannot_change_a_set(at, value):
-    """A set takes ownership of its exponents: the caller's handle on an
-    array that owns its memory becomes read-only, and a writable view is
-    copied.  Neither an in-range nor an out-of-range write reaches the set."""
+    """A set copies a writable array, which stays writable, so neither an
+    in-range nor an out-of-range write through it, an earlier view of it or
+    a writable view reaches the set."""
     m = planar_set(5)
     e = m.exponents.copy()
+    early = e[:]
     s = dataclasses.replace(m, exponents=e)
-    assert np.shares_memory(s.exponents, e)  # taken over, not copied
-    with pytest.raises(ValueError):
-        e[at] = (e[at] + 1) % 5 if value is None else value
+    assert not np.shares_memory(s.exponents, e) and e.flags.writeable  # copied
+    for handle in (e, early):
+        handle[at] = (handle[at] + 1) % 5 if value is None else value
     whole = np.empty((6, 5, 5), dtype=np.uint16)
     whole[1:] = m.exponents
     view = whole[1:]
@@ -875,7 +881,8 @@ def test_reader_is_chosen_by_token_width(monkeypatch, caplog):
     for sets, refused in ((uniform, "_runs_body"), (mixed, "_body_digits")):
         with monkeypatch.context() as patch:
             patch.setattr(mub, refused, _refuse)
-            patch.setattr(mub, "_import_checked", _refuse)
+            patch.setattr(mub, "_json_checked", _refuse)
+            patch.setattr(mub, "_csv_checked", _refuse)
             for m in sets:
                 _same_set(import_mubs(export_mubs(m, "json"), "json"), m)
                 _same_set(import_mubs(export_mubs(m, "csv"), "csv", field=m.field,
@@ -1045,12 +1052,14 @@ def test_canonical_and_checked_imports_agree(n, p, r):
         m = dataclasses.replace(m, a=m.a[::-1], standard=m.field.q)
     if n % 2 == 0:
         data = export_mubs(m, "json")
-        fast = _canonical(data, "json", None, None, None)
-        slow = _import_checked(data, "json", None, None, None)
+        header = _json_header(json.loads(data), None, None, None)
+        fast = _canonical(data, "json", *header)
+        slow = MubSet(*header, *_json_checked(json.loads(data), m.field))
     else:
         data = export_mubs(m, "csv")
-        fast = _canonical(data, "csv", m.field, m.construction, None)
-        slow = _import_checked(data, "csv", m.field, m.construction, None)
+        header = m.field, *_csv_kind(m.field, m.construction, None)
+        fast = _canonical(data, "csv", *header)
+        slow = MubSet(*header, *_csv_checked(data, m.field))
         m = dataclasses.replace(m, standard=0)  # csv does not record it
     assert fast is not None
     _same_set(fast, slow)
@@ -1064,8 +1073,9 @@ def test_csv_defaults_through_both_routes(construction, default):
     field = make_field(7)
     m = planar_set(7) if construction is None else build_alltop_mubs(field)
     data = export_mubs(m, "csv")
-    for back in (_canonical(data, "csv", field, construction, None),
-                 _import_checked(data, "csv", field, construction, None),
+    header = field, *_csv_kind(field, construction, None)
+    for back in (_canonical(data, "csv", *header),
+                 MubSet(*header, *_csv_checked(data, field)),
                  import_mubs(data, "csv", field=field, construction=construction)):
         assert back.construction == m.construction == (construction or "planar")
         assert back.poly == m.poly == parse_poly(default, field)
@@ -1090,6 +1100,103 @@ def test_import_logs_the_route(caplog):
         "import csv GF(25): canonical route",
         "import csv GF(25): checked route",
     ]
+
+
+MODULUS = (ValueError, "modulus in file does not match the canonical field")
+# header edits of the GF(25) planar x^2 export: (edit, import_mubs arguments,
+# the error it raises)
+HEADER_ERRORS = {
+    "field p": (lambda o: o["field"].update(p=7), {}, MODULUS),
+    "field r": (lambda o: o["field"].update(r=3), {}, MODULUS),
+    "modulus": (lambda o: o["field"].update(modulus=[1, 1, 1]), {}, MODULUS),
+    "construction": (lambda o: o.update(construction="cubic"), {},
+                     (ValueError, "unknown construction 'cubic'")),
+    "poly": (lambda o: o.update(poly="x^+"), {}, (PolySyntaxError, "bad term 'x^'")),
+    "poly type": (lambda o: o.update(poly=2), {}, (ValueError, "poly must be a str, not int")),
+    "alltop over GF(27)": (
+        lambda o: o.update(construction="alltop", field=make_field(3, 3).to_json_dict()), {},
+        (CharacteristicTooSmall, "the alltop construction needs characteristic >= 5, got 3")),
+    "GF(409)": (lambda o: o.update(field=make_field(409, 1).to_json_dict()), {},
+                (BudgetExceeded, "a MUB set over GF(409) has 68417929 phase entries, "
+                                 "more than the bound 67108864")),
+    "no poly": (lambda o: o.pop("poly"), {}, (KeyError, "'poly'")),
+    "no field": (lambda o: o.pop("field"), {}, (KeyError, "'field'")),
+    "field=": (None, {"field": make_field(7, 2)},
+               (FieldMismatch, "the export is over GF(5^2), not GF(7^2)")),
+    "construction=": (None, {"construction": "alltop"},
+                      (ValueError, "the export holds a planar set, not a alltop set")),
+    "poly_text=": (None, {"poly_text": "2*x^2"},
+                   (ValueError, "the export is generated by x^2, not 2*x^2")),
+}
+
+
+@pytest.mark.parametrize("layout", ["canonical", "indent", "header first"])
+@pytest.mark.parametrize("case", list(HEADER_ERRORS))
+def test_header_errors_are_pinned(case, layout):
+    """Each refused header of a valid json document raises one pinned type
+    and message, whether its header ends the document as export_mubs writes
+    it, is indented, or comes before the bases."""
+    edit, kwargs, (kind, message) = HEADER_ERRORS[case]
+    obj = json.loads(export_mubs(planar_set(5, 2), "json"))
+    if edit is not None:
+        edit(obj)
+    if layout == "header first":
+        obj = {**{k: v for k, v in obj.items() if k != "bases"}, "bases": obj["bases"]}
+    text = (json.dumps(obj, indent=1) if layout == "indent"
+            else json.dumps(obj, sort_keys=layout == "canonical", separators=(",", ":")) + "\n")
+    with pytest.raises(kind) as exc:
+        import_mubs(text.encode(), "json", **kwargs)
+    assert (type(exc.value), str(exc.value)) == (kind, message)
+
+
+def test_a_refused_header_reaches_no_body_reader(monkeypatch):
+    """The GF(243) planar x^2 json export, 28.8 MB, with its header saying
+    alltop: no Alltop function exists in characteristic 3."""
+    data = export_mubs(planar_set(3, 5), "json")
+    at = data.rfind(b'],"construction":')
+    data = data[:at] + data[at:].replace(b'"planar"', b'"alltop"')
+
+    def reached(*args):
+        raise AssertionError("a body reader read a refused document")
+
+    for name in ("_json_bases", "_csv_bases", "_json_checked", "_csv_checked", "_json_document"):
+        monkeypatch.setattr(mub, name, reached)
+    with pytest.raises(CharacteristicTooSmall):
+        import_mubs(data, "json")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_memory_error_of_the_walker_propagates(monkeypatch, fmt):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(mub, f"_{fmt}_bases", exhausted)
+    m = planar_set(5, 2)
+    with pytest.raises(MemoryError):
+        import_mubs(export_mubs(m, fmt), fmt, field=m.field)
+
+
+def test_a_str_with_a_lone_surrogate_is_judged_as_text():
+    """A str no codec can encode is still a json text: its header is read
+    by the whole-document parse."""
+    text = export_mubs(planar_set(5), "json").decode().replace('"x^2"', '"x^2\ud800"')
+    with pytest.raises(PolySyntaxError, match="bad term"):
+        import_mubs(text, "json")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "float-json"])
+def test_an_export_holds_one_document(fmt):
+    """export_mubs writes its pieces into one buffer: its traced peak stays
+    under 1.5 documents, where joining a list of the pieces held two."""
+    m = planar_set(7, 2)
+    size = len(export_mubs(m, fmt))
+    tracemalloc.start()
+    try:
+        export_mubs(m, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size, (peak, size)
 
 
 def _import_outcome(import_, *args, **kwargs):
@@ -1140,8 +1247,8 @@ def test_one_byte_mutations_import_as_the_checked_parser_does(fmt):
         kwargs = {"field": m.field, "construction": m.construction} if fmt == "csv" else {}
         for n, mutated in enumerate(_mutations(data, m.field.p, rng)):
             got = _import_outcome(import_mubs, mutated, fmt, **kwargs)
-            want = _import_outcome(_import_checked, mutated, fmt, kwargs.get("field"),
-                                   kwargs.get("construction"), None)
+            with mock.patch.object(mub, "_canonical", lambda *args: None):
+                want = _import_outcome(import_mubs, mutated, fmt, **kwargs)
             if isinstance(want, type):
                 assert got is want, (n, mutated)
                 rejected += 1
@@ -1166,7 +1273,7 @@ def test_one_digit_tables_render_as_the_join_and_import_by_position(field, seed,
     with mock.patch.object(mub, "_rows_table", mub._rows_join):
         assert export_mubs(m, fmt) == data
     # the canonical route itself: import_mubs would refuse these labels
-    back = _canonical(data, fmt, fld if fmt == "csv" else None, None, None)
+    back = _canonical(data, fmt, fld, "planar", m.poly)
     _same_set(back, m if fmt == "json" else dataclasses.replace(m, standard=0))
     with pytest.raises(MislabelledImport):
         import_mubs(data, fmt, **({"field": fld} if fmt == "csv" else {}))
@@ -1185,7 +1292,7 @@ def test_mub_set_refuses_exponents_outside_zp(value):
 
 def _json_bytes(obj, canonical):
     """The document as export_mubs writes it, or indented so that only the
-    checked parser reads it."""
+    checked body reader reads it."""
     if canonical:
         return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
     return json.dumps(obj, indent=1).encode()
@@ -1219,7 +1326,7 @@ def test_a_relabelled_json_export_is_refused(alltop, edit, message, canonical):
 def test_csv_imports_take_the_construction_their_vectors_match(crlf):
     """With no construction given, a csv set is planar x^2 or alltop x^3,
     whichever its vectors match; a construction or pi given must match.
-    CRLF line ends take the checked parser."""
+    CRLF line ends take the checked body reader."""
     fld = make_field(7)
     planar, alltop = planar_set(7), build_alltop_mubs(fld)
 

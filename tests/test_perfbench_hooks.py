@@ -3,6 +3,7 @@ tracer wraps kernels, tables, methods and `classify._perm_rows_ok`, and the
 worker touches each workload's tables and sums `FieldSpec._cache`.  A
 change that drops one of those names fails here, not in a benchmark run."""
 
+import logging
 import sys
 from pathlib import Path
 
@@ -70,3 +71,23 @@ def test_both_builders_keep_their_own_spans(harness):
     assert {name for name in t.calls if name.startswith("mub.")} == builders
     for name in builders:
         assert t.calls[name] == 1 and t.self_s[name] > 0, name
+
+
+def test_the_benchmark_imports_take_the_canonical_route(harness, caplog):
+    """mub-verify's verify-import inputs and mub-io's round-trip documents
+    are exact exports, so the workloads time the canonical route, not the
+    much slower checked body reader."""
+    _, workloads = harness
+    caplog.set_level(logging.INFO, logger="planarlab")
+    for name, op, count in (("mub-verify", "verify-import", 1), ("mub-io", "roundtrip", 2)):
+        reqs = [e["req"] for e in workloads.load_goldens(name)["pool"] if e["req"]["op"] == op]
+        assert reqs, name
+        for req in reqs:
+            inputs = {}
+            if op == "verify-import":
+                inputs[workloads.req_id(req)] = workloads.corrupted_export(planarlab, req)
+            caplog.clear()
+            workloads.execute(planarlab, req, inputs)
+            routes = [r.getMessage().split(": ")[1] for r in caplog.records
+                      if r.getMessage().startswith("import ")]
+            assert routes == ["canonical route"] * count, req
