@@ -41,24 +41,19 @@ vector pair: O(q^3) more per bad vector.  One flipped exponent costs
 whole basis took the generic kernel.  Both kernels judge by cyclo's exact
 rule.
 
-Exports go one phase basis at a time.  When every exponent is one digit
-(exact json and csv with p <= 7) a basis has a fixed layout and is rendered
-by digit arithmetic into a uint8 table, each entry's digit and "," written
-at once as one uint16; other texts (float-json, exact exports with p >= 11)
-are gathered into cells and joined.  An import judges its header once,
-before any basis, then walks its format once, one basis at a time: each
-label is read where the layout puts it, and each body by position when its
-exponents are one digit, else as its runs of ASCII digits.  The set is kept
-only if its export, rendered piece by piece, tiles the input byte for byte,
-so it is exact by construction; any other body goes to the checked body
-reader, which reads every value and raises every body error.  After either
-route the labels are checked (_check_labels): each phase basis's reference
-row must be its label's row up to a constant, else MislabelledImport.  At
-q = 125 json export takes about 0.003 s, csv 0.005 s, and the canonical
-import 0.006 s (json) and 0.007 s (csv), its checks included, the label
-check 0.002 s of it, against 0.33 and 0.45 s through the checked body
-reader (CPU time, 2-core x86).  At q = 343 the label check takes 0.04 s of
-a 0.12 s import.
+Exact json and csv whose exponents are one digit (p <= 7) go by runs of
+phase bases, consecutive bases whose labels have one width: a chunk of a
+run is rendered in one numpy pass a run of row heads (_rows_table), and an
+import reads every label, then each run's digits through one reshaped view
+(_bases); other texts (float-json, p >= 11) are joined and read as digit
+runs a basis at a time.  An import keeps its set only if the set's export,
+rendered piece by piece, tiles the input byte for byte, else the checked
+body reader reads every value and raises every body error; then the labels
+are checked (_check_labels).  At q = 125 json and csv export take 2.4 and
+2.9 ms and canonical imports 7.4 and 7.5 ms, about 3 ms of it the label
+check (a basis at a time: 3.4, 5.8, 8.9 and 12.3 ms; checked body reader:
+0.4 and 0.6 s); at q = 343 the label check takes 0.05 s of a 0.15 s
+import (CPU time, 2-core shared x86).
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -480,76 +475,99 @@ def verify_mub_set(m: MubSet) -> MubVerification:
 # -- export / import --------------------------------------------------------
 
 
-def _decimals(p: int) -> list[str]:
-    """The text of each exponent in exact exports."""
-    return [str(e) for e in range(p)]
+def _one_digit(p: int) -> bool:
+    """Whether every exponent of an exact export is one digit (p <= 7), giving
+    each basis a fixed layout (_Frames); the renderer and the reader route by it."""
+    return p <= 10
 
 
-def _one_digit(texts: list[str]) -> bool:
-    """Whether the texts are the one-digit decimals 0, 1, ... (exact exports
-    with p <= 7): every token is then one digit and one separator byte, and
-    each basis has a fixed layout.  The renderer and the canonical reader
-    both choose their route by it."""
-    return "".join(texts) == "0123456789"[: len(texts)]
+def _runs(keys: list) -> list[tuple[int, int]]:
+    """(i0, i1) of each run of equal keys, keys[i] for i0 <= i < i1."""
+    edges = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    return list(zip([0] + edges, edges + [len(keys)]))
 
 
-def _head_runs(column: list[str]) -> list[tuple[int, int, np.ndarray]]:
-    """(b0, b1, bytes) of each run of rows b0 <= b < b1 whose heads column[b]
-    have one width; bytes is their (b1 - b0, width) uint8 array."""
-    runs, b0 = [], 0
-    for width, group in groupby(column, key=len):
-        b1 = b0 + len(list(group))
-        heads = np.array(column[b0:b1], dtype=np.bytes_).view(np.uint8).reshape(-1, width)
-        runs.append((b0, b1, heads))
-        b0 = b1
-    return runs
+def _column(fmt: str, q: int) -> list[str]:
+    """The row heads of a basis: json's open its vector list and rows, csv's are b, ","."""
+    return ["[["] + [",["] * (q - 1) if fmt != "csv" else [f"{b}," for b in range(q)]
 
 
-def _json_column(q: int) -> list[str]:
-    """The row heads of a json body, which holds the bracket that opens its
-    vector list."""
-    return ["[["] + [",["] * (q - 1)
+class _Frames(NamedTuple):
+    """How json or csv lays out one-digit phase bases (_one_digit), a frame
+    a basis: a lead, q rows and json's tail `]}`.  Row b is a pre, head b and
+    q entries of a digit and ",", the last "," being "]" or a line end.  The
+    label is in the lead in json ("[" or "," opening a list item, `{"a":`,
+    the label, `,"vectors":`) and in every pre in csv (the label, ",")."""
+
+    column: list  # (b0, b1, uint8 heads) of each run of rows whose heads have one width
+    heads: int  # bytes of all q heads
+    json: bool
+
+    @classmethod
+    def of(cls, fmt: str, q: int) -> _Frames:
+        heads = _column(fmt, q)
+        return cls([(b0, b1, np.array(heads[b0:b1], dtype=np.bytes_).view(np.uint8)
+                     .reshape(b1 - b0, -1)) for b0, b1 in _runs(list(map(len, heads)))],
+                   len("".join(heads)), fmt == "json")
+
+    def runs(self, widths: list[int], standard: int) -> list[tuple[int, int]]:
+        """(k0, k1) of each run of phase bases whose labels have one width
+        (widths[k]); json's standard basis, before basis `standard`, ends one."""
+        return _runs([(w, self.json and k < standard) for k, w in enumerate(widths)])
+
+    def sizes(self, w: int) -> tuple[int, int, int]:
+        """(lead, pre, frame) in bytes when the label has w digits."""
+        lead, pre = (w + len('[{"a":,"vectors":'), 0) if self.json else (0, w + 1)
+        q = self.column[-1][1]
+        return lead, pre, lead + q * (pre + 2 * q) + self.heads + len("]}") * self.json
+
+    def rows(self, frames: np.ndarray, lead: int, pre: int) -> Iterator:
+        """(b0, b1, heads, rows) of each run of heads: rows is the (n, b1 - b0,
+        width) view of those rows in `frames`, the (n, frame) uint8 array."""
+        q, at = self.column[-1][1], lead
+        for b0, b1, h in self.column:
+            w = pre + h.shape[1] + 2 * q
+            yield b0, b1, h, frames[:, at : at + (b1 - b0) * w].reshape(len(frames), b1 - b0, w)
+            at += (b1 - b0) * w
 
 
-def _csv_column(q: int) -> list[str]:
-    """The row heads of a csv basis after its label: each row's position b."""
-    return [f"{b}," for b in range(q)]
-
-
-def _rows_text(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
-    """Each phase basis of m as bytes, made when its turn comes.  Row b of
-    basis k is prefixes[k], column[b] (heads = (prefixes, column)), then
-    texts[e] of each entry e, followed by "," or, on the last one, by `end`.
-    One-digit texts (_one_digit) take the byte table, others the join."""
-    render = _rows_table if _one_digit(texts) else _rows_join
-    return render(m, texts, end, heads)
-
-
-def _rows_table(m: MubSet, texts: list[str], end: str, heads) -> Iterator[np.ndarray]:
-    """Bases of one-digit texts (_one_digit) by digit arithmetic.  A run of
-    rows whose heads have one width w is a uint8 table of rows of w + 2q
-    bytes: the head, then one byte pair an entry, its digit and ",", written
-    at once as the little-endian uint16 e + 48 + 256 * ord(","), for the
-    text of e is the digit of code e + 48; the last byte of a row becomes
-    `end`.  Nothing is gathered."""
+def _rows_table(m: MubSet, fmt: str) -> Iterator[np.ndarray]:
+    """The phase bases of a one-digit set as json's list items or csv's
+    lines, in frames (_Frames) a chunk of a run of bases at a time, one pass
+    a run of row heads: each entry's digit and "," are written at once as
+    the little-endian uint16 e + 48 + 256 * ord(","), the text of e being
+    the digit of code e + 48.  A chunk holds at most _VERIFY_CHUNK exponents
+    and an eighth of the bases, and only its consumer holds it."""
     q = m.field.q
-    prefixes, column = heads
-    runs = _head_runs(column)
-    pair = ord("0") + 256 * ord(",")
-    size = q * 2 * q + sum(h.size for _, _, h in runs)
-    for k, prefix in enumerate(prefixes):
-        pre = np.frombuffer(prefix.encode(), np.uint8)
-        out = np.empty(size + q * len(pre), dtype=np.uint8)
-        at = 0
-        for b0, b1, h in runs:
-            w = len(pre) + h.shape[1]
-            table = out[at : at + (b1 - b0) * (w + 2 * q)].reshape(b1 - b0, w + 2 * q)
-            table[:, : len(pre)] = pre
-            table[:, len(pre) : w] = h
-            np.add(m.exponents[k, b0:b1], pair, out=table[:, w:].view("<u2"))
-            table[:, -1] = ord(end)
-            at += table.size
-        yield out
+    frames = _Frames.of(fmt, q)
+    texts = (['%s{"a":%d,"vectors":' % ("[" if k == 0 < m.standard else ",", a)
+              for k, a in enumerate(m.a)] if frames.json  # each basis's lead
+             else [f"{a}," for a in m.a])  # or its pre
+    pair, end = ord("0") + 256 * ord(","), ord("]" if frames.json else "\n")
+
+    def chunk(c0, c1, lead, pre, size):
+        table = np.empty((c1 - c0, size), dtype=np.uint8)
+        label = np.frombuffer("".join(texts[c0:c1]).encode(), np.uint8).reshape(c1 - c0, -1)
+        table[:, :lead] = label[:, :lead]
+        for b0, b1, h, rows in frames.rows(table, lead, pre):
+            rows[:, :, :pre] = label[:, None, :pre]
+            rows[:, :, pre : pre + h.shape[1]] = h
+            np.add(m.exponents[c0:c1, b0:b1], pair, out=rows[:, :, -2 * q :].view("<u2"))
+            rows[:, :, -1] = end
+        if frames.json:
+            table[:, -2:] = np.frombuffer(b"]}", np.uint8)
+        return table.ravel()
+
+    widths = [len(str(a)) for a in m.a]
+    standard = b'%s{"standard":true}' % (b"," if m.standard else b"[")
+    step = max(1, min(_VERIFY_CHUNK // (q * q), q // 8))
+    for k0, k1 in frames.runs(widths, m.standard):
+        if frames.json and k0 == m.standard:
+            yield standard
+        for c0 in range(k0, k1, step):
+            yield chunk(c0, min(c0 + step, k1), *frames.sizes(widths[k0]))
+    if frames.json and m.standard == q:
+        yield standard
 
 
 def _rows_join(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
@@ -569,6 +587,13 @@ def _rows_join(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
         yield "".join(table.ravel().tolist()).encode()
 
 
+def _json_header_text(m: MubSet, **extra) -> bytes:
+    """The header keys that end a json document ("bases" sorts first), and "}"."""
+    header = {"field": m.field.to_json_dict(), "construction": m.construction,
+              "poly": str(m.poly), **extra}
+    return json.dumps(header, sort_keys=True, separators=(",", ":"))[1:].encode() + b"\n"
+
+
 def _json_pieces(m: MubSet, key: str, bodies, **extra) -> Iterator[bytes]:
     """The json document in pieces: basis k as {"a": a[k], key: bodies[k]},
     the standard basis at its position, then the header, all keys sorted."""
@@ -582,26 +607,26 @@ def _json_pieces(m: MubSet, key: str, bodies, **extra) -> Iterator[bytes]:
         yield b"]}," if k < q - 1 or m.standard == q else b"]}],"
     if m.standard == q:
         yield b'{"standard":true}],'
-    header = {"field": m.field.to_json_dict(), "construction": m.construction,
-              "poly": str(m.poly), **extra}
-    # "bases" sorts before every header key
-    yield json.dumps(header, sort_keys=True, separators=(",", ":"))[1:].encode() + b"\n"
+    yield _json_header_text(m, **extra)
 
 
 def _pieces(m: MubSet, fmt: str) -> Iterator:
-    """export_mubs(m, fmt) in pieces, each phase basis rendered in its turn.
-
-    Each of the p exponents is rendered once: its decimal text for json and
-    csv, its compact [re, im] pair for float-json.
-    """
+    """export_mubs(m, fmt) in pieces, each rendered in its turn: chunks of
+    bases by digit arithmetic (_rows_table) for one-digit json and csv,
+    else each phase basis by the join, which renders each of the p
+    exponents once, as its decimal or its compact float-json [re, im]."""
     p, q = m.field.p, m.field.q
+    one_digit, decimals = _one_digit(p), [str(e) for e in range(p)]
     if fmt == "csv":
-        header = "basis,b," + ",".join(f"x{i}" for i in range(q)) + "\n"
-        heads = [f"{a}," for a in m.a], _csv_column(q)
-        return chain([header.encode()], _rows_text(m, _decimals(p), "\n", heads))
-    heads = [""] * q, _json_column(q)
+        header = ("basis,b," + ",".join(f"x{i}" for i in range(q)) + "\n").encode()
+        heads = [f"{a}," for a in m.a], _column(fmt, q)
+        return chain([header], _rows_table(m, fmt) if one_digit else
+                     _rows_join(m, decimals, "\n", heads))
+    if fmt == "json" and one_digit:
+        return chain([b'{"bases":'], _rows_table(m, fmt), [b"]," + _json_header_text(m)])
+    heads = [""] * q, _column(fmt, q)
     if fmt == "json":
-        return _json_pieces(m, "vectors", _rows_text(m, _decimals(p), "]", heads))
+        return _json_pieces(m, "vectors", _rows_join(m, decimals, "]", heads))
     if fmt == "float-json":
         amp = 1.0 / math.sqrt(q)
         pairs = [
@@ -609,7 +634,7 @@ def _pieces(m: MubSet, fmt: str) -> Iterator:
                         amp * math.sin(2.0 * math.pi * e / p)], separators=(",", ":"))
             for e in range(p)
         ]
-        return _json_pieces(m, "entries", _rows_text(m, pairs, "]", heads), lossy=True)
+        return _json_pieces(m, "entries", _rows_join(m, pairs, "]", heads), lossy=True)
     raise ValueError(f"unknown export format {fmt!r}")
 
 
@@ -623,7 +648,7 @@ def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
 
 def _tiles(data: bytes, pieces) -> bool:
     """Whether the pieces, in order, are data byte for byte.  Each is
-    compared in place as it is made, so only one basis is rendered at once."""
+    compared in place as it is made, so only one is rendered at once."""
     at = 0
     for piece in pieces:
         if not data.startswith(piece, at):
@@ -678,100 +703,76 @@ def _runs_body(chars: np.ndarray, heads: int, out: np.ndarray) -> bool:
     return True
 
 
-def _body_digits(chars: np.ndarray, at: int, width: int, runs, out: np.ndarray) -> int:
-    """Read into the (q, q) array out the exponents of a one-digit basis laid
-    out as _rows_table renders it at chars[at:], its rows' prefix `width`
-    bytes wide and its heads in runs (_head_runs).  Returns the offset after
-    the basis, or -1 when chars ends first.  A byte that is not a digit
-    reads as 10 or more."""
+def _body_digits(chars: np.ndarray, frames: _Frames, starts, widths, standard, out) -> bool:
+    """Read into out[k] the exponents of one-digit phase basis k, whose frame
+    starts at chars[starts[k]] and whose label is widths[k] digits wide, one
+    reshaped view a run of bases (_Frames.runs).  False when chars ends
+    first.  A byte that is not a digit reads as 10 or more."""
     q = len(out)
-    for b0, b1, h in runs:
-        w = width + h.shape[1] + 2 * q
-        end = at + (b1 - b0) * w
-        if end > len(chars):
-            return -1
-        rows = chars[at:end].reshape(b1 - b0, w)
-        np.subtract(rows[:, w - 2 * q :: 2], np.uint8(48), out=out[b0:b1], casting="unsafe")
-        at = end
-    return at
+    for k0, k1 in frames.runs(widths, standard):
+        lead, pre, size = frames.sizes(widths[k0])
+        run = chars[starts[k0] : starts[k0] + (k1 - k0) * size]
+        if len(run) < (k1 - k0) * size:
+            return False
+        for b0, b1, _, rows in frames.rows(run.reshape(k1 - k0, size), lead, pre):
+            np.subtract(rows[:, :, -2 * q :: 2], np.uint8(48), out=out[k0:k1, b0:b1],
+                        casting="unsafe")
+    return True
 
 
-def _json_bases(data: bytes, fld: FieldSpec):
-    """(labels, exponents, standard) of a json document, walked by position,
-    or None.
+def _bases(data: bytes, fld: FieldSpec, fmt: str):
+    """(labels, exponents, standard) of a json or csv document, walked by
+    position, or None; csv does not record the standard basis.
 
-    After `{"bases":[` each of the q + 1 bases is followed by one separator
-    byte.  A phase basis is `{"a":`, its label, `,"vectors":`, a body of q
-    rows (`[[` or `,[`, then q exponents, each followed by `,` or `]`) and
-    `]}`.  A one-digit body (_one_digit) has rows of 2q + 2 bytes and is
-    read by _body_digits; any other is read as its digit runs up to its
-    closing `]]`.  Only the labels and exponents are read here; the caller
-    compares every byte with the set's rendering.
-    """
+    json: after `{"bases":` each of the q + 1 bases opens with "[" or ",",
+    a phase basis then being `{"a":`, its label, `,"vectors":`, q rows (`[[`
+    or `,[`, q exponents each followed by `,` or `]`) and `]}`.  csv: after
+    the header line each phase basis is q lines, its label, b and q
+    exponents each followed by "," or the line end.  The walk reads each
+    label where the layout puts it and skips one-digit bases (_one_digit),
+    which _body_digits reads after it; any other body is read in its turn as
+    its runs of digits.  The caller compares every byte with the rendering."""
     p, q = fld.p, fld.q
     chars = np.frombuffer(data, np.uint8)
-    runs = _head_runs(_json_column(q)) if _one_digit(_decimals(p)) else None
-    labels, standard = [], None
-    exps = np.empty((q, q, q), dtype=np.uint16)
-    pos = len(b'{"bases":[')
-    for n in range(q + 1):
-        if data.startswith(b'{"standard":true}', pos):
-            standard = n
-            pos += len(b'{"standard":true},')
-            continue
-        comma = data.find(b",", pos + 5, pos + 9)  # a label has at most 3 digits
-        if len(labels) == q or comma < 0:
-            return None
-        labels.append(int(data[pos + 5 : comma]))
-        body, out = comma + len(b',"vectors":'), exps[len(labels) - 1]
-        if runs is None:
-            end = data.find(b"]]", body) + 1  # the last row's "]"
-            pos = end if end and _runs_body(chars[body:end], 0, out) else -1
-        else:
-            pos = _body_digits(chars, body, 0, runs, out)
-        if pos < 0:
-            return None
-        pos += len(b"]},")
-    if standard is None:
-        return None
-    return tuple(labels), exps, standard
-
-
-def _csv_bases(data: bytes, field: FieldSpec):
-    """(labels, exponents) of a csv document, walked by position, or None.
-
-    After the header line each phase basis is q lines: its label, b and q
-    exponents, each followed by "," or the line end.  A one-digit basis's
-    lines end in 2q bytes, q digits and their separators, and are read by
-    _body_digits; any other basis is read as the digit runs of its q lines.
-    Only the labels and exponents are read here; the caller compares every
-    byte with the set's rendering.
-    """
-    p, q = field.p, field.q
-    chars = np.frombuffer(data, np.uint8)
-    if _one_digit(_decimals(p)):
-        runs = _head_runs(_csv_column(q))
-    else:
-        runs = None
+    frames = _Frames.of(fmt, q) if _one_digit(p) else None
+    json_ = fmt == "json"
+    if frames is None and not json_:
         line_ends = np.flatnonzero(chars == ord("\n"))
         if len(line_ends) != q * q + 1:  # the header line, then q lines a basis
             return None
-    labels = []
+    labels, widths, starts, standard = [], [], [], None if json_ else 0
     exps = np.empty((q, q, q), dtype=np.uint16)
-    pos = data.find(b"\n") + 1
-    for k in range(q):
-        comma = data.find(b",", pos, pos + 4)  # a label has at most 3 digits
-        if comma < 0:
+    pos = len(b'{"bases":') if json_ else data.find(b"\n") + 1
+    at = len(b'[{"a":') if json_ else 0  # where a label starts in its basis
+    for n in range(q + json_):
+        if json_ and data.startswith(b'{"standard":true}', pos + 1):
+            standard = n
+            pos += len(b',{"standard":true}')
+            continue
+        comma = data.find(b",", pos + at, pos + at + 4)  # a label has at most 3 digits
+        if len(labels) == q or comma < 0:
             return None
-        labels.append(int(data[pos:comma]))
-        if runs is None:
-            end = line_ends[(k + 1) * q] + 1
-            pos = end if _runs_body(chars[pos:end], 2, exps[k]) else -1  # label and b lead
+        k = len(labels)
+        labels.append(int(data[pos + at : comma]))
+        if frames is not None:
+            starts.append(pos)
+            widths.append(comma - pos - at)
+            pos += frames.sizes(widths[-1])[2]
+        elif json_:
+            body = comma + len(b',"vectors":')
+            end = data.find(b"]]", body) + 1  # the last row's "]"
+            if not (end and _runs_body(chars[body:end], 0, exps[k])):
+                return None
+            pos = end + len(b"]}")
         else:
-            pos = _body_digits(chars, pos, comma + 1 - pos, runs, exps[k])
-        if pos < 0:
-            return None
-    return tuple(labels), exps
+            end = line_ends[(k + 1) * q] + 1
+            if not _runs_body(chars[pos:end], 2, exps[k]):  # label and b lead
+                return None
+            pos = end
+    if standard is None or frames is not None and not _body_digits(
+            chars, frames, starts, widths, standard, exps):
+        return None
+    return tuple(labels), exps, standard
 
 
 def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None):
@@ -813,7 +814,7 @@ def _canonical(data: bytes, fmt: str, fld: FieldSpec, kind: str, poly: Poly) -> 
     reads the bases, and the set is kept only when its rendering, piece by
     piece, tiles `data` itself."""
     try:
-        bases = _json_bases(data, fld) if fmt == "json" else _csv_bases(data, fld)
+        bases = _bases(data, fld, fmt)
         if bases is None:
             return None
         bases[1].setflags(write=False)  # fresh, so the set keeps it without a copy
@@ -838,21 +839,20 @@ def import_mubs(
     default in CONSTRUCTIONS when absent (`_csv_kind`), and with neither
     given the set is whichever construction of its default its vectors
     match, among those that exist over the field.  An alltop set below
-    characteristic 5 raises CharacteristicTooSmall.
-    A json file must match `field` (FieldMismatch), `construction` and
-    `poly_text` (ValueError) when they are given.  A set whose vectors are
-    not those its labels name raises MislabelledImport (`_check_labels`).  Values of the wrong type,
+    characteristic 5 raises CharacteristicTooSmall.  A json file must match
+    `field` (FieldMismatch), `construction` and `poly_text` (ValueError)
+    when they are given.  A set whose vectors are not those its labels name
+    raises MislabelledImport (`_check_labels`).  Values of the wrong type,
     count or shape, basis labels that are not q distinct elements of [0, q)
-    and csv rows whose b is not their position in the basis raise ValueError;
-    a set above the size bound, BudgetExceeded.
+    and csv rows whose b is not their position in the basis raise
+    ValueError; a set above the size bound, BudgetExceeded.
 
     The header is judged first, once: json's is the text after
     `],"construction":` when that parses with construction, field and poly,
     else the whole document's.  Then bytes exactly as export_mubs writes
-    them take the canonical route, kept only when the set's export, rendered
-    piece by piece, tiles the input; the checked body reader reads any other
-    body and raises every body error.  Logs the route taken as one INFO line
-    on the "planarlab" logger.
+    them take the canonical route (_canonical); the checked body reader
+    reads any other body and raises every body error.  Logs the route taken
+    as one INFO line on the "planarlab" logger.
     """
     # a lone surrogate in a str fails the canonical route, not the import
     raw = data.encode(errors="surrogatepass") if isinstance(data, str) else data

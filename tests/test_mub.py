@@ -850,8 +850,12 @@ def test_byte_table_renders_as_the_join(p, r, monkeypatch):
     for fmt in ("json", "csv"):
         fast = [export_mubs(m, fmt) for m in variants]
         with monkeypatch.context() as patch:
-            patch.setattr(mub, "_rows_table", mub._rows_join)
+            patch.setattr(mub, "_one_digit", _never)  # every basis by _rows_join
             assert [export_mubs(m, fmt) for m in variants] == fast, fmt
+
+
+def _never(p):
+    return False
 
 
 def _refuse(*args):
@@ -888,6 +892,106 @@ def test_reader_is_chosen_by_token_width(monkeypatch, caplog):
                 _same_set(import_mubs(export_mubs(m, "csv"), "csv", field=m.field,
                                       construction=m.construction, poly_text=str(m.poly)), m)
     assert {rec.getMessage().split(": ")[1] for rec in caplog.records} == {"canonical route"}
+
+
+def _join_export(m, fmt):
+    """export_mubs(m, fmt) with every phase basis rendered by _rows_join."""
+    with mock.patch.object(mub, "_one_digit", _never):
+        return export_mubs(m, fmt)
+
+
+def _render_and_import_by_chunks(sets, monkeypatch):
+    """Each set's json exports with the standard basis first, in the middle
+    and last, its csv export (which does not record the standard basis),
+    and both with shuffled labels, whose runs of one label width are one or
+    a few bases long: the bytes are the join's, and each import takes the
+    canonical route and gives the set back."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mub, "_json_checked", _refuse)
+        patch.setattr(mub, "_csv_checked", _refuse)
+        for m in sets:
+            q = m.field.q
+            order = np.random.default_rng(q).permutation(q)  # as _shuffled_labels, without json
+            shuffled = dataclasses.replace(m, a=tuple(m.a[i] for i in order),
+                                           exponents=m.exponents[order])
+            cases = [(dataclasses.replace(m, standard=s), "json") for s in (0, q // 2, q)]
+            cases += [(shuffled, "json"), (m, "csv"), (shuffled, "csv")]
+            for v, fmt in cases:
+                data = export_mubs(v, fmt)
+                assert data == _join_export(v, fmt), (q, v.standard, fmt)
+                kwargs = {"field": v.field, "construction": v.construction,
+                          "poly_text": str(v.poly)} if fmt == "csv" else {}
+                back = import_mubs(data, fmt, **kwargs)
+                _same_set(back, v if fmt == "json" else dataclasses.replace(v, standard=0))
+
+
+def _chunks_and_runs(m, fmt):
+    """(chunks, runs): the digit pieces of m's export in fmt, and its runs of
+    phase bases (json's split by the standard basis)."""
+    widths = [len(str(a)) for a in m.a]
+    runs = mub._Frames.of(fmt, m.field.q).runs(widths, m.standard)
+    chunks = [piece for piece in mub._pieces(m, fmt) if isinstance(piece, np.ndarray)]
+    return len(chunks), len(runs)
+
+
+@pytest.mark.parametrize("p, r", [(3, 4), (5, 3), (3, 5)], ids=["GF(81)", "GF(125)", "GF(243)"])
+def test_chunks_of_label_runs_render_as_the_join(p, r, monkeypatch):
+    """A chunk holds fewer bases than these sets, so runs of labels of one
+    width (1, 2 and 3 digits) are cut into several chunks."""
+    sets = [planar_set(p, r)] + ([build_alltop_mubs(make_field(p, r))] if p >= 5 else [])
+    for fmt in ("json", "csv"):
+        chunks, runs = _chunks_and_runs(sets[0], fmt)
+        assert chunks > runs, (fmt, chunks, runs)
+    _render_and_import_by_chunks(sets, monkeypatch)
+
+
+@pytest.mark.parametrize("p, r", [(5, 2), (3, 3), (7, 2)], ids=["GF(25)", "GF(27)", "GF(49)"])
+@pytest.mark.parametrize("bases", [1, 3])
+def test_small_chunks_render_as_the_join(p, r, bases, monkeypatch):
+    """_VERIFY_CHUNK of q^2 and 3 q^2 exponents: chunks of one and of three
+    phase bases."""
+    q = p**r
+    monkeypatch.setattr(mub, "_VERIFY_CHUNK", bases * q * q)
+    sets = [planar_set(p, r)] + ([build_alltop_mubs(make_field(p, r))] if p >= 5 else [])
+    for fmt in ("json", "csv"):
+        chunks, runs = _chunks_and_runs(sets[0], fmt)
+        assert chunks > runs, (fmt, chunks, runs)
+    _render_and_import_by_chunks(sets, monkeypatch)
+
+
+def _digit_rows(monkeypatch):
+    """Returns a list that collects, for each row view _Frames.rows yields,
+    whether it can be written: a chunk being rendered (a digit write) or
+    the input being read (a digit read)."""
+    calls = []
+    rows = mub._Frames.rows
+
+    def recorded(self, frames, lead, pre):
+        for item in rows(self, frames, lead, pre):
+            calls.append(frames.flags.writeable)
+            yield item
+
+    monkeypatch.setattr(mub._Frames, "rows", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_digit_io_goes_a_run_or_a_chunk_at_a_time(fmt, monkeypatch):
+    """A GF(125) export writes its digits once per run of row heads in each
+    chunk, and the import reads them once per run of heads in each run of
+    bases, then renders the chunks again for the tile check: a few dozen
+    numpy passes, where one a basis and run of heads made q times that."""
+    m = dataclasses.replace(build_alltop_mubs(make_field(5, 3)), standard=62)
+    heads = len(mub._Frames.of(fmt, 125).column)  # 2 in json, 3 in csv
+    chunks, runs = _chunks_and_runs(m, fmt)
+    calls = _digit_rows(monkeypatch)
+    data = export_mubs(m, fmt)
+    assert calls == [True] * heads * chunks
+    calls.clear()
+    kwargs = {"field": m.field, "construction": "alltop"} if fmt == "csv" else {}
+    import_mubs(data, fmt, **kwargs)
+    assert sorted(calls) == [False] * heads * runs + [True] * heads * chunks
+    assert heads * (runs + chunks) < 125
 
 
 def test_export_bytes_with_standard_basis_last_are_pinned():
@@ -1159,7 +1263,7 @@ def test_a_refused_header_reaches_no_body_reader(monkeypatch):
     def reached(*args):
         raise AssertionError("a body reader read a refused document")
 
-    for name in ("_json_bases", "_csv_bases", "_json_checked", "_csv_checked", "_json_document"):
+    for name in ("_bases", "_json_checked", "_csv_checked", "_json_document"):
         monkeypatch.setattr(mub, name, reached)
     with pytest.raises(CharacteristicTooSmall):
         import_mubs(data, "json")
@@ -1170,7 +1274,7 @@ def test_a_memory_error_of_the_walker_propagates(monkeypatch, fmt):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(mub, f"_{fmt}_bases", exhausted)
+    monkeypatch.setattr(mub, "_bases", exhausted)
     m = planar_set(5, 2)
     with pytest.raises(MemoryError):
         import_mubs(export_mubs(m, fmt), fmt, field=m.field)
@@ -1184,11 +1288,14 @@ def test_a_str_with_a_lone_surrogate_is_judged_as_text():
         import_mubs(text, "json")
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "float-json"])
-def test_an_export_holds_one_document(fmt):
+@pytest.mark.parametrize("fmt, p, r", [("json", 7, 2), ("csv", 7, 2), ("float-json", 7, 2),
+                                        ("json", 5, 3), ("csv", 5, 3)],
+                         ids=["json", "csv", "float-json", "json-GF(125)", "csv-GF(125)"])
+def test_an_export_holds_one_document(fmt, p, r):
     """export_mubs writes its pieces into one buffer: its traced peak stays
-    under 1.5 documents, where joining a list of the pieces held two."""
-    m = planar_set(7, 2)
+    under 1.5 documents, where joining a list of the pieces held two.  At
+    GF(125) a one-digit chunk holds 15 of the 125 bases."""
+    m = planar_set(p, r)
     size = len(export_mubs(m, fmt))
     tracemalloc.start()
     try:
@@ -1258,6 +1365,60 @@ def test_one_byte_mutations_import_as_the_checked_parser_does(fmt):
     assert accepted and rejected
 
 
+def _edge_positions(m, fmt):
+    """Byte positions of m's export at the edges of the canonical route's
+    pieces: the first and last byte of each piece (prologue, chunk, standard
+    basis, epilogue), and the labels on both sides of the width steps 9 -> 10
+    and 99 -> 100."""
+    ends = np.cumsum([len(piece) for piece in mub._pieces(m, fmt)]).tolist()
+    spots = {0} | {e - 1 for e in ends} | set(ends[:-1])
+    data = export_mubs(m, fmt)
+    for before, after in ((9, 10), (99, 100)):
+        if fmt == "json":
+            first = data.index(b'{"a":%d,' % after) + len(b'{"a":')
+            last = data.index(b'{"a":%d,' % before) + len(b'{"a":')
+        else:
+            first = data.index(b"\n%d,0," % after) + 1
+            last = data.rindex(b"\n%d," % before, 0, first) + 1
+        spots |= {first, first + len(str(after)) - 1, last, last + len(str(before)) - 1}
+    return sorted(spots)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_mutations_at_chunk_and_width_edges_import_as_the_checked_parser_does(fmt):
+    """One-byte substitutions where a GF(125) export's chunks, runs and label
+    widths meet.  When the canonical route declines a mutant, the import's
+    outcome is the checked body reader's by construction; when it keeps one,
+    the checked reader, run alone, must give the same set."""
+    m = dataclasses.replace(build_alltop_mubs(make_field(5, 3)), standard=62)
+    kwargs = {"field": m.field, "construction": m.construction} if fmt == "csv" else {}
+    data = export_mubs(m, fmt)
+    alphabet = b'0123456789,[]{}" \n-:a'
+    declined = []
+    canonical = mub._canonical
+
+    def recorded(*args):
+        out = canonical(*args)
+        declined.append(out is None)
+        return out
+
+    for n, pos in enumerate(_edge_positions(m, fmt)):
+        subs = [c for c in alphabet if c != data[pos]]
+        mutated = data[:pos] + bytes([subs[n % len(subs)]]) + data[pos + 1 :]
+        declined.clear()
+        with mock.patch.object(mub, "_canonical", recorded):
+            got = _import_outcome(import_mubs, mutated, fmt, **kwargs)
+        if declined == [True]:
+            continue
+        with mock.patch.object(mub, "_canonical", lambda *args: None):
+            want = _import_outcome(import_mubs, mutated, fmt, **kwargs)
+        if isinstance(want, type):
+            assert got is want, (n, pos)
+        else:
+            _same_set(got, want)
+    assert len(_edge_positions(m, fmt)) > 20
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(field=st.sampled_from(UNIFORM_WIDTH_FIELDS), seed=st.integers(0, 2**32 - 1),
        fmt=st.sampled_from(["json", "csv"]))
@@ -1270,7 +1431,7 @@ def test_one_digit_tables_render_as_the_join_and_import_by_position(field, seed,
     m = MubSet(fld, "planar", parse_poly("x^2", fld), tuple(rng.permutation(q).tolist()),
                rng.integers(0, fld.p, (q, q, q), dtype=np.uint16), int(rng.integers(q + 1)))
     data = export_mubs(m, fmt)
-    with mock.patch.object(mub, "_rows_table", mub._rows_join):
+    with mock.patch.object(mub, "_one_digit", _never):  # every basis by _rows_join
         assert export_mubs(m, fmt) == data
     # the canonical route itself: import_mubs would refuse these labels
     back = _canonical(data, fmt, fld, "planar", m.poly)
