@@ -648,7 +648,7 @@ def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
 
 def _tiles(data: bytes, pieces) -> bool:
     """Whether the pieces, in order, are data byte for byte.  Each is
-    compared in place as it is made, so only one is rendered at once."""
+    compared in place as it is made, so the rendering is never held whole."""
     at = 0
     for piece in pieces:
         if not data.startswith(piece, at):
