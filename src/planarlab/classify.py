@@ -431,17 +431,15 @@ def _free_exponents(fld: FieldSpec, mode: str) -> frozenset[int]:
 def _core(f: Poly, free: frozenset[int]) -> frozenset[tuple[int, int]]:
     """The reduced (exponent, coefficient) terms of f outside the free set.
 
-    Free terms are dropped before any coefficients are combined, and only
-    exponents that collide after reduction cost a field addition.
+    Free terms are dropped before `polyfun._combine` sums the rest, so only
+    exponents outside the free set that collide after reduction cost a
+    field addition.
     """
-    fld = f.field
-    core: dict[int, int] = {}
-    for e, c in f.terms.items():
-        e = polyfun._reduced_exponent(e, fld.q)
-        if e not in free:
-            prev = core.get(e)
-            core[e] = c if prev is None else fld.add(prev, c)
-    return frozenset(item for item in core.items() if item[1])
+    q = f.field.q
+    reduced = ((polyfun._reduced_exponent(e, q), c) for e, c in f._terms.items())
+    core = polyfun._combine(f.field, polyfun._rounds(item for item in reduced
+                                                      if item[0] not in free))
+    return frozenset(core._terms.items())
 
 
 def do_decompose(g: Poly) -> DODecomposition | None:

@@ -23,7 +23,9 @@ g**i + g**j = g**(i + Z(j - i)) (Huber, IEEE Trans. IT 36(4), 1990), and NEG
 gives negatives.  LOG[0] puts zero operands in index ranges of their own, so
 sums, differences and negatives need no masks for zero.  Prime fields add
 and multiply residues mod p directly, which costs less per call than the
-lookups.
+lookups.  `monomial_tables` gives the tables of several terms c * x**e over
+all x in one gather, EXP[LOG c + e * LOG x mod (q - 1)], in every field;
+polynomial value tables sum its rows.
 """
 
 from __future__ import annotations
@@ -398,6 +400,24 @@ class FieldSpec:
             raise ValueError("exponents must be non-negative")
         k = self._log[base] * (e % (self.q - 1)) % (self.q - 1)
         return np.where((base == 0) & (e > 0), 0, self._exp[k])
+
+    def monomial_tables(self, exps, coeffs) -> np.ndarray:
+        """(n, q) array whose row i is coeffs[i] * x**exps[i] at every x in
+        encoding order, for n non-negative int64 exponents; 0**0 = 1.
+
+        One log-domain gather, EXP[LOG c + e * LOG x mod (q - 1)], serves
+        every row: a zero c lands in EXP's zero tail, and the x = 0 column,
+        where LOG x = 2(q - 1) gives e * LOG x = 0 mod q - 1, is set apart.
+        """
+        m = self.q - 1
+        e = np.asarray(exps, dtype=np.int64)[:, None]
+        c = np.asarray(coeffs, dtype=np.int32)[:, None]
+        k = self._log * (e % m)  # the one (n, q) int64 temporary
+        k %= m
+        k += self._log[c]
+        out = self._exp[k]
+        out[:, 0] = np.where(e[:, 0] == 0, c[:, 0], 0)
+        return out
 
     # -- scalar kernel (int encodings in, int encodings out) --------------
 

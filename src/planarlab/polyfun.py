@@ -7,14 +7,23 @@ them modulo x^q - x.  Degree statements about difference polynomials concern
 the formal degree, which silent reduction would destroy.
 
 A value table is a read-only int32 array of length q, entry e = f(element
-with encoding e).  `_table_delta` is the one table difference
+with encoding e).  `value_table` reduces the exponents, takes the tables of
+all terms c*x^e from one log-domain gather (`FieldSpec.monomial_tables`)
+and sums them with add_vec.  `_table_delta` is the one table difference
 T[x + a] - T[x], for one shift or a column of shifts; `delta_table`, the
-planar and Alltop scans in `classify` and its monomial sweeps call it.  `delta`,
-`double_delta` and `shift_scale` expand each monomial binomially, once per
-term: the two difference operators share `_expand`, which weights C(n, k) by
-a^k or by (a + b)^k - a^k - b^k.  Like terms are summed in one place,
-`_combine`, which `+`, `reduce`, `parse_poly`, `_expand` and `shift_scale`
-share; it adds coefficients only where an exponent repeats.
+planar and Alltop scans in `classify` and its monomial sweeps call it.
+
+`delta`, `double_delta` and `shift_scale` share `_expand`, which expands
+every monomial binomially at once: the k of all terms are concatenated, so
+C(n, k) * c is weighted by a^k, by (a + b)^k - a^k - b^k or by
+s^(n - k) * t^k in one run of vector kernels, whatever the number of terms.
+Like terms are summed in one place, `_combine`, which `+`, `reduce`,
+`parse_poly`, `_expand` and `classify._core` share.  It takes blocks of
+terms with no exponent twice in a block (one block per expanded term, or,
+from `_rounds`, the k-th occurrences of each exponent) and sums the
+exponents a block shares with the blocks before it in one add_vec.  Polys
+the layer builds from encodings already in range skip the constructor's
+per-term checks (`Poly._trusted`).
 
 Text grammar (whitespace ignored, output uses decreasing exponents):
 
@@ -27,6 +36,8 @@ decimal integer.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 import warnings
 
@@ -64,6 +75,16 @@ class Poly:
                 if enc:
                     clean[int(e)] = enc
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, terms: dict[int, int]) -> "Poly":
+        """A Poly that keeps `terms` as it is, unchecked: the layer's own
+        constructions, whose int exponents are non-negative and whose
+        coefficient encodings are nonzero and below q."""
+        f = object.__new__(cls)
+        f.field = field
+        f._terms = terms
+        return f
 
     # -- constructors ----------------------------------------------------
 
@@ -117,7 +138,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
-        return _combine(self.field, [*self._terms.items(), *other._terms.items()])
+        return _combine(self.field, [self._terms, other._terms])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + -other
@@ -125,21 +146,25 @@ class Poly:
     def __mul__(self, scalar) -> "Poly":
         """Scalar multiple; polynomial-by-polynomial products are out of scope."""
         s = self.field.enc_of(scalar)
-        f = self.field
-        return Poly(self.field, {e: f.mul(c, s) for e, c in self._terms.items()})
+        return self._recoefficient(self.field.mul_vec(list(self._terms.values()), s))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Poly":
-        f = self.field
-        return Poly(self.field, {e: f.neg(c) for e, c in self._terms.items()})
+        return self._recoefficient(self.field.neg_vec(list(self._terms.values())))
+
+    def _recoefficient(self, coeffs: np.ndarray) -> "Poly":
+        """The terms' exponents with new coefficient encodings, in term
+        order; zero coefficients drop out."""
+        return Poly._trusted(self.field, {e: c for e, c in zip(self._terms, coeffs.tolist()) if c})
 
     # -- function semantics -------------------------------------------------
 
     def reduce(self) -> "Poly":
         """Rewrite exponents modulo x^q - x; the induced function is unchanged."""
         q = self.field.q
-        return _combine(self.field, [(_reduced_exponent(e, q), c) for e, c in self._terms.items()])
+        pairs = ((_reduced_exponent(e, q), c) for e, c in self._terms.items())
+        return _combine(self.field, _rounds(pairs))
 
     def __call__(self, x) -> FieldElement:
         """f(x) as the field sum of c * x**e over the terms, with 0**0 = 1;
@@ -152,13 +177,16 @@ class Poly:
         return f.element(acc)
 
     def value_table(self) -> np.ndarray:
-        """Read-only int32 array of the values at all q points (exponents
-        reduced on the fly; same function)."""
+        """Read-only int32 array of the values at all q points: the rows of
+        `monomial_tables` summed with add_vec.  Exponents are reduced first
+        (same function), so formal ones of any size fit its int64 array."""
         f = self.field
-        total = np.zeros(f.q, dtype=np.int32)
-        for e, c in self._terms.items():
-            col = f.pow_vec(f.encodings, _reduced_exponent(e, f.q))
-            total = f.add_vec(total, f.mul_vec(col, np.int32(c)))
+        if not self._terms:
+            total = np.zeros(f.q, dtype=np.int32)
+        else:
+            exps = [_reduced_exponent(e, f.q) for e in self._terms]
+            total = functools.reduce(
+                f.add_vec, f.monomial_tables(exps, list(self._terms.values())))
         total.setflags(write=False)
         return total
 
@@ -188,7 +216,7 @@ def parse_poly(text: str, field: FieldSpec) -> Poly:
                 f"coefficient {coeff} outside [0, {field.q})"
             )
         pairs.append((exp, coeff))
-    return _combine(field, pairs)
+    return _combine(field, _rounds(pairs))
 
 
 def format_poly(f: Poly) -> str:
@@ -206,16 +234,35 @@ def format_poly(f: Poly) -> str:
     return " + ".join(parts)
 
 
-def _combine(fld: FieldSpec, pairs) -> Poly:
-    """Sum (exponent, coefficient encoding) pairs into a Poly: zero
-    coefficients are skipped, a field addition is made only where an
-    exponent repeats, and sums that cancel drop out."""
-    acc: dict[int, int] = {}
+def _rounds(pairs) -> list[dict[int, int]]:
+    """Split (exponent, coefficient encoding) pairs into blocks for
+    `_combine`: block k maps each exponent to its k-th coefficient."""
+    blocks: list[dict[int, int]] = []
+    seen: dict[int, int] = {}
     for e, c in pairs:
-        if c:
-            prev = acc.get(e)
-            acc[e] = c if prev is None else fld.add(prev, c)
-    return Poly(fld, acc)
+        k = seen.get(e, 0)
+        seen[e] = k + 1
+        if k == len(blocks):
+            blocks.append({})
+        blocks[k][e] = c
+    return blocks
+
+
+def _combine(fld: FieldSpec, blocks) -> Poly:
+    """Sum blocks of terms, each an exponent -> coefficient-encoding map,
+    into a Poly.  The exponents a block shares with the blocks before it
+    are summed in one add_vec, since no exponent occurs twice in a block;
+    zero coefficients and sums that cancel drop out."""
+    acc: dict[int, int] = {}
+    for block in blocks:
+        shared = acc.keys() & block.keys()
+        sums = fld.add_vec([acc[e] for e in shared],
+                           [block[e] for e in shared]).tolist() if shared else []
+        acc.update(block)
+        acc.update(zip(shared, sums))
+    if 0 in acc.values():
+        acc = {e: c for e, c in acc.items() if c}
+    return Poly._trusted(fld, acc)
 
 
 def delta(f: Poly, a) -> Poly:
@@ -235,23 +282,32 @@ def delta(f: Poly, a) -> Poly:
         )
         return Poly.zero(fld)
 
-    return _expand(f, lambda ks: fld.pow_elemwise(a_enc, ks))
+    return _expand(f, lambda ks, exps: fld.pow_elemwise(a_enc, ks))
 
 
-def _expand(f: Poly, weight) -> Poly:
-    """Sum of C(n, k) * weight(k) * c on x^(n - k) over the terms c*x^n of f
-    and the k >= 1 where C(n, k) is nonzero mod p; weight maps an array of
-    k to an array of encodings."""
+def _expand(f: Poly, weight, first: int = 1) -> Poly:
+    """Sum of C(n, k) * weight(k, n - k) * c on x^(n - k) over the terms
+    c*x^n of f and the k >= first where C(n, k) is nonzero mod p.
+
+    The k of every term are concatenated, so weight maps arrays of k and
+    n - k to an array of encodings once per call, and each term's run of
+    distinct exponents is one block of `_combine`."""
     fld = f.field
-    pairs = []
+    ks, exps, bs, cs = [], [], [], []
     for n, c in f._terms.items():
-        if n == 0:
-            continue
-        ks, bs = binom.expansion(n, fld.p)
-        ks, bs = ks[1:], bs[1:]  # k = 0 reproduces f(x), which cancels
-        coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), weight(ks)), np.int32(c))
-        pairs += zip((n - ks).tolist(), coeffs.tolist())
-    return _combine(fld, pairs)
+        if n >= first:
+            k, b = binom.expansion(n, fld.p)
+            ks.append(k[first:])
+            exps.append(n - k[first:])
+            bs.append(b[first:])
+            cs.append(np.full(len(b) - first, c, dtype=np.int32))
+    if not ks:
+        return Poly._trusted(fld, {})
+    ends = list(itertools.accumulate(map(len, ks)))
+    k, e = np.concatenate(ks), np.concatenate(exps)
+    coeffs = fld.mul_vec(fld.mul_vec(np.concatenate(bs), weight(k, e)), np.concatenate(cs))
+    e, coeffs = e.tolist(), coeffs.tolist()
+    return _combine(fld, [dict(zip(e[lo:hi], coeffs[lo:hi])) for lo, hi in zip([0, *ends], ends)])
 
 
 def _table_delta(fld: FieldSpec, t: np.ndarray, a) -> np.ndarray:
@@ -281,8 +337,8 @@ def double_delta(f: Poly, a, b) -> Poly:
     a_enc, b_enc = fld.enc_of(a), fld.enc_of(b)
     if a_enc == 0 or b_enc == 0:
         return delta(delta(f, a), b)
-    s_enc = fld.add(a_enc, b_enc)
-    return _expand(f, lambda ks: fld.sub_vec(
+    s_enc = fld.add_vec(a_enc, b_enc)
+    return _expand(f, lambda ks, exps: fld.sub_vec(
         fld.sub_vec(fld.pow_elemwise(s_enc, ks), fld.pow_elemwise(a_enc, ks)),
         fld.pow_elemwise(b_enc, ks),
     ))
@@ -296,13 +352,9 @@ def shift_scale(f: Poly, s, t) -> Poly:
     if s_enc == 0:
         raise ZeroScale("scale factor s must be nonzero")
 
-    pairs = []
-    for n, c in f._terms.items():
-        ks, bs = binom.expansion(n, fld.p)
-        st = fld.mul_vec(fld.pow_elemwise(s_enc, ks), fld.pow_elemwise(t_enc, n - ks))
-        coeffs = fld.mul_vec(fld.mul_vec(bs.astype(np.int32), st), np.int32(c))
-        pairs += zip(ks.tolist(), coeffs.tolist())
-    return _combine(fld, pairs)
+    # C(n, k) * s^(n - k) * t^k on x^(n - k), from k = 0 up
+    return _expand(f, lambda ks, exps: fld.mul_vec(fld.pow_elemwise(s_enc, exps),
+                                                   fld.pow_elemwise(t_enc, ks)), first=0)
 
 
 def predicted_delta_degree(n: int, p: int) -> int:

@@ -81,14 +81,14 @@ class FamilySpec:
             # digits idx has are read, so q**(D+1) is never built
             if idx < 0 or len(digits := base_p_digits(idx, field.q)) > self.max_degree + 1:
                 raise IndexError(f"candidate index {idx} out of range")
-            return Poly(field, {self.max_degree - j: c for j, c in enumerate(digits) if c})
+            return Poly._trusted(field, {self.max_degree - j: c for j, c in enumerate(digits) if c})
         if not 0 <= idx < self.size(field):
             raise IndexError(f"candidate index {idx} out of range")
         if self.kind == "monomials":
-            return Poly.monomial(field, 2 + idx)
+            return Poly._trusted(field, {2 + idx: 1})
         if self.kind == "shifted-cubics":
-            return polyfun.shift_scale(Poly.monomial(field, 3), 1, idx)
-        return Poly.monomial(field, field.p**idx + 1)
+            return polyfun.shift_scale(Poly._trusted(field, {3: 1}), 1, idx)
+        return Poly._trusted(field, {field.p**idx + 1: 1})
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -174,7 +174,7 @@ def _scan_digits(field, family, mode, start, stop):
         if red not in free:
             core_rows.setdefault(red, []).append(D - e)
     tokens = [
-        np.array([b""] + [f" + {Poly.monomial(field, D - j, c)}".encode() for c in range(1, q)])
+        np.array([b""] + [f" + {Poly._trusted(field, {D - j: c})}".encode() for c in range(1, q)])
         for j in range(D + 1)
     ]
     verdicts: dict[int, bool] = {}
@@ -229,14 +229,14 @@ def _scan_monomials(field, family, mode, cosets, inverse):
 def _scan_shifted_cubics(field, family, mode):
     """`_scan` for the shifted cubics: x^3 is classified once and its verdict
     holds for every (x + t)^3.  Hit texts come from the coefficient columns
-    C(3, k) * t^(3 - k), all t at once."""
+    C(3, k) * t^(3 - k), all t at once: `monomial_tables` row k."""
     predicate = classify.is_planar if mode == "planar" else classify.is_alltop
-    if not predicate(family.candidate(field, 0)):
+    if not predicate(Poly._trusted(field, {3: 1})):
         return [], [], 1
-    ts = field.encodings
-    ks, bs = (a.tolist() for a in binom.expansion(3, field.p))
-    coeffs = np.transpose([field.mul_vec(b, field.pow_vec(ts, 3 - k)) for k, b in zip(ks, bs)])
-    texts = [str(Poly(field, dict(zip(ks, col)))) for col in coeffs.tolist()]
+    ks, bs = binom.expansion(3, field.p)
+    coeffs = field.monomial_tables(3 - ks, bs).T.tolist()
+    ks = ks.tolist()
+    texts = [str(Poly._trusted(field, {k: c for k, c in zip(ks, row) if c})) for row in coeffs]
     return list(range(field.q)), texts, 1
 
 

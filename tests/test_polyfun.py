@@ -1,5 +1,7 @@
+import hashlib
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from planarlab.errors import (
     PolySyntaxError,
     ZeroScale,
 )
-from planarlab.field import make_field
+from planarlab.field import FieldSpec, make_field
 from planarlab.polyfun import (
     Poly,
     ZeroShiftWarning,
@@ -136,8 +138,9 @@ def test_eval_matches_naive_power_sum():
 
 
 def test_value_table_matches_eval():
-    # value_table reduces exponents and runs on pow_vec, so it is an oracle
-    # for the scalar power sum of __call__, which does neither
+    # value_table reduces exponents and sums the rows of one log-domain
+    # gather (monomial_tables), so it is an oracle for the scalar power sum
+    # of __call__, which does neither
     for field, seed in ((make_field(5, 2), 6), (make_field(3, 2), 5)):
         q = field.q
         rng = np.random.default_rng(seed)
@@ -154,6 +157,25 @@ def test_value_table_matches_eval():
             assert len(t) == q
             for x in range(q):
                 assert t[x] == f(x).enc
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2),
+                                 (5, 3)])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_value_table_matches_eval_at_every_point(p, r, data):
+    # up to 6 terms, formal exponents up to 3q and one past int64, whose
+    # reduction must come before any int64 array
+    field = make_field(p, r)
+    q = field.q
+    huge = data.draw(st.integers(2**63, 2**70))
+    exps = st.one_of(st.integers(0, 3 * q), st.just(huge))
+    f = Poly(field, data.draw(st.dictionaries(exps, st.integers(0, q - 1), max_size=6)))
+    c = data.draw(st.integers(1, q - 1))
+    for g in (f, Poly.constant(field, c), Poly.zero(field)):
+        t = g.value_table()
+        assert t.dtype == np.int32 and t.shape == (q,)
+        assert t.tolist() == [g(x).enc for x in range(q)]
 
 
 def test_tables_are_read_only_int32():
@@ -462,3 +484,110 @@ def test_like_terms_match_per_term_oracle(p, r):
         terms = pairs(8) + [(e, c), (e, field.neg(c))]
         text = " + ".join(f"{c}*x^{e}" for e, c in terms)
         assert parse_poly(text, field).terms == _per_term(terms, field.add)
+
+
+def _per_monomial(op, f, *args):
+    """The per-term oracle for an expansion: op on each monomial of f, the
+    results folded one coefficient at a time."""
+    fld = f.field
+    pairs = [item for e, c in f.terms.items()
+             for item in op(Poly(fld, {e: c}), *args).terms.items()]
+    return _per_term(pairs, fld.add)
+
+
+def _cancelling(op, args, f):
+    """f with its last coefficient chosen so that one exponent shared by the
+    expansions of its terms sums to zero, and that exponent; None when the
+    expansions share none."""
+    fld = f.field
+    *rest, (n, _) = f.terms.items()
+    unit = op(Poly(fld, {n: 1}), *args).terms
+    others = _per_monomial(op, Poly(fld, dict(rest)), *args)
+    shared = sorted(unit.keys() & others.keys())
+    if not shared:
+        return None
+    j = shared[len(shared) // 2]
+    c = fld.mul(fld.neg(others[j]), fld.inv(unit[j]))
+    return Poly(fld, {**dict(rest), n: c}), j
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (7, 2), (5, 3)])
+def test_expansions_match_per_term_folds(p, r):
+    # the expansions of 2-4 terms share exponents, which _combine sums
+    # a block at a time
+    field = make_field(p, r)
+    q = field.q
+    rng = np.random.default_rng(7 * q)
+    cancelled = 0
+    for _ in range(25):
+        size = int(rng.integers(2, 5))
+        exps = rng.choice(np.arange(1, 2 * q), size=size, replace=False).tolist()
+        f = Poly(field, dict(zip(exps, rng.integers(1, q, size=size).tolist())))
+        a, b, s = rng.integers(1, q, size=3).tolist()
+        t = int(rng.integers(0, q))
+        for op, *args in ((delta, a), (double_delta, a, b), (shift_scale, s, t)):
+            assert op(f, *args).terms == _per_monomial(op, f, *args)
+            found = _cancelling(op, args, f)
+            if found is not None:
+                g, j = found
+                out = op(g, *args).terms
+                assert j not in out
+                assert out == _per_monomial(op, g, *args)
+                cancelled += 1
+    assert cancelled >= 50
+
+
+def test_expansion_texts_match_the_pinned_corpus():
+    # str() of delta, double_delta and shift_scale of 1-4 terms over eight
+    # fields, pinned by the digest of the per-term expansion code
+    out = []
+    for p, r in ((3, 1), (7, 1), (3, 2), (5, 2), (7, 2), (5, 3), (3, 5), (7, 4)):
+        field = make_field(p, r)
+        q = field.q
+        rng = np.random.default_rng(q)
+        for size in (1, 2, 3, 4) * 3:
+            exps = rng.choice(3 * q + 1, size=size, replace=False).tolist()
+            f = Poly(field, dict(zip(exps, rng.integers(1, q, size=size).tolist())))
+            a, b, s = rng.integers(1, q, size=3).tolist()
+            t = int(rng.integers(0, q))
+            out += [str(delta(f, a)), str(double_delta(f, a, b)), str(shift_scale(f, s, t))]
+    text = "\n".join(out).encode()
+    assert len(text) == 783784 + len(out) - 1
+    assert hashlib.sha256(text).hexdigest()[:32] == "c1fdf224c2ea24593e2ad08386cf56c9"
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of FieldSpec kernel calls, nested ones included."""
+    calls = Counter()
+    for name in ("add_vec", "neg_vec", "mul_vec", "pow_vec", "pow_elemwise", "monomial_tables",
+                 "add", "neg", "mul", "pow"):
+        def counted(self, *args, _kernel=getattr(FieldSpec, name), _name=name):
+            calls[_name] += 1
+            return _kernel(self, *args)
+        monkeypatch.setattr(FieldSpec, name, counted)
+    return calls
+
+
+def test_polynomial_layer_makes_no_per_term_kernel_calls(kernel_calls):
+    field = make_field(7, 4)
+    f = parse_poly("5*x^2400 + 3*x^2399 + 2*x^1000 + x^818 + 7*x^5 + 11", field)
+    kernel_calls.clear()
+    f.value_table()
+    assert kernel_calls == {"monomial_tables": 1, "add_vec": 5}
+
+    g = parse_poly("3*x^40 + 2*x^30 + x^25", field)
+    for op, args in ((shift_scale, (3, 5)), (double_delta, (3, 5)), (delta, (3,))):
+        kernel_calls.clear()
+        op(g, *args)
+        assert not kernel_calls.keys() & {"add", "mul", "pow", "neg"}
+        # at most one add_vec per term after the first, to sum like terms
+        limit = 3 if op is double_delta else 2  # and (a + b) once
+        assert 1 <= kernel_calls["add_vec"] <= limit
+        assert kernel_calls["pow_elemwise"] == {shift_scale: 2, double_delta: 3, delta: 1}[op]
+
+    negated = {40: field.neg(3), 30: field.neg(2), 25: field.neg(1)}
+    tripled = {40: field.mul(3, 3), 30: field.mul(2, 3), 25: 3}
+    kernel_calls.clear()
+    assert (-g).terms == negated and (g * 3).terms == tripled
+    assert kernel_calls == {"neg_vec": 1, "mul_vec": 1}

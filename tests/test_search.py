@@ -365,6 +365,27 @@ def test_monomial_sweeps_classify_one_exponent_per_coset(
     ]
 
 
+@pytest.mark.parametrize("kind, max_deg, mode", [
+    ("all-reduced", 2, "planar"), ("monomials", None, "planar"),
+    ("do-monomials", None, "planar"), ("shifted-cubics", None, "alltop"),
+])
+def test_searches_build_no_checked_polys(monkeypatch, kind, max_deg, mode):
+    # candidates and hit texts are built from encodings already in range,
+    # so they skip Poly.__init__'s per-term checks
+    fld = make_field(7)
+    fam = FamilySpec(kind, max_deg)
+    rep = run_search(fld, fam, mode)
+    expected = rep.to_json_dict(canonical=True), [str(f) for f in rep.hit_polys]
+    assert expected[0]["hits"]
+
+    def refused(self, *args):
+        raise AssertionError("checked Poly construction")
+
+    monkeypatch.setattr(Poly, "__init__", refused)
+    rep = run_search(fld, fam, mode)
+    assert (rep.to_json_dict(canonical=True), [str(f) for f in rep.hit_polys]) == expected
+
+
 @pytest.mark.parametrize("p, mode, hits", [(7, "alltop", 7), (7, "planar", 0), (3, "alltop", 0)])
 def test_shifted_cubics_classify_x3_once(monkeypatch, caplog, p, mode, hits):
     name = "is_planar" if mode == "planar" else "is_alltop"
