@@ -1,10 +1,10 @@
 """Complete MUB sets from planar functions and from shifted cubics,
 verified exactly in integer arithmetic."""
 
-import dataclasses
 import json
 
 from planarlab import (
+    MubSet,
     build_alltop_mubs,
     build_planar_mubs,
     export_mubs,
@@ -34,9 +34,9 @@ print("  first basis row:", json.loads(data)["bases"][1]["vectors"][0])
 
 print()
 print("corrupting a single exponent is caught and localized:")
-exps = m.exponents.copy()  # [phase basis, vector, entry]; the set's own is read-only
+exps = m.exponents.copy()  # [phase basis, vector, entry], rendered read-only on demand
 exps[0, 0, 0] = (exps[0, 0, 0] + 1) % 7
-bad = dataclasses.replace(m, exponents=exps)
+bad = MubSet.from_exponents(m.field, m.construction, m.poly, m.a, exps, m.standard)
 bad_report = verify_mub_set(bad)
 v = bad_report.violations[0]
 got = v.value if v.is_rational_integer else f"non-integral d={v.autocorrelation}"

@@ -7,14 +7,19 @@ indexed (a, b) the exponent table tr(a * Pi(x) + b * x); the Alltop
 construction of an Alltop f (characteristic at least 5; x^3 by default)
 uses tr(f(x + a) + b * (x + a)).  Together with the standard basis these
 give q + 1 bases.  CONSTRUCTIONS names both with their default polynomials.
-A set keeps all q^3 exponents in one read-only (q, q, q) uint16 array,
-indexed [phase basis, vector, entry]; sets with q^3 > 2^26 entries
-(q > 406) raise BudgetExceeded before any table is built.  Both builders
-share one kernel (_build): basis a is its label row (_label_rows),
-tr(a * Pi(x)) or tr(f(x + a)), plus tr(b * x), and for Alltop plus the
-constant tr(a * b).  The kernel and the row certificate work in uint16 on
-about _VERIFY_CHUNK exponents at once, folding a sum s in [0, 2p) into
-[0, p) as min(s, s - p) (_fold).
+A set keeps each phase basis in O(q^2) memory (_Form): its reference row,
+one constant per vector and the mask of its certified vectors, vector b
+being the reference row plus tr(b * x) plus its constant, and the rows of
+its uncertified vectors as they are; `MubSet.exponents`, the q^3 exponents
+indexed [phase basis, vector, entry], is rendered on demand and not kept.
+Sets with q^3 > 2^26 entries (q > 406) raise BudgetExceeded before any
+table is built.  Both builders share one kernel (_build), which makes the
+form at once: basis a's reference row is its label row (_label_rows),
+tr(a * Pi(x)) or tr(f(x + a)), its constants are 0, or tr(a * b) for
+Alltop, and every vector is certified.  Exponents from anywhere else, an
+import or MubSet.from_exponents, are certified into the form (_certify),
+and rows are rendered from it (MubSet._rows), about _VERIFY_CHUNK exponents
+at once, folding a sum s in [0, 2p) into [0, p) as min(s, s - p) (_fold).
 
 For two phase vectors the squared inner product times q^2 equals the squared
 magnitude of the phase-difference histogram, so unbiasedness is the exact
@@ -27,13 +32,15 @@ taken up to a constant, is its normalised row; the largest group of rows
 with one normalised row, ties going to the group of the smallest b, are the
 basis's certified rows, and that row is its reference.  Both constructions
 certify every row (the cubic one with the constants tr(a * b)), and such a
-clean basis costs one O(q^2) check against row 0.  Between certified
+clean basis costs one O(q^2) check against row 0.  Verification reads the
+certificate from the form, so it certifies nothing itself.  Between certified
 vectors u and v of two bases the autocorrelation is row v - u + s of one
 table per pair class: the difference of the bases' reference rows less its
 affine part tr(s * x) + c, and whether the two bases are one; a chunk of
 basis pairs finds its classes by one sort.  Both constructions have q
-classes of q histograms, so a clean set costs O(q^3): 0.02 s at q = 125
-and 0.3 s at q = 343 (CPU time, 2-core x86).  Each uncertified vector,
+classes of q histograms, so a clean set costs O(q^3): 13-16 ms at q = 125
+and 0.27-0.30 s at q = 343 (CPU medians, 2-core shared x86).  A q = 125
+set builds in 0.2-0.7 ms.  Each uncertified vector,
 such as one with a flipped exponent in a corrupted import, takes the
 generic kernel against every vector of every basis, one histogram per
 vector pair: O(q^3) more per bad vector.  One flipped exponent costs
@@ -43,17 +50,19 @@ rule.
 
 Exact json and csv whose exponents are one digit (p <= 7) go by runs of
 phase bases, consecutive bases whose labels have one width: a chunk of a
-run is rendered in one numpy pass a run of row heads (_rows_table), and an
-import reads every label, then each run's digits through one reshaped view
-(_bases); other texts (float-json, p >= 11) are joined and read as digit
-runs a basis at a time.  An import keeps its set only if the set's export,
-rendered piece by piece, tiles the input byte for byte, else the checked
+run is rendered from the form in one numpy pass a run of row heads
+(_rows_table), and an import reads every label, then each run's digits a
+block of bases at a time into one buffer, one reshaped view a run of heads,
+and certifies each block as it is read (_bases); other texts (float-json,
+p >= 11) are joined a basis at a time and read as digit runs.  An import
+keeps only the form, and keeps the set only if its export, rendered piece
+by piece from the form, tiles the input byte for byte, else the checked
 body reader reads every value and raises every body error; then the labels
-are checked (_check_labels).  At q = 125 json and csv export take 2.4 and
-2.9 ms and canonical imports 7.4 and 7.5 ms, about 3 ms of it the label
-check (a basis at a time: 3.4, 5.8, 8.9 and 12.3 ms; checked body reader:
-0.4 and 0.6 s); at q = 343 the label check takes 0.05 s of a 0.15 s
-import (CPU time, 2-core shared x86).
+are checked against the reference rows (_check_labels).  At q = 125 json
+and csv export take 2-4 and 3.5-5 ms and canonical imports 4.5-6 ms, the
+certificate included (checked body reader: 0.4 and 0.6 s); at q = 343 a
+json export takes 0.08 s and its import 0.10 s (CPU medians, 2-core shared
+x86).
 """
 
 from __future__ import annotations
@@ -64,7 +73,6 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -113,44 +121,74 @@ def _check_construction(field: FieldSpec, construction: str) -> None:
         )
 
 
+class _Form(NamedTuple):
+    """The phase bases of a set as it keeps them: O(q^2), plus a row for each
+    uncertified vector.  Vector b of phase basis k is ref[k] + tr(b * x) +
+    const[k, b] when good[k, b] (certified), else the next row of `extra`,
+    the uncertified rows in (k, b) order (_certify)."""
+
+    ref: np.ndarray  # (q, q) uint16: each basis's reference row
+    const: np.ndarray  # (q, q) uint16: each vector's constant
+    good: np.ndarray  # (q, q) bool: the certified vectors
+    extra: np.ndarray  # (n, q) uint16: the uncertified vectors' rows
+
+
 @dataclass(frozen=True, eq=False)
 class MubSet:
     """A complete collection: the standard basis plus q phase bases.
 
-    exponents[k, b, x] is entry x of vector b in phase basis k, whose label
-    is a[k] (the labels are the q elements of [0, q) in some order);
-    `standard` is the position of the standard basis among the q + 1 bases.
-    The set keeps a read-only exponent array that owns its memory or views
-    a read-only owner, and copies any other, so writes through the caller's
-    array or its views do not reach the set; a caller who freezes an array
-    but keeps a writable view of it, or unfreezes it, still can.
+    Phase basis k is labelled a[k] (the labels are the q elements of [0, q)
+    in some order); `standard` is the position of the standard basis among
+    the q + 1 bases.  The set keeps its bases as their _Form, its own copy,
+    and renders `exponents` on demand.  Builders and imports make the form;
+    from_exponents certifies any (q, q, q) exponent array into one, so no
+    array or view a caller holds can reach the set.
     """
 
     field: FieldSpec
     construction: str  # a key of CONSTRUCTIONS
     poly: Poly
     a: tuple[int, ...]
-    exponents: np.ndarray
+    _form: _Form = dataclass_field(repr=False)
     standard: int = 0
 
     def __post_init__(self):
         q = self.field.q
-        exps = self.exponents
-        if exps.dtype != np.uint16 or exps.shape != (q, q, q):
-            raise ValueError(f"expected {q} phase bases of {q} vectors of length {q}")
         if sorted(self.a) != list(range(q)):
             raise ValueError(f"the basis labels must be {q} distinct elements of [0, {q})")
         if not 0 <= self.standard <= q:
             raise ValueError(f"the standard basis position must be in [0, {q}]")
         _check_construction(self.field, self.construction)
-        if exps.max() >= self.field.p:
-            raise ValueError(f"phase exponents must be integers in [0, {self.field.p})")
-        owner = exps if exps.base is None else exps.base
-        if exps.flags.writeable or not (isinstance(owner, np.ndarray) and owner.flags.owndata
-                                        and not owner.flags.writeable):
-            exps = exps.copy()
-            exps.setflags(write=False)
-        object.__setattr__(self, "exponents", exps)
+        if not isinstance(self._form, _Form):
+            raise TypeError("a set is made from exponents by MubSet.from_exponents")
+        form = _Form(*map(np.array, self._form))  # copies: O(q^2)
+        for part in form:
+            part.setflags(write=False)
+        object.__setattr__(self, "_form", form)
+
+    @classmethod
+    def from_exponents(cls, field: FieldSpec, construction: str, poly: Poly, a, exponents,
+                       standard: int = 0) -> MubSet:
+        """The set whose phase basis k, labelled a[k], has the rows
+        exponents[k, b], a (q, q, q) uint16 array of exponents in [0, p).
+        The bases are certified (_certify) into the set's form, which is all
+        it keeps of the array."""
+        q = field.q
+        exps = np.asarray(exponents)
+        if exps.dtype != np.uint16 or exps.shape != (q, q, q):
+            raise ValueError(f"expected {q} phase bases of {q} vectors of length {q}")
+        step = _block_bases(q)
+        form = _certify(field, (exps[k0 : k0 + step] for k0 in range(0, q, step)))
+        return cls(field, construction, poly, a, form, standard)
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """Entry x of vector b of phase basis k at [k, b, x]: a read-only
+        (q, q, q) uint16 array rendered from the form on each call, which the
+        set does not keep."""
+        exps = self._rows(slice(None))
+        exps.setflags(write=False)
+        return exps
 
     def phase_bases(self) -> list[int]:
         """Position of each phase basis among the q + 1 bases."""
@@ -158,21 +196,40 @@ class MubSet:
 
     def exponent_matrix(self, k: int) -> np.ndarray:
         """Phase basis k as int64: differences of uint16 entries would wrap."""
-        return self.exponents[k].astype(np.int64)
+        return self._rows(k, np.arange(self.field.q)).astype(np.int64)
 
-    @cached_property
-    def certificate(self) -> tuple[np.ndarray, np.ndarray]:
-        """_certified_rows of the set, computed once: the exponents are read-only."""
-        cert = _certified_rows(self)
-        for arr in cert:
-            arr.setflags(write=False)
-        return cert
+    def _rows(self, ks, bs=None, out=None, spare=None) -> np.ndarray:
+        """Vector bs of phase basis ks, for index arrays that broadcast to
+        some shape, as a uint16 array of that shape plus the q entries, or,
+        with bs None, every vector of the bases ks, a slice, as an (n, q, q)
+        array; written into out, the folds' s - p into spare, when they are
+        given, in their dtype, which may be uint8 when 2p <= 256."""
+        ref, const, good, extra = self._form
+        p, q = self.field.p, self.field.q
+        dt = np.uint16 if out is None else out.dtype
+        tb = self.field.trace_bilinear.astype(dt)
+        if bs is None:  # basic indexing: views, no gathers
+            r, t, c = ref[ks, None], tb, const[ks]
+        else:
+            r, t, c = ref[ks], tb[bs], const[ks, bs]
+        rows = _fold(np.add(r.astype(dt), t, out=out), p, spare)
+        if c.any():
+            _fold(np.add(rows, c.astype(dt)[..., None], out=rows), p, spare)
+        if len(extra):
+            if bs is None:
+                ks, bs = np.arange(q)[ks, None], np.arange(q)
+            bad = ~good[ks, bs]
+            if bad.any():
+                k, b = np.broadcast_arrays(ks, bs)
+                rows[bad] = extra[np.searchsorted(np.flatnonzero(~good), k[bad] * q + b[bad])]
+        return rows
 
 
-def _fold(s: np.ndarray, p: int) -> np.ndarray:
-    """s mod p, in place, for a uint16 array s with entries in [0, 2p): below
-    p, s - p wraps above s and the minimum keeps s."""
-    return np.minimum(s, s - np.uint16(p), out=s)
+def _fold(s: np.ndarray, p: int, spare=None) -> np.ndarray:
+    """s mod p, in place, for an unsigned array s with entries in [0, 2p):
+    below p, s - p wraps above s and the minimum keeps s.  s - p goes into
+    spare, an array of s's shape, when it is given."""
+    return np.minimum(s, np.subtract(s, s.dtype.type(p), out=spare), out=s)
 
 
 def _label_rows(field: FieldSpec, construction: str, poly: Poly) -> np.ndarray:
@@ -187,9 +244,10 @@ def _label_rows(field: FieldSpec, construction: str, poly: Poly) -> np.ndarray:
 
 
 def _build(field: FieldSpec, construction: str, poly: Poly) -> MubSet:
-    """The set of `construction` from poly: basis a is label row a
-    (_label_rows) plus tr(b * x) in row b, plus tr(a * b) for alltop.  Size,
-    characteristic, field and poly are checked in that order."""
+    """The set of `construction` from poly, made as its form: basis a is
+    label row a (_label_rows) plus tr(b * x) in row b, plus the constant
+    tr(a * b) for alltop, every vector certified.  Size, characteristic,
+    field and poly are checked in that order."""
     _check_size(field)
     _check_construction(field, construction)
     if poly.field != field:
@@ -197,17 +255,11 @@ def _build(field: FieldSpec, construction: str, poly: Poly) -> MubSet:
     planar = construction == "planar"
     if not (classify.is_planar if planar else classify.is_alltop)(poly):
         raise (NotPlanar if planar else NotAlltop)(f"{poly} is not {construction} over {field!r}")
-    p, q = field.p, field.q
-    tb = field.trace_bilinear.astype(np.uint16)  # tb[b, x] = tr(b * x)
-    rows = _label_rows(field, construction, poly)  # tr(a * pi(x)) or tr(f(x + a))
-    exps = np.empty((q, q, q), dtype=np.uint16)
-    step = max(1, _VERIFY_CHUNK // (q * q))  # all bases for q <= 63, 2 at q = 343
-    for a0 in range(0, q, step):
-        block = _fold(np.add(rows[a0 : a0 + step, None, :], tb, out=exps[a0 : a0 + step]), p)
-        if not planar:  # plus tr(a * b)
-            _fold(np.add(block, tb[a0 : a0 + step, :, None], out=block), p)
-    exps.setflags(write=False)  # frozen, so the set keeps it without a copy
-    return MubSet(field, construction, poly, tuple(range(q)), exps)
+    q = field.q
+    tb = field.trace_bilinear.astype(np.uint16)  # tb[a, b] = tr(a * b)
+    form = _Form(_label_rows(field, construction, poly), np.zeros_like(tb) if planar else tb,
+                 np.ones((q, q), dtype=bool), np.empty((0, q), dtype=np.uint16))
+    return MubSet(field, construction, poly, tuple(range(q)), form)
 
 
 def build_planar_mubs(field: FieldSpec, pi: Poly) -> MubSet:
@@ -321,30 +373,44 @@ def _pair_violations(m, ks, us, ls, vs):
     out = []
     for n0 in range(0, len(us), chunk):
         k, u, l, v = (a[n0 : n0 + chunk] for a in (ks, us, ls, vs))
-        d = _histograms(p, m.exponents[k, u], m.exponents[l, v])
+        d = _histograms(p, m._rows(k, u), m._rows(l, v))
         out += _violations(q, d, idx[k], u, idx[l], v)
     return out
 
 
-def _certified_rows(m):
-    """(ref, good): the reference row ref[k] of each phase basis k and the
-    mask good[k] of its certified rows.
+def _block_bases(q: int) -> int:
+    """Phase bases read and certified at once: about _VERIFY_CHUNK exponents."""
+    return min(q, max(1, _VERIFY_CHUNK // (q * q)))
+
+
+def _certify(field: FieldSpec, blocks) -> _Form:
+    """The _Form of q phase bases given in order as (n, q, q) uint16 blocks,
+    at most a block (_block_bases) each, each read as it comes, so a reader may
+    reuse one buffer for them all.  ValueError when an exponent is not in
+    [0, p).
 
     Row b is normalised to row b - tr(b * x), taken up to a constant.  The
     certified rows are the largest group of rows that agree after that, ties
-    going to the group of the smallest b, and ref[k] is their normalised row.
-    A chunk of bases is normalised against their rows 0 at once, and a basis
-    is grouped only when some row disagrees, so a clean basis costs O(q^2).
+    going to the group of the smallest b, and the reference row is their
+    normalised row, taken to agree with row 0 at x = 0; vector b's constant
+    is its value at 0 less row 0's.  A block is normalised against its rows
+    0 at once, and a basis is grouped only when some row disagrees, so a
+    clean basis costs O(q^2).
     """
-    p, q = m.field.p, m.field.q
-    neg_tb = p - m.field.trace_bilinear.astype(np.uint16)  # in [1, p]
-    ref = m.exponents[:, 0].copy()
+    p, q = field.p, field.q
+    neg_tb = p - field.trace_bilinear.astype(np.uint16)  # in [1, p]
+    ref, const = np.empty((2, q, q), dtype=np.uint16)
     good = np.ones((q, q), dtype=bool)
-    step = max(1, _VERIFY_CHUNK // (q * q))
-    for k0 in range(0, q, step):
-        block = m.exponents[k0 : k0 + step]
-        rest = _fold(block + (p - block[:, :1]), p)  # row b less row 0
-        _fold(np.add(rest, neg_tb, out=rest), p)  # ... less tr(b x)
+    extra, k0 = [np.empty((0, q), dtype=np.uint16)], 0
+    buf = np.empty((2, _block_bases(q), q, q), dtype=np.uint16)  # rest, and the folds' s - p
+    for block in blocks:
+        if block.max() >= p:
+            raise ValueError(f"phase exponents must be integers in [0, {p})")
+        rest, spare = buf[:, : len(block)]
+        _fold(np.add(block, p - block[:, :1], out=rest), p, spare)  # row b less row 0
+        _fold(np.add(rest, neg_tb, out=rest), p, spare)  # ... less tr(b x)
+        ref[k0 : k0 + len(block)] = block[:, 0]
+        const[k0 : k0 + len(block)] = rest[:, :, 0]
         for k in np.flatnonzero(~(rest == rest[:, :, :1]).all(axis=(1, 2))).tolist():
             norm = _fold(rest[k] + (p - rest[k, :, :1]), p)  # ... less its value at 0
             _, first, group, size = np.unique(norm, axis=0, return_index=True,
@@ -352,13 +418,15 @@ def _certified_rows(m):
             best = np.lexsort((first, -size))[0]  # the largest group, then the smallest b
             ref[k0 + k] = _fold(block[k, 0] + norm[first[best]], p)
             good[k0 + k] = group.ravel() == best
-    return ref, good
+            extra.append(block[k][~good[k0 + k]])
+        k0 += len(block)
+    return _Form(ref, const, good, np.concatenate(extra))
 
 
-def _verify_pairs(m, pairs, ref, good):
+def _verify_pairs(m, pairs):
     """(report rows, vector pairs histogrammed, pair classes, failing classes)
-    of the pairs (k, l) of phase bases k <= l of m, in the given order, whose
-    reference rows and certified rows are ref and good (_certified_rows).
+    of the pairs (k, l) of phase bases k <= l of m, in the given order, read
+    from the reference rows and certified rows of m's form.
 
     A certified row b of basis k is ref[k] + tr(b x) plus a constant.  A
     pair's D = ref[l] - ref[k] is R + tr(s x) + D(0), R vanishing at 0 and at
@@ -372,6 +440,7 @@ def _verify_pairs(m, pairs, ref, good):
     """
     fld = m.field
     p, q = fld.p, fld.q
+    ref, good = m._form.ref, m._form.good
     tb = fld.trace_bilinear.astype(np.uint16)
     neg_tb = p - tb  # in [1, p]
     powers = p ** np.arange(fld.r)  # the encodings of e_i
@@ -436,8 +505,8 @@ def _verify_pairs(m, pairs, ref, good):
             d = table[fld.add_vec(delta[u0 : u0 + chunk], s_kl)]
             if len(us):
                 here = (u0 <= us) & (us < u0 + chunk)
-                d[us[here] - u0, vs[here]] = _histograms(p, m.exponents[k, us[here]],
-                                                         m.exponents[l, vs[here]])
+                d[us[here] - u0, vs[here]] = _histograms(p, m._rows(k, us[here]),
+                                                         m._rows(l, vs[here]))
             violations += _violations(q, d, idx[k], np.arange(u0, u0 + len(d))[:, None],
                                       idx[l], np.arange(q))
     flush()
@@ -448,8 +517,9 @@ def verify_mub_set(m: MubSet) -> MubVerification:
     """Exact verification: orthonormality within each phase basis and squared
     cross-basis magnitude q for every pair; failures become report content.
 
-    Each phase basis is certified row by row (_certified_rows).  Pairs of
-    certified vectors are read from their pair classes' tables, O(q^3) for
+    Each phase basis was certified row by row (_certify) when the set was
+    made.  Pairs of certified vectors are read from their pair classes'
+    tables, O(q^3) for
     the set; each uncertified vector takes one direct histogram against
     every vector of every basis, O(q^3) more.  Logs one INFO line on the
     "planarlab" logger: the bases that pass the translation certificate, the
@@ -457,10 +527,10 @@ def verify_mub_set(m: MubSet) -> MubVerification:
     the pair classes that fail.
     """
     q = m.field.q
-    ref, good = m.certificate
+    good = m._form.good
     pairs = np.concatenate([np.arange(q).repeat(2).reshape(-1, 2),  # (k, k), then k < l
                             np.transpose(np.triu_indices(q, 1))])
-    violations, direct, classes, failing = _verify_pairs(m, pairs, ref, good)
+    violations, direct, classes, failing = _verify_pairs(m, pairs)
     report = MubVerification(q, violations)
     _log.info(
         "verify GF(%d): %d of %d phase bases pass the translation certificate; "
@@ -531,28 +601,48 @@ class _Frames(NamedTuple):
             at += (b1 - b0) * w
 
 
+def _chunk_bases(q: int) -> int:
+    """Phase bases rendered at once, in a chunk of one-digit text or a chunk
+    of rows: at most _VERIFY_CHUNK exponents and an eighth of the bases."""
+    return max(1, min(_VERIFY_CHUNK // (q * q), q // 8))
+
+
+def _row_chunks(m: MubSet, runs, dtype=np.uint16) -> Iterator[tuple[int, np.ndarray]]:
+    """(c0, rows) for each chunk (_chunk_bases) of phase bases within each
+    run (k0, k1) of bases: rows[n] is basis c0 + n, rendered from the form
+    into one buffer of `dtype`, which the next chunk reuses."""
+    q = m.field.q
+    step = _chunk_bases(q)
+    rows, spare = np.empty((2, step, q, q), dtype=dtype)  # one buffer for every chunk
+    for k0, k1 in runs:
+        for c0 in range(k0, k1, step):
+            n = min(step, k1 - c0)
+            yield c0, m._rows(slice(c0, c0 + n), None, rows[:n], spare[:n])
+
+
 def _rows_table(m: MubSet, fmt: str) -> Iterator[np.ndarray]:
     """The phase bases of a one-digit set as json's list items or csv's
     lines, in frames (_Frames) a chunk of a run of bases at a time, one pass
-    a run of row heads: each entry's digit and "," are written at once as
-    the little-endian uint16 e + 48 + 256 * ord(","), the text of e being
-    the digit of code e + 48.  A chunk holds at most _VERIFY_CHUNK exponents
-    and an eighth of the bases, and only its consumer holds it."""
+    a run of row heads: the chunk's rows are rendered from the form
+    (_row_chunks), and each entry's digit and "," written at once as the
+    little-endian uint16 e + 48 + 256 * ord(","), the text of e being the
+    digit of code e + 48.  Only the chunk's consumer holds it."""
     q = m.field.q
     frames = _Frames.of(fmt, q)
     texts = (['%s{"a":%d,"vectors":' % ("[" if k == 0 < m.standard else ",", a)
               for k, a in enumerate(m.a)] if frames.json  # each basis's lead
              else [f"{a}," for a in m.a])  # or its pre
-    pair, end = ord("0") + 256 * ord(","), ord("]" if frames.json else "\n")
+    pair, end = np.uint16(ord("0") + 256 * ord(",")), ord("]" if frames.json else "\n")
 
-    def chunk(c0, c1, lead, pre, size):
+    def chunk(exps, c0, lead, pre, size):
+        c1 = c0 + len(exps)
         table = np.empty((c1 - c0, size), dtype=np.uint8)
         label = np.frombuffer("".join(texts[c0:c1]).encode(), np.uint8).reshape(c1 - c0, -1)
         table[:, :lead] = label[:, :lead]
         for b0, b1, h, rows in frames.rows(table, lead, pre):
             rows[:, :, :pre] = label[:, None, :pre]
             rows[:, :, pre : pre + h.shape[1]] = h
-            np.add(m.exponents[c0:c1, b0:b1], pair, out=rows[:, :, -2 * q :].view("<u2"))
+            np.add(exps[:, b0:b1], pair, out=rows[:, :, -2 * q :].view("<u2"))
             rows[:, :, -1] = end
         if frames.json:
             table[:, -2:] = np.frombuffer(b"]}", np.uint8)
@@ -560,20 +650,19 @@ def _rows_table(m: MubSet, fmt: str) -> Iterator[np.ndarray]:
 
     widths = [len(str(a)) for a in m.a]
     standard = b'%s{"standard":true}' % (b"," if m.standard else b"[")
-    step = max(1, min(_VERIFY_CHUNK // (q * q), q // 8))
-    for k0, k1 in frames.runs(widths, m.standard):
-        if frames.json and k0 == m.standard:
+    for c0, exps in _row_chunks(m, frames.runs(widths, m.standard), np.uint8):
+        if frames.json and c0 == m.standard:  # a run starts there
             yield standard
-        for c0 in range(k0, k1, step):
-            yield chunk(c0, min(c0 + step, k1), *frames.sizes(widths[k0]))
+        yield chunk(exps, c0, *frames.sizes(widths[c0]))
     if frames.json and m.standard == q:
         yield standard
 
 
 def _rows_join(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
-    """Bases of texts of mixed widths: each is a (q, q + 2) object array of
-    cells, its prefix, head b and the 2p tokens (text and separator) gathered
-    by exponent, and one join."""
+    """Bases of texts of mixed widths, rendered from the form a chunk of
+    bases at a time (_row_chunks): each is a (q, q + 2) object array of
+    cells, its prefix, head b and the 2p tokens (text and separator)
+    gathered by exponent, and one join."""
     p, q = m.field.p, m.field.q
     tok = np.array([t + "," for t in texts] + [t + end for t in texts], dtype=object)
     last = np.zeros(q, dtype=np.intp)
@@ -581,10 +670,11 @@ def _rows_join(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
     prefixes, column = heads
     table = np.empty((q, q + 2), dtype=object)
     table[:, 1] = column
-    for k, prefix in enumerate(prefixes):
-        table[:, 0] = prefix
-        table[:, 2:] = tok[m.exponents[k] + last]
-        yield "".join(table.ravel().tolist()).encode()
+    for c0, exps in _row_chunks(m, [(0, q)]):
+        for prefix, rows in zip(prefixes[c0:], exps):
+            table[:, 0] = prefix
+            table[:, 2:] = tok[rows + last]
+            yield "".join(table.ravel().tolist()).encode()
 
 
 def _json_header_text(m: MubSet, **extra) -> bytes:
@@ -683,55 +773,82 @@ def _exponent_array(rows: list[list[int]], p: int, q: int) -> np.ndarray:
     return exps.reshape(q, q)
 
 
-def _runs_body(chars: np.ndarray, heads: int, out: np.ndarray) -> bool:
+def _runs_body(chars: np.ndarray, heads: int, out: np.ndarray) -> None:
     """Read into the (q, q) array out the exponents of a basis body, the
     uint8 array chars, as its runs of ASCII digits: q rows of `heads` runs
-    and then q exponents.  False when the count of runs is not that or a run
-    is longer than three digits.  The first digit of every run is read at
-    once, the second and third where runs have them."""
+    and then q exponents.  ValueError when the count of runs is not that or
+    a run is longer than three digits.  The first digit of every run is
+    read at once, the second and third where runs have them."""
     q = len(out)
     digit = chars - np.uint8(48)  # wraps: every other byte becomes 10 or more
     edges = np.flatnonzero(np.diff(digit < 10, prepend=False, append=False))
     starts, lengths = edges[::2], edges[1::2] - edges[::2]
     if len(starts) != q * (q + heads) or lengths.max() > 3:
-        return False
+        raise ValueError("a phase basis body is not the runs of digits of an export")
     values = digit[starts].astype(np.int32)
     for j in (1, 2):
         more = lengths > j
         values[more] = values[more] * 10 + digit[starts[more] + j]
     out[:] = values.reshape(q, q + heads)[:, heads:]
-    return True
 
 
-def _body_digits(chars: np.ndarray, frames: _Frames, starts, widths, standard, out) -> bool:
-    """Read into out[k] the exponents of one-digit phase basis k, whose frame
-    starts at chars[starts[k]] and whose label is widths[k] digits wide, one
-    reshaped view a run of bases (_Frames.runs).  False when chars ends
-    first.  A byte that is not a digit reads as 10 or more."""
-    q = len(out)
+def _body_runs(chars: np.ndarray, spans: list, heads: int, q: int) -> Iterator[np.ndarray]:
+    """The exponents of the phase bases whose bodies are chars[start:end],
+    (start, end) in spans, read by _runs_body into one buffer, a block of
+    bases (_block_bases) at a time."""
+    buf = np.empty((_block_bases(q), q, q), dtype=np.uint16)
+    for k0 in range(0, q, len(buf)):
+        block = buf[: min(len(buf), q - k0)]
+        for out, (start, end) in zip(block, spans[k0:]):
+            _runs_body(chars[start:end], heads, out)
+        yield block
+
+
+def _body_digits(chars: np.ndarray, frames: _Frames, starts, widths, standard) -> Iterator:
+    """The exponents of the one-digit phase bases, basis k's frame starting
+    at chars[starts[k]] and its label widths[k] digits wide, a block
+    (_block_bases) at a time in one buffer, filled from the runs of bases
+    (_Frames.runs) one reshaped view a run of row heads for each piece of a
+    run in a block.  ValueError when chars ends first.  A byte that is not a
+    digit reads as 10 or more."""
+    q = frames.column[-1][1]
+    buf = np.empty((_block_bases(q), q, q), dtype=np.uint16)
+    n = 0  # bases in buf
     for k0, k1 in frames.runs(widths, standard):
         lead, pre, size = frames.sizes(widths[k0])
         run = chars[starts[k0] : starts[k0] + (k1 - k0) * size]
         if len(run) < (k1 - k0) * size:
-            return False
-        for b0, b1, _, rows in frames.rows(run.reshape(k1 - k0, size), lead, pre):
-            np.subtract(rows[:, :, -2 * q :: 2], np.uint8(48), out=out[k0:k1, b0:b1],
-                        casting="unsafe")
-    return True
+            raise ValueError("the document ends inside a phase basis")
+        run = run.reshape(k1 - k0, size)
+        while len(run):
+            take = min(len(buf) - n, len(run))
+            for b0, b1, _, rows in frames.rows(run[:take], lead, pre):
+                np.subtract(rows[:, :, -2 * q :: 2], np.uint8(48),
+                            out=buf[n : n + take, b0:b1], casting="unsafe")
+            n, run = n + take, run[take:]
+            if n == len(buf):
+                yield buf
+                n = 0
+    if n:
+        yield buf[:n]
 
 
 def _bases(data: bytes, fld: FieldSpec, fmt: str):
-    """(labels, exponents, standard) of a json or csv document, walked by
-    position, or None; csv does not record the standard basis.
+    """(labels, form, standard) of a json or csv document, walked by
+    position; csv does not record the standard basis.  ValueError when the
+    document is not laid out as an export.
 
     json: after `{"bases":` each of the q + 1 bases opens with "[" or ",",
     a phase basis then being `{"a":`, its label, `,"vectors":`, q rows (`[[`
     or `,[`, q exponents each followed by `,` or `]`) and `]}`.  csv: after
     the header line each phase basis is q lines, its label, b and q
     exponents each followed by "," or the line end.  The walk reads each
-    label where the layout puts it and skips one-digit bases (_one_digit),
-    which _body_digits reads after it; any other body is read in its turn as
-    its runs of digits.  The caller compares every byte with the rendering."""
+    label where the layout puts it and skips the bodies; then they are read
+    a block of bases at a time into one buffer, by position (_body_digits)
+    when they are one-digit (_one_digit) and else as runs of digits
+    (_body_runs), and each block is certified (_certify) as it is read.
+    Only the form is kept.  The caller compares every byte with the
+    rendering."""
     p, q = fld.p, fld.q
     chars = np.frombuffer(data, np.uint8)
     frames = _Frames.of(fmt, q) if _one_digit(p) else None
@@ -739,9 +856,8 @@ def _bases(data: bytes, fld: FieldSpec, fmt: str):
     if frames is None and not json_:
         line_ends = np.flatnonzero(chars == ord("\n"))
         if len(line_ends) != q * q + 1:  # the header line, then q lines a basis
-            return None
-    labels, widths, starts, standard = [], [], [], None if json_ else 0
-    exps = np.empty((q, q, q), dtype=np.uint16)
+            raise ValueError("a csv export has q lines a phase basis")
+    labels, widths, starts, spans, standard = [], [], [], [], None if json_ else 0
     pos = len(b'{"bases":') if json_ else data.find(b"\n") + 1
     at = len(b'[{"a":') if json_ else 0  # where a label starts in its basis
     for n in range(q + json_):
@@ -751,8 +867,7 @@ def _bases(data: bytes, fld: FieldSpec, fmt: str):
             continue
         comma = data.find(b",", pos + at, pos + at + 4)  # a label has at most 3 digits
         if len(labels) == q or comma < 0:
-            return None
-        k = len(labels)
+            raise ValueError("a phase basis does not open with its label")
         labels.append(int(data[pos + at : comma]))
         if frames is not None:
             starts.append(pos)
@@ -761,18 +876,19 @@ def _bases(data: bytes, fld: FieldSpec, fmt: str):
         elif json_:
             body = comma + len(b',"vectors":')
             end = data.find(b"]]", body) + 1  # the last row's "]"
-            if not (end and _runs_body(chars[body:end], 0, exps[k])):
-                return None
+            if not end:
+                raise ValueError("a phase basis body does not end")
+            spans.append((body, end))
             pos = end + len(b"]}")
         else:
-            end = line_ends[(k + 1) * q] + 1
-            if not _runs_body(chars[pos:end], 2, exps[k]):  # label and b lead
-                return None
+            end = line_ends[len(labels) * q] + 1
+            spans.append((pos, end))  # label and b lead each row
             pos = end
-    if standard is None or frames is not None and not _body_digits(
-            chars, frames, starts, widths, standard, exps):
-        return None
-    return tuple(labels), exps, standard
+    if standard is None or len(labels) < q:
+        raise ValueError("a json export has one standard basis and q phase bases")
+    blocks = (_body_digits(chars, frames, starts, widths, standard) if frames is not None
+              else _body_runs(chars, spans, 0 if json_ else 2, q))
+    return tuple(labels), _certify(fld, blocks), standard
 
 
 def _csv_kind(field: FieldSpec, construction: str | None, poly_text: str | None):
@@ -814,12 +930,8 @@ def _canonical(data: bytes, fmt: str, fld: FieldSpec, kind: str, poly: Poly) -> 
     reads the bases, and the set is kept only when its rendering, piece by
     piece, tiles `data` itself."""
     try:
-        bases = _bases(data, fld, fmt)
-        if bases is None:
-            return None
-        bases[1].setflags(write=False)  # fresh, so the set keeps it without a copy
-        m = MubSet(fld, kind, poly, *bases)
-    except ValueError:  # labels or exponents the layout cannot hold
+        m = MubSet(fld, kind, poly, *_bases(data, fld, fmt))
+    except ValueError:  # a layout, labels or exponents other than an export's
         return None
     return m if _tiles(data, _pieces(m, fmt)) else None
 
@@ -879,8 +991,7 @@ def import_mubs(
     if m is None:
         bases = (_csv_checked(data, fld) if fmt == "csv"
                  else _json_checked(_json_document(data) if doc is None else doc, fld))
-        bases[1].setflags(write=False)
-        m = MubSet(fld, kind, poly, *bases)
+        m = MubSet.from_exponents(fld, kind, poly, *bases)
         route = "checked"
     m = _check_labels(m, fmt == "csv" and construction is None and poly_text is None)
     _log.info("import %s GF(%d): %s route", fmt, m.field.q, route)
@@ -888,14 +999,14 @@ def import_mubs(
 
 
 def _check_labels(m: MubSet, guess: bool) -> MubSet:
-    """m when the reference row of each phase basis (m.certificate) is its
+    """m when the reference row of each phase basis (its form's) is its
     label's row (_label_rows) up to a constant; with `guess`, m as whichever
     construction over m's field, each of its CONSTRUCTIONS default, its
     vectors match.  Otherwise MislabelledImport names the first phase basis
     that disagrees.  The reference row is that of the basis's largest group
     of agreeing rows, so a few corrupted vectors do not change it."""
     fld = m.field
-    ref = m.certificate[0]
+    ref = m._form.ref
     labels = np.asarray(m.a)
     kinds = [(m.construction, m.poly)]
     if guess:
@@ -908,9 +1019,7 @@ def _check_labels(m: MubSet, guess: bool) -> MubSet:
         if not len(bad):
             if kind == m.construction:
                 return m
-            out = replace(m, construction=kind, poly=poly)
-            out.__dict__["certificate"] = m.certificate  # the same exponents
-            return out
+            return replace(m, construction=kind, poly=poly)
         wrong.append(f"phase basis {bad[0]} is not the {kind} basis a = {m.a[bad[0]]} of {poly}")
     raise MislabelledImport("; ".join(wrong))
 

@@ -2,7 +2,6 @@
 and holding its stated runtime budget.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import dataclasses
 import json
 import logging
 import os
@@ -25,6 +24,7 @@ from planarlab.classify import (
 from planarlab.cyclo import char_sum, mag_sq
 from planarlab.field import _is_prime, make_field
 from planarlab.mub import (
+    MubSet,
     _pair_violations,
     build_alltop_mubs,
     build_planar_mubs,
@@ -424,7 +424,7 @@ def _flipped(m, cells):
     exps = m.exponents.copy()
     for k, b, x, step in cells:
         exps[k, b, x] = (int(exps[k, b, x]) + step) % m.field.p
-    return dataclasses.replace(m, exponents=exps)
+    return MubSet.from_exponents(m.field, m.construction, m.poly, m.a, exps, m.standard)
 
 
 def _generic_violations(m, pairs):

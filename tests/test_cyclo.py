@@ -152,8 +152,9 @@ def test_phase_inner_counts_linear_difference_orthogonal():
 def test_phase_inner_counts_across_planar_bases():
     f5 = make_field(5)
     m = build_planar_mubs(f5, parse_poly("x^2", f5))
-    b1 = m.exponents[0, 0]  # basis a = 0, vector b = 0
-    b2 = m.exponents[1, 3]  # basis a = 1, vector b = 3
+    exps = m.exponents
+    b1 = exps[0, 0]  # basis a = 0, vector b = 0
+    b2 = exps[1, 3]  # basis a = 1, vector b = 3
     v = phase_inner_counts(b1, b2, 5)
     assert mag_sq(v).value == 5  # |<v1|v2>|^2 = 1/5 after the q^2 scale
 

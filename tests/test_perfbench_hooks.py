@@ -7,6 +7,7 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import planarlab
@@ -71,6 +72,31 @@ def test_both_builders_keep_their_own_spans(harness):
     assert {name for name in t.calls if name.startswith("mub.")} == builders
     for name in builders:
         assert t.calls[name] == 1 and t.self_s[name] > 0, name
+
+
+def test_a_traced_export_and_import_take_the_mub_hooks(harness):
+    """The tracer's export and import hooks count a set's entries through
+    MubSet.phase_bases, and it traces MubSet.exponent_matrix as a span: a
+    MubSet without either name fails here."""
+    tracer, _ = harness
+    t = tracer.Tracer(planarlab)
+    field = make_field(5, 2)
+    try:
+        t.install()
+        m = planarlab.build_planar_mubs(field, planarlab.parse_poly("x^2", field))
+        data = planarlab.export_mubs(m, "json")
+        back = planarlab.import_mubs(data, "json")
+        matrix = back.exponent_matrix(3)
+        report = planarlab.verify_mub_set(back)
+    finally:
+        t.uninstall()
+    for name in ("mub.export_mubs", "mub.import_mubs", "mub.MubSet.exponent_matrix",
+                 "mub.verify_mub_set"):
+        assert t.calls[name] == 1, name
+    assert t.counts["mub.io_bytes"] == 2 * len(data)
+    assert t.counts["mub.phase_entries"] == 2 * 25**3
+    assert t.counts["mub.vector_pairs"] == report.pairs_checked
+    assert matrix.dtype == np.int64 and np.array_equal(matrix, m.exponents[3])
 
 
 def test_the_benchmark_imports_take_the_canonical_route(harness, caplog):
