@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import logging
+import math
 import re
 import time
 import tracemalloc
@@ -762,6 +763,52 @@ def test_csv_roundtrip_bit_exact():
     assert export_mubs(back, "csv") == data
     assert np.array_equal(m.exponents, back.exponents)
     assert back.a == m.a and back.standard == 0
+
+
+def _framed_by_hand(m, fmt):
+    """The document export_mubs(m, fmt) writes, built from m.exponents, m.a
+    and m.standard alone: json.dumps of the nested exponent lists, or of
+    float-json's [re, im] pairs with "lossy", and csv's header line and one
+    `a,b,e...` line a vector."""
+    p, q = m.field.p, m.field.q
+    exps = m.exponents.tolist()
+    if fmt == "csv":
+        lines = ["basis,b," + ",".join(f"x{i}" for i in range(q))]
+        lines += [",".join(map(str, [a, b, *row]))
+                  for a, rows in zip(m.a, exps) for b, row in enumerate(rows)]
+        return ("\n".join(lines) + "\n").encode()
+    doc = {"construction": m.construction, "field": m.field.to_json_dict(), "poly": str(m.poly)}
+    if fmt == "json":
+        bases = [{"a": a, "vectors": rows} for a, rows in zip(m.a, exps)]
+    else:
+        amp = 1.0 / math.sqrt(q)
+        pair = [[amp * math.cos(2.0 * math.pi * e / p), amp * math.sin(2.0 * math.pi * e / p)]
+                for e in range(p)]
+        bases = [{"a": a, "entries": [[pair[e] for e in row] for row in rows]}
+                 for a, rows in zip(m.a, exps)]
+        doc["lossy"] = True
+    doc["bases"] = bases[: m.standard] + [{"standard": True}] + bases[m.standard :]
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+FRAMING_SETS = [("planar", 5, 2), ("alltop", 5, 2), ("planar", 11, 1), ("alltop", 13, 1)]
+
+
+@pytest.mark.parametrize("construction, p, r", FRAMING_SETS,
+                         ids=[f"{c}-GF({p}^{r})" for c, p, r in FRAMING_SETS])
+def test_every_format_frames_its_bases_as_the_documents_by_hand(construction, p, r):
+    """One-digit (GF(25)) and mixed-width (GF(11), GF(13)) sets with the
+    standard basis first, in the middle and last, and with shuffled labels:
+    every format's bytes are the document built by hand, so the framing is
+    checked apart from the renderers that share it."""
+    m = planar_set(p, r) if construction == "planar" else build_alltop_mubs(make_field(p, r))
+    q = m.field.q
+    order = np.random.default_rng(q).permutation(q)
+    variants = [dataclasses.replace(m, standard=s) for s in (0, q // 2, q)]
+    variants.append(remade(m, m.exponents[order], a=tuple(m.a[i] for i in order)))
+    for v in variants:
+        for fmt in ("json", "float-json", "csv"):
+            assert export_mubs(v, fmt) == _framed_by_hand(v, fmt), (v.standard, fmt)
 
 
 # sha256 of export_mubs output made by the serializers that dumped nested
