@@ -91,9 +91,8 @@ def field_info(p, r, mul_table, fmt):
     if mul_table:
         if fld.q > 49:
             _fail("--mul-table is limited to q <= 49")
-        payload["mul_table"] = [
-            [fld.mul(a, b) for b in range(fld.q)] for a in range(fld.q)
-        ]
+        enc = fld.encodings
+        payload["mul_table"] = fld.mul_vec(enc[:, None], enc).tolist()
     if fmt == "json":
         _emit_json(payload)
         return

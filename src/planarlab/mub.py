@@ -48,21 +48,23 @@ vector pair: O(q^3) more per bad vector.  One flipped exponent costs
 whole basis took the generic kernel.  Both kernels judge by cyclo's exact
 rule.
 
-Exact json and csv whose exponents are one digit (p <= 7) go by runs of
-phase bases, consecutive bases whose labels have one width: a chunk of a
-run is rendered from the form in one numpy pass a run of row heads
-(_rows_table), and an import reads every label, then each run's digits a
-block of bases at a time into one buffer, one reshaped view a run of heads,
-and certifies each block as it is read (_bases); other texts (float-json,
-p >= 11) are joined a basis at a time and read as digit runs.  An import
-keeps only the form, and keeps the set only if its export, rendered piece
-by piece from the form, tiles the input byte for byte, else the checked
-body reader reads every value and raises every body error; then the labels
-are checked against the reference rows (_check_labels).  At q = 125 json
-and csv export take 2-4 and 3.5-5 ms and canonical imports 4.5-6 ms, the
-certificate included (checked body reader: 0.4 and 0.6 s); at q = 343 a
-json export takes 0.08 s and its import 0.10 s (CPU medians, 2-core shared
-x86).
+One driver (_pieces) writes every format: each phase basis's text (json's
+list-item opener, label and key, csv's label), json's standard item and
+header, and the bodies by one of two renderers.  One-digit json and csv
+(p <= 7) go by runs of phase bases, consecutive bases whose labels have one
+width: a chunk of a run is rendered from the form in one numpy pass a run
+of row heads (_rows_table); other texts (float-json, p >= 11) are joined a
+basis at a time (_rows_join).  An import reads every label, then each
+one-digit run's digits a block (a piece of a run, _cut) at a time into one
+buffer, one reshaped view a run of heads, and certifies each block as it is
+read (_bases); other texts are read as digit runs.  An import keeps only
+the form, and keeps the set only if its export, rendered piece by piece
+from the form, tiles the input byte for byte, else the checked body reader
+reads every value and raises every body error; then the labels are checked
+against the reference rows (_check_labels).  At q = 125 json and csv export
+take 2-4 and 3.5-5 ms and canonical imports 4.5-6 ms, the certificate
+included (checked body reader: 0.4 and 0.6 s); at q = 343 a json export
+takes 0.08 s and its import 0.10 s (CPU medians, 2-core shared x86).
 """
 
 from __future__ import annotations
@@ -177,8 +179,7 @@ class MubSet:
         exps = np.asarray(exponents)
         if exps.dtype != np.uint16 or exps.shape != (q, q, q):
             raise ValueError(f"expected {q} phase bases of {q} vectors of length {q}")
-        step = _block_bases(q)
-        form = _certify(field, (exps[k0 : k0 + step] for k0 in range(0, q, step)))
+        form = _certify(field, (exps[k0:k1] for k0, k1 in _cut([(0, q)], _block_bases(q))))
         return cls(field, construction, poly, a, form, standard)
 
     @property
@@ -381,6 +382,14 @@ def _pair_violations(m, ks, us, ls, vs):
 def _block_bases(q: int) -> int:
     """Phase bases read and certified at once: about _VERIFY_CHUNK exponents."""
     return min(q, max(1, _VERIFY_CHUNK // (q * q)))
+
+
+def _cut(runs, n: int) -> Iterator[tuple[int, int]]:
+    """(c0, c1) of each piece of at most n bases of each run (k0, k1) of
+    bases, in order: a block or chunk never spans two runs."""
+    for k0, k1 in runs:
+        for c0 in range(k0, k1, n):
+            yield c0, min(c0 + n, k1)
 
 
 def _certify(field: FieldSpec, blocks) -> _Form:
@@ -601,131 +610,117 @@ class _Frames(NamedTuple):
             at += (b1 - b0) * w
 
 
-def _chunk_bases(q: int) -> int:
-    """Phase bases rendered at once, in a chunk of one-digit text or a chunk
-    of rows: at most _VERIFY_CHUNK exponents and an eighth of the bases."""
-    return max(1, min(_VERIFY_CHUNK // (q * q), q // 8))
-
-
 def _row_chunks(m: MubSet, runs, dtype=np.uint16) -> Iterator[tuple[int, np.ndarray]]:
-    """(c0, rows) for each chunk (_chunk_bases) of phase bases within each
-    run (k0, k1) of bases: rows[n] is basis c0 + n, rendered from the form
-    into one buffer of `dtype`, which the next chunk reuses."""
+    """(c0, rows) for each chunk of phase bases (_cut) of each run (k0, k1)
+    of bases, at most _VERIFY_CHUNK exponents and an eighth of the bases:
+    rows[n] is basis c0 + n, rendered from the form into one buffer of
+    `dtype`, which the next chunk reuses."""
     q = m.field.q
-    step = _chunk_bases(q)
+    step = max(1, min(_VERIFY_CHUNK // (q * q), q // 8))
     rows, spare = np.empty((2, step, q, q), dtype=dtype)  # one buffer for every chunk
-    for k0, k1 in runs:
-        for c0 in range(k0, k1, step):
-            n = min(step, k1 - c0)
-            yield c0, m._rows(slice(c0, c0 + n), None, rows[:n], spare[:n])
+    for c0, c1 in _cut(runs, step):
+        yield c0, m._rows(slice(c0, c1), None, rows[: c1 - c0], spare[: c1 - c0])
 
 
-def _rows_table(m: MubSet, fmt: str) -> Iterator[np.ndarray]:
-    """The phase bases of a one-digit set as json's list items or csv's
-    lines, in frames (_Frames) a chunk of a run of bases at a time, one pass
-    a run of row heads: the chunk's rows are rendered from the form
-    (_row_chunks), and each entry's digit and "," written at once as the
-    little-endian uint16 e + 48 + 256 * ord(","), the text of e being the
-    digit of code e + 48.  Only the chunk's consumer holds it."""
+def _rows_table(m: MubSet, fmt: str, texts: list[str], runs) -> Iterator[tuple]:
+    """(c0, chunk) for each chunk of the runs (k0, k1) of phase bases of a
+    one-digit set, in each run bases whose texts have one width: the chunk's
+    bases as json's list items or csv's lines, basis k framed (_Frames) by
+    its text texts[k], one pass a run of row heads.  The chunk's rows are
+    rendered from the form (_row_chunks), and each entry's digit and ","
+    written at once as the little-endian uint16 e + 48 + 256 * ord(","), the
+    text of e being the digit of code e + 48."""
     q = m.field.q
     frames = _Frames.of(fmt, q)
-    texts = (['%s{"a":%d,"vectors":' % ("[" if k == 0 < m.standard else ",", a)
-              for k, a in enumerate(m.a)] if frames.json  # each basis's lead
-             else [f"{a}," for a in m.a])  # or its pre
     pair, end = np.uint16(ord("0") + 256 * ord(",")), ord("]" if frames.json else "\n")
-
-    def chunk(exps, c0, lead, pre, size):
-        c1 = c0 + len(exps)
-        table = np.empty((c1 - c0, size), dtype=np.uint8)
-        label = np.frombuffer("".join(texts[c0:c1]).encode(), np.uint8).reshape(c1 - c0, -1)
-        table[:, :lead] = label[:, :lead]
+    for c0, exps in _row_chunks(m, runs, np.uint8):
+        n = len(exps)
+        lead, pre, size = frames.sizes(len(str(m.a[c0])))
+        text = np.frombuffer("".join(texts[c0 : c0 + n]).encode(), np.uint8).reshape(n, -1)
+        table = np.empty((n, size), dtype=np.uint8)
+        table[:, :lead] = text[:, :lead]
         for b0, b1, h, rows in frames.rows(table, lead, pre):
-            rows[:, :, :pre] = label[:, None, :pre]
+            rows[:, :, :pre] = text[:, None, :pre]
             rows[:, :, pre : pre + h.shape[1]] = h
             np.add(exps[:, b0:b1], pair, out=rows[:, :, -2 * q :].view("<u2"))
             rows[:, :, -1] = end
         if frames.json:
             table[:, -2:] = np.frombuffer(b"]}", np.uint8)
-        return table.ravel()
-
-    widths = [len(str(a)) for a in m.a]
-    standard = b'%s{"standard":true}' % (b"," if m.standard else b"[")
-    for c0, exps in _row_chunks(m, frames.runs(widths, m.standard), np.uint8):
-        if frames.json and c0 == m.standard:  # a run starts there
-            yield standard
-        yield chunk(exps, c0, *frames.sizes(widths[c0]))
-    if frames.json and m.standard == q:
-        yield standard
+        yield c0, table.ravel()
 
 
-def _rows_join(m: MubSet, texts: list[str], end: str, heads) -> Iterator:
-    """Bases of texts of mixed widths, rendered from the form a chunk of
-    bases at a time (_row_chunks): each is a (q, q + 2) object array of
-    cells, its prefix, head b and the 2p tokens (text and separator)
+def _rows_join(m: MubSet, fmt: str, texts: list[str], tokens: list[str]) -> Iterator[tuple]:
+    """(k, basis) for each phase basis k, its exponents' tokens (tokens[e])
+    of mixed widths, rendered from the form a chunk of bases at a time
+    (_row_chunks): a (q, q + 2) object array of cells, the basis's text (on
+    row 0 in json, which closes the basis with `]}` after its last row, and
+    on every row in csv), head b and the q tokens with their separators
     gathered by exponent, and one join."""
     p, q = m.field.p, m.field.q
-    tok = np.array([t + "," for t in texts] + [t + end for t in texts], dtype=object)
+    json_ = fmt != "csv"
+    end, close = ("]", "]}") if json_ else ("\n", "")
+    tok = np.array([t + "," for t in tokens] + [t + end for t in tokens], dtype=object)
     last = np.zeros(q, dtype=np.intp)
     last[-1] = p  # token e + p is e at a row's end
-    prefixes, column = heads
-    table = np.empty((q, q + 2), dtype=object)
-    table[:, 1] = column
+    table = np.full((q, q + 2), "", dtype=object)
+    table[:, 1] = _column(fmt, q)
     for c0, exps in _row_chunks(m, [(0, q)]):
-        for prefix, rows in zip(prefixes[c0:], exps):
-            table[:, 0] = prefix
+        for k, rows in enumerate(exps, c0):
+            table[: 1 if json_ else q, 0] = texts[k]
             table[:, 2:] = tok[rows + last]
-            yield "".join(table.ravel().tolist()).encode()
+            yield k, ("".join(table.ravel().tolist()) + close).encode()
 
 
-def _json_header_text(m: MubSet, **extra) -> bytes:
-    """The header keys that end a json document ("bases" sorts first), and "}"."""
-    header = {"field": m.field.to_json_dict(), "construction": m.construction,
-              "poly": str(m.poly), **extra}
-    return json.dumps(header, sort_keys=True, separators=(",", ":"))[1:].encode() + b"\n"
-
-
-def _json_pieces(m: MubSet, key: str, bodies, **extra) -> Iterator[bytes]:
-    """The json document in pieces: basis k as {"a": a[k], key: bodies[k]},
-    the standard basis at its position, then the header, all keys sorted."""
-    q = m.field.q
-    yield b'{"bases":['
-    for k, (a, body) in enumerate(zip(m.a, bodies)):
-        if k == m.standard:
-            yield b'{"standard":true},'
-        yield b'{"a":%d,"%s":' % (a, key.encode())
-        yield body
-        yield b"]}," if k < q - 1 or m.standard == q else b"]}],"
-    if m.standard == q:
-        yield b'{"standard":true}],'
-    yield _json_header_text(m, **extra)
+def _placed(pieces, k: int, item: bytes) -> Iterator:
+    """The pieces of the (first basis, piece) pairs, item ahead of the piece
+    that begins with basis k."""
+    for k0, piece in pieces:
+        if k0 == k:
+            yield item
+        yield piece
 
 
 def _pieces(m: MubSet, fmt: str) -> Iterator:
-    """export_mubs(m, fmt) in pieces, each rendered in its turn: chunks of
-    bases by digit arithmetic (_rows_table) for one-digit json and csv,
-    else each phase basis by the join, which renders each of the p
-    exponents once, as its decimal or its compact float-json [re, im]."""
+    """export_mubs(m, fmt) in pieces, each rendered in its turn: the one
+    driver of every format.  It writes each phase basis's text once (json's
+    list-item opener, `{"a":`, the label and `,"vectors":`, or float-json's
+    `,"entries":`; csv's label and ","), json's standard item at its
+    position, and json's header keys after the bases, "lossy" in float-json.
+    Bodies go by digit arithmetic (_rows_table) for one-digit json and csv,
+    by runs of bases whose texts have one width, json's cut at the standard
+    basis, else by the join (_rows_join) of the p exponents' tokens, each
+    its decimal or its compact float-json [re, im].  A plain function, so an
+    unknown format raises at the call, before any piece is written."""
     p, q = m.field.p, m.field.q
-    one_digit, decimals = _one_digit(p), [str(e) for e in range(p)]
+    if fmt not in ("json", "csv", "float-json"):
+        raise ValueError(f"unknown export format {fmt!r}")
     if fmt == "csv":
-        header = ("basis,b," + ",".join(f"x{i}" for i in range(q)) + "\n").encode()
-        heads = [f"{a}," for a in m.a], _column(fmt, q)
-        return chain([header], _rows_table(m, fmt) if one_digit else
-                     _rows_join(m, decimals, "\n", heads))
-    if fmt == "json" and one_digit:
-        return chain([b'{"bases":'], _rows_table(m, fmt), [b"]," + _json_header_text(m)])
-    heads = [""] * q, _column(fmt, q)
-    if fmt == "json":
-        return _json_pieces(m, "vectors", _rows_join(m, decimals, "]", heads))
-    if fmt == "float-json":
+        s, standard = q, ""  # csv does not record the standard basis
+        texts = [f"{a}," for a in m.a]
+        head, tail = "basis,b," + ",".join(f"x{i}" for i in range(q)) + "\n", ""
+    else:
+        s, key = m.standard, "vectors" if fmt == "json" else "entries"
+        texts = ['%s{"a":%d,"%s":' % ("," if k + (k >= s) else "[", a, key)
+                 for k, a in enumerate(m.a)]
+        standard = ("," if s else "[") + '{"standard":true}'
+        header = {"field": m.field.to_json_dict(), "construction": m.construction,
+                  "poly": str(m.poly), **({"lossy": True} if fmt == "float-json" else {})}
+        # "bases" sorts first, so the other keys follow the list
+        head, tail = '{"bases":', "]," + json.dumps(header, sort_keys=True,
+                                                    separators=(",", ":"))[1:] + "\n"
+        if s == q:
+            tail = standard + tail
+    if _one_digit(p) and fmt != "float-json":
+        body = _rows_table(m, fmt, texts, _runs([(len(t), k < s) for k, t in enumerate(texts)]))
+    else:
         amp = 1.0 / math.sqrt(q)
-        pairs = [
-            json.dumps([amp * math.cos(2.0 * math.pi * e / p),
-                        amp * math.sin(2.0 * math.pi * e / p)], separators=(",", ":"))
-            for e in range(p)
-        ]
-        return _json_pieces(m, "entries", _rows_join(m, pairs, "]", heads), lossy=True)
-    raise ValueError(f"unknown export format {fmt!r}")
+        tokens = [str(e) if fmt != "float-json" else
+                  json.dumps([amp * math.cos(2.0 * math.pi * e / p),
+                              amp * math.sin(2.0 * math.pi * e / p)], separators=(",", ":"))
+                  for e in range(p)]
+        body = _rows_join(m, fmt, texts, tokens)
+    return chain([head.encode()], _placed(body, s, standard.encode()),
+                 [tail.encode()] if tail else ())
 
 
 def export_mubs(m: MubSet, fmt: str = "json") -> bytes:
@@ -795,42 +790,32 @@ def _runs_body(chars: np.ndarray, heads: int, out: np.ndarray) -> None:
 def _body_runs(chars: np.ndarray, spans: list, heads: int, q: int) -> Iterator[np.ndarray]:
     """The exponents of the phase bases whose bodies are chars[start:end],
     (start, end) in spans, read by _runs_body into one buffer, a block of
-    bases (_block_bases) at a time."""
+    bases (_block_bases, _cut) at a time."""
     buf = np.empty((_block_bases(q), q, q), dtype=np.uint16)
-    for k0 in range(0, q, len(buf)):
-        block = buf[: min(len(buf), q - k0)]
-        for out, (start, end) in zip(block, spans[k0:]):
+    for k0, k1 in _cut([(0, q)], len(buf)):
+        for out, (start, end) in zip(buf, spans[k0:k1]):
             _runs_body(chars[start:end], heads, out)
-        yield block
+        yield buf[: k1 - k0]
 
 
 def _body_digits(chars: np.ndarray, frames: _Frames, starts, widths, standard) -> Iterator:
     """The exponents of the one-digit phase bases, basis k's frame starting
-    at chars[starts[k]] and its label widths[k] digits wide, a block
-    (_block_bases) at a time in one buffer, filled from the runs of bases
-    (_Frames.runs) one reshaped view a run of row heads for each piece of a
-    run in a block.  ValueError when chars ends first.  A byte that is not a
-    digit reads as 10 or more."""
+    at chars[starts[k]] and its label widths[k] digits wide, a block at a time
+    in one buffer: each block is a piece (_cut) of at most _block_bases of a
+    run of bases (_Frames.runs), read one reshaped view a run of row heads.
+    ValueError when chars ends first.  A byte that is not a digit reads as 10
+    or more."""
     q = frames.column[-1][1]
     buf = np.empty((_block_bases(q), q, q), dtype=np.uint16)
-    n = 0  # bases in buf
-    for k0, k1 in frames.runs(widths, standard):
+    for k0, k1 in _cut(frames.runs(widths, standard), len(buf)):
         lead, pre, size = frames.sizes(widths[k0])
-        run = chars[starts[k0] : starts[k0] + (k1 - k0) * size]
-        if len(run) < (k1 - k0) * size:
+        block = chars[starts[k0] : starts[k0] + (k1 - k0) * size]
+        if len(block) < (k1 - k0) * size:
             raise ValueError("the document ends inside a phase basis")
-        run = run.reshape(k1 - k0, size)
-        while len(run):
-            take = min(len(buf) - n, len(run))
-            for b0, b1, _, rows in frames.rows(run[:take], lead, pre):
-                np.subtract(rows[:, :, -2 * q :: 2], np.uint8(48),
-                            out=buf[n : n + take, b0:b1], casting="unsafe")
-            n, run = n + take, run[take:]
-            if n == len(buf):
-                yield buf
-                n = 0
-    if n:
-        yield buf[:n]
+        for b0, b1, _, rows in frames.rows(block.reshape(k1 - k0, size), lead, pre):
+            np.subtract(rows[:, :, -2 * q :: 2], np.uint8(48), out=buf[: k1 - k0, b0:b1],
+                        casting="unsafe")
+        yield buf[: k1 - k0]
 
 
 def _bases(data: bytes, fld: FieldSpec, fmt: str):

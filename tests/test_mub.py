@@ -1045,18 +1045,18 @@ def _digit_rows(monkeypatch):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_digit_io_goes_a_run_or_a_chunk_at_a_time(fmt, monkeypatch):
     """A GF(125) export writes its digits once per run of row heads in each
-    chunk, and the import reads them once per run of heads in each piece of
-    a run of bases that a block of bases holds, then renders the chunks
-    again for the tile check: a few dozen numpy passes, where one a basis
-    and run of heads made q times that."""
+    chunk, and the import reads them once per run of heads in each block,
+    a piece of at most a block of bases of a run of bases, then renders the
+    chunks again for the tile check: a few dozen numpy passes, where one a
+    basis and run of heads made q times that."""
     m = dataclasses.replace(build_alltop_mubs(make_field(5, 3)), standard=62)
     heads = len(mub._Frames.of(fmt, 125).column)  # 2 in json, 3 in csv
     chunks, runs = _chunks_and_runs(m, fmt)
-    # a block's bases are consecutive, so its pieces are where run ends
-    # and block ends cut the bases
-    ends = {k1 for _, k1 in mub._Frames.of(fmt, 125).runs([len(str(a)) for a in m.a],
-                                                           m.standard)}
-    blocks = len(ends | set(range(mub._block_bases(125), 125, mub._block_bases(125))))
+    # each run is cut into blocks of 16 bases from its own start
+    step = mub._block_bases(125)
+    blocks = sum(-(-(k1 - k0) // step) for k0, k1 in
+                 mub._Frames.of(fmt, 125).runs([len(str(a)) for a in m.a], m.standard))
+    assert (blocks, step) == ({"json": 10, "csv": 9}[fmt], 16)
     calls = _digit_rows(monkeypatch)
     data = export_mubs(m, fmt)
     assert calls == [True] * heads * chunks

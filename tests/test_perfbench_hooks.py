@@ -117,3 +117,22 @@ def test_the_benchmark_imports_take_the_canonical_route(harness, caplog):
             routes = [r.getMessage().split(": ")[1] for r in caplog.records
                       if r.getMessage().startswith("import ")]
             assert routes == ["canonical route"] * count, req
+
+
+def test_every_mub_request_matches_its_golden(harness):
+    """Every request of the mub-io and mub-verify pools, run in this
+    process, returns its golden digest and work units with its checks held,
+    as the benchmark's correctness check asks: an export that changes a
+    byte of its framing fails here, not first in a benchmark run."""
+    _, workloads = harness
+    for name in ("mub-io", "mub-verify"):
+        pool = workloads.load_goldens(name)["pool"]
+        assert pool, name
+        for entry in pool:
+            req = entry["req"]
+            inputs = {}
+            if req["op"] == "verify-import":
+                inputs[workloads.req_id(req)] = workloads.corrupted_export(planarlab, req)
+            out, units, held = workloads.execute(planarlab, req, inputs)
+            assert (workloads.digest(out), units, held) == (entry["digest"], entry["units"],
+                                                            True), req
